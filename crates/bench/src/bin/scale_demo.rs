@@ -6,9 +6,9 @@
 //! gating, and completion-horizon span advances elide the overwhelmingly
 //! idle cycles a 1 GB cache's long miss latencies produce. The binary
 //! accepts the standard flags (`--out`, `--scale` — default `1` here,
-//! unlike the other binaries — and `BEAR_SIM_THREADS` applies as
-//! everywhere); scalars record wall clock, span/skip coverage, and the
-//! cell's headline stats so runs are comparable across machines.
+//! unlike the other binaries); scalars record wall clock, span/skip
+//! coverage, and the cell's headline stats so runs are comparable across
+//! machines.
 
 use bear_bench::report::Report;
 use bear_bench::{config_for, RunPlan};
@@ -31,13 +31,12 @@ fn run(plan: &RunPlan, report: &mut Report) {
     let total = (skipped + live).max(1);
     println!(
         "BEAR x mcf @ L4 {} MB: {} cycles in {:.2}s \
-         ({:.0}% cycles skipped, {} of them inside spans, {} sim threads)",
+         ({:.0}% cycles skipped, {} of them inside spans)",
         cfg.l4_capacity() >> 20,
         cfg.warmup_cycles + cfg.measure_cycles,
         wall.as_secs_f64(),
         skipped as f64 / total as f64 * 100.0,
         sys.span_cycles(),
-        sys.sim_threads(),
     );
     // At this budget a 1 GB cache is still warming (the paper's runs are
     // billions of cycles), so hit-dependent ratios like the bloat factor
@@ -54,7 +53,6 @@ fn run(plan: &RunPlan, report: &mut Report) {
     report.add_scalar("wall_ns", wall.as_nanos() as f64);
     report.add_scalar("skip_frac", skipped as f64 / total as f64);
     report.add_scalar("span_cycles", sys.span_cycles() as f64);
-    report.add_scalar("sim_threads", sys.sim_threads() as f64);
     report.add_scalar("l4_capacity_bytes", cfg.l4_capacity() as f64);
 }
 

@@ -1190,12 +1190,6 @@ fn metrics_line(shared: &Arc<Shared>) -> String {
         reg.set_help("beard_draining", "1 once a drain has been requested");
         reg.gauge("beard_draining", &[])
             .set(if st.draining.is_some() { 1.0 } else { 0.0 });
-        reg.set_help(
-            "beard_sim_threads",
-            "Channel-shard threads each simulation ticks with (BEAR_SIM_THREADS)",
-        );
-        reg.gauge("beard_sim_threads", &[])
-            .set(bear_dram::shard::sim_threads_from_env().unwrap_or(1) as f64);
     }
     let registry = Json::parse(&reg.to_json()).expect("registry dump is valid JSON");
     Json::Obj(vec![

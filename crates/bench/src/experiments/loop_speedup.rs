@@ -14,41 +14,13 @@
 //! per cell (`poll_ns:<config>:<workload>`, `event_ns:<config>:<workload>`)
 //! and the headline `speedup_gmean`.
 
-//!
-//! A `--threads LIST` sweep (see the binary) reruns the event-driven grid
-//! at each listed `BEAR_SIM_THREADS` count, asserting the simulated
-//! results stay bit-identical to serial (the sharded tick's determinism
-//! contract) and recording `event_ns_t<N>:<cell>`, `speedup_t<N>:<cell>`,
-//! and `speedup_gmean_t<N>` alongside the serial scalars. The headline
-//! `speedup_gmean` always means the *serial* event-vs-poll ratio so the
-//! committed perf floor keeps one meaning across sweeps.
-
 use crate::report::Report;
 use crate::{config_for, f3, gmean, print_row, quick_mode, RunPlan};
 use bear_core::config::{BearFeatures, DesignKind};
 use bear_core::metrics::RunStats;
 use bear_core::system::System;
 use bear_workloads::{BenchmarkProfile, Workload};
-use std::sync::Mutex;
 use std::time::Instant;
-
-/// Extra `BEAR_SIM_THREADS` counts to sweep (`--threads`), set by the
-/// binary before the experiment runs. Empty means serial only.
-static THREAD_SWEEP: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-
-/// Selects the thread counts the next [`run`] sweeps in addition to the
-/// serial baseline (duplicates and `1` are dropped — serial is always
-/// measured).
-pub fn set_thread_sweep(threads: Vec<usize>) {
-    let mut sweep: Vec<usize> = threads.into_iter().filter(|&t| t > 1).collect();
-    sweep.sort_unstable();
-    sweep.dedup();
-    *THREAD_SWEEP.lock().expect("thread sweep poisoned") = sweep;
-}
-
-fn thread_sweep() -> Vec<usize> {
-    THREAD_SWEEP.lock().expect("thread sweep poisoned").clone()
-}
 
 /// One cell of the smoke grid.
 struct Cell {
@@ -102,7 +74,6 @@ fn time_cell(
     cfg: &bear_core::config::SystemConfig,
     workload: &Workload,
     event_driven: bool,
-    threads: usize,
     samples: usize,
 ) -> (u64, RunStats, f64) {
     let mut best_ns = u64::MAX;
@@ -111,7 +82,6 @@ fn time_cell(
     for _ in 0..samples.max(1) {
         let mut sys = System::build(cfg, workload);
         sys.set_event_driven(event_driven);
-        sys.set_sim_threads(threads);
         let t0 = Instant::now();
         let stats = sys.run(cfg.warmup_cycles, cfg.measure_cycles);
         let ns = t0.elapsed().as_nanos() as u64;
@@ -163,16 +133,14 @@ pub fn run(plan: &RunPlan, report: &mut Report) {
             "speedup".into(),
         ],
     );
-    let sweep = thread_sweep();
     let mut speedups = Vec::new();
-    let mut threaded: Vec<(usize, Vec<f64>)> = sweep.iter().map(|&t| (t, Vec::new())).collect();
     for cell in grid() {
         let cfg = config_for(cell.design, cell.bear, plan);
         let profile = BenchmarkProfile::by_name(cell.bench)
             .unwrap_or_else(|| panic!("unknown benchmark {}", cell.bench));
         let workload = Workload::rate(profile);
-        let (poll_ns, poll_stats, _) = time_cell(&cfg, &workload, false, 1, samples);
-        let (event_ns, event_stats, skip_frac) = time_cell(&cfg, &workload, true, 1, samples);
+        let (poll_ns, poll_stats, _) = time_cell(&cfg, &workload, false, samples);
+        let (event_ns, event_stats, skip_frac) = time_cell(&cfg, &workload, true, samples);
         assert_equivalent(cell.label, cell.bench, &event_stats, &poll_stats);
         let sp = poll_ns as f64 / event_ns.max(1) as f64;
         let key = format!("{}:{}", cell.label, cell.bench);
@@ -190,32 +158,8 @@ pub fn run(plan: &RunPlan, report: &mut Report) {
         report.add_scalar(&format!("event_ns:{key}"), event_ns as f64);
         report.add_scalar(&format!("skip_frac:{key}"), skip_frac);
         speedups.push(sp);
-        for (t, sps) in &mut threaded {
-            let (t_ns, t_stats, _) = time_cell(&cfg, &workload, true, *t, samples);
-            // The determinism contract: thread count must never change
-            // what was simulated, only how fast.
-            assert_equivalent(cell.label, cell.bench, &t_stats, &poll_stats);
-            let t_sp = poll_ns as f64 / t_ns.max(1) as f64;
-            print_row(
-                &format!("{}x{}@t{t}", cell.label, cell.bench),
-                &[
-                    format!("{:.1}", poll_ns as f64 / 1e6),
-                    format!("{:.1}", t_ns as f64 / 1e6),
-                    String::from("-"),
-                    f3(t_sp),
-                ],
-            );
-            report.add_scalar(&format!("event_ns_t{t}:{key}"), t_ns as f64);
-            report.add_scalar(&format!("speedup_t{t}:{key}"), t_sp);
-            sps.push(t_sp);
-        }
     }
     let overall = gmean(&speedups);
     println!("overall speedup (gmean): {}", f3(overall));
     report.add_scalar("speedup_gmean", overall);
-    for (t, sps) in &threaded {
-        let g = gmean(sps);
-        println!("overall speedup at {t} threads (gmean): {}", f3(g));
-        report.add_scalar(&format!("speedup_gmean_t{t}"), g);
-    }
 }

@@ -11,7 +11,6 @@ use bear_dram::config::DramConfig;
 use bear_dram::device::{Completion, DramDevice};
 use bear_dram::mapping::{AddressMapper, Interleave};
 use bear_dram::request::{DramLocation, DramRequest, TrafficClass};
-use bear_dram::shard::{ShardPool, SpanTask};
 use bear_sim::invariants::InvariantSink;
 use bear_sim::time::Cycle;
 use std::collections::VecDeque;
@@ -259,43 +258,19 @@ impl DeviceHarness {
             .min(self.mem.completion_horizon(now))
     }
 
-    /// Advances every channel of both devices from `now` to `horizon` on
-    /// `pool`, replaying each channel's busy ticks exactly as per-cycle
-    /// driving would (see [`Channel::advance_to`]). The caller must have
+    /// Advances both devices from `now` to `horizon` with
+    /// [`DramDevice::advance_span`], replaying each channel's busy ticks
+    /// exactly as per-cycle driving would. The caller must have
     /// established `horizon <= self.completion_horizon(now)` and must not
     /// submit requests during the span; under that contract no completion
-    /// occurs, so the merged state is bit-identical across thread counts.
-    ///
-    /// [`Channel::advance_to`]: bear_dram::channel::Channel::advance_to
-    pub fn advance_span(&mut self, now: Cycle, horizon: Cycle, pool: &mut ShardPool) {
+    /// occurs.
+    pub fn advance_span(&mut self, now: Cycle, horizon: Cycle) {
         debug_assert!(
             self.cache_retry.is_empty() && self.mem_retry.is_empty(),
             "span advance with retry backlog"
         );
-        // Spans shorter than this run serially even on a multi-thread
-        // pool: waking workers costs more than ticking a few cycles.
-        const PARALLEL_SPAN_MIN: u64 = 24;
-        let mut tasks: Vec<SpanTask<'_>> = self
-            .cache
-            .channels_mut()
-            .iter_mut()
-            .chain(self.mem.channels_mut())
-            .filter(|ch| ch.next_busy_cycle(now) < horizon)
-            .map(|channel| SpanTask {
-                channel,
-                now,
-                horizon,
-            })
-            .collect();
-        if horizon - now < PARALLEL_SPAN_MIN {
-            let mut scratch = Vec::new();
-            for t in &mut tasks {
-                t.channel.advance_to(t.now, t.horizon, &mut scratch);
-                debug_assert!(scratch.is_empty(), "completion retired inside a span");
-            }
-        } else {
-            pool.run(&mut tasks);
-        }
+        self.cache.advance_span(now, horizon);
+        self.mem.advance_span(now, horizon);
     }
 
     /// Requests waiting in retry queues (backpressure depth).

@@ -35,7 +35,7 @@ use bear_sim::time::Cycle;
 ///
 /// Allocation order is deterministic (LIFO free list), so the ids a run
 /// produces — and everything keyed on them, like completion routing —
-/// are identical across runs and thread counts.
+/// are identical across runs.
 #[derive(Debug, Clone, Default)]
 pub struct TxnTable<T> {
     slots: Vec<Option<T>>,

@@ -460,11 +460,12 @@ impl Channel {
     /// refreshes exactly as [`Channel::tick`] at those cycles would. The
     /// caller must pass a `horizon` no later than
     /// [`Channel::completion_horizon`]`(now)` and must not enqueue during
-    /// the span; under that contract no completion can retire, so channels
-    /// can be advanced concurrently and merged deterministically at the
-    /// horizon. Resulting state is bit-identical to serial per-cycle
-    /// ticking because each tick runs at exactly the cycle the busy hint
-    /// names — the same cycles a per-cycle driver would find non-elidable.
+    /// the span; under that contract no completion can retire, so a device
+    /// can advance its channels one after another instead of in lockstep
+    /// (see [`crate::device::DramDevice::advance_span`]). Resulting state
+    /// is bit-identical to serial per-cycle ticking because each tick runs
+    /// at exactly the cycle the busy hint names — the same cycles a
+    /// per-cycle driver would find non-elidable.
     pub fn advance_to(
         &mut self,
         now: Cycle,

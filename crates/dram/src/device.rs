@@ -182,11 +182,29 @@ impl DramDevice {
             .unwrap_or(Cycle::NEVER)
     }
 
-    /// Exclusive access to the per-channel controllers, for span-advancing
-    /// them in parallel via [`crate::shard::ShardPool`]. Channels share no
-    /// state, so distinct elements may be mutated concurrently.
-    pub fn channels_mut(&mut self) -> &mut [Channel] {
-        &mut self.channels
+    /// Advances every channel from `now` to `horizon` in one call, replaying
+    /// each channel's busy ticks exactly as per-cycle driving would (see
+    /// [`Channel::advance_to`]). The caller must pass
+    /// `horizon <= self.completion_horizon(now)` and must not enqueue
+    /// during the span. Channels share no state, so advancing them one
+    /// after another lands in the same state as ticking them in lockstep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a completion retires inside the span, i.e. the caller
+    /// broke the completion-horizon contract. The check stays on in
+    /// release builds.
+    pub fn advance_span(&mut self, now: Cycle, horizon: Cycle) {
+        self.scratch.clear();
+        for (idx, ch) in self.channels.iter_mut().enumerate() {
+            // Returns at once when the channel's busy hint is past `horizon`.
+            ch.advance_to(now, horizon, &mut self.scratch);
+            assert!(
+                self.scratch.is_empty(),
+                "channel {idx} retired a completion inside the span \
+                 [{now:?}, {horizon:?}): completion_horizon contract violated"
+            );
+        }
     }
 
     /// Per-channel statistics.
@@ -531,6 +549,68 @@ mod tests {
         assert_eq!(depths.iter().map(|&d| d as usize).sum::<usize>(), 3);
         drive(&mut dev, 3, 100_000);
         assert!(dev.bank_queue_depths().iter().all(|&d| d == 0));
+    }
+
+    fn loaded_device() -> DramDevice {
+        let mut dev = DramDevice::new(DramConfig::stacked_cache_8x());
+        for ch in 0..dev.config().topology.channels {
+            for id in 0..6u64 {
+                dev.try_enqueue(DramRequest::read(
+                    u64::from(ch) * 100 + id,
+                    DramLocation {
+                        channel: ch,
+                        rank: 0,
+                        bank: (id % 4) as u32,
+                        row: id * 3 + u64::from(ch),
+                    },
+                    5,
+                    TrafficClass(0),
+                    Cycle(0),
+                ))
+                .unwrap();
+            }
+        }
+        dev
+    }
+
+    /// Drive the same load twice: per cycle, and by jumping to each
+    /// completion horizon with `advance_span`. Every observable (debug
+    /// state, stats, completions) must match bit for bit.
+    #[test]
+    fn advance_span_matches_per_cycle_ticking() {
+        let mut reference = loaded_device();
+        let mut spanned = loaded_device();
+        let mut now = Cycle(0);
+        let mut ref_done = Vec::new();
+        let mut span_done = Vec::new();
+        let mut spans = 0;
+        // Alternate span advances with dense ticking until drained.
+        while spanned.pending() > 0 && now.0 < 100_000 {
+            let horizon = spanned.completion_horizon(now);
+            if horizon > now + 1 && horizon != Cycle::NEVER {
+                spanned.advance_span(now, horizon);
+                while now < horizon {
+                    reference.tick(now, &mut ref_done);
+                    now += 1;
+                }
+                spans += 1;
+            } else {
+                reference.tick(now, &mut ref_done);
+                spanned.tick(now, &mut span_done);
+                now += 1;
+            }
+        }
+        assert_eq!(spanned.pending(), 0, "workload must drain");
+        assert!(spans > 0, "no span was taken");
+        assert_eq!(
+            format!("{:?}", reference.channels),
+            format!("{:?}", spanned.channels),
+            "channel state diverged"
+        );
+        let ids = |done: &[Completion]| -> Vec<_> {
+            done.iter().map(|c| (c.request.id, c.finish)).collect()
+        };
+        assert_eq!(ids(&ref_done), ids(&span_done), "completions diverged");
     }
 
     #[test]

@@ -18,8 +18,6 @@
 //!   read priority and batched write drains, and data-bus arbitration.
 //! - [`device`]: the multi-channel device with enqueue/tick/completion API.
 //! - [`mapping`]: physical-address-to-location interleaving policies.
-//! - [`shard`]: span-parallel channel execution on a persistent worker
-//!   pool (`BEAR_SIM_THREADS`), deterministic by construction.
 //!
 //! # Example
 //!
@@ -48,10 +46,18 @@ pub mod config;
 pub mod device;
 pub mod mapping;
 pub mod request;
-pub mod shard;
+
+/// Compatibility name for the repository benchmark, which clears this
+/// variable before it runs. The simulator no longer reads
+/// `BEAR_SIM_THREADS`: spans always advance serially (see
+/// [`crate::device::DramDevice::advance_span`]). The name stays only for
+/// `benchmark/`.
+pub mod shard {
+    /// The retired simulation-thread-count variable (no longer read).
+    pub const SIM_THREADS_ENV: &str = "BEAR_SIM_THREADS";
+}
 
 pub use config::{DramConfig, DramTimings, DramTopology};
 pub use device::{Completion, DramDevice};
 pub use mapping::AddressMapper;
 pub use request::{DramLocation, DramRequest, RequestId, TrafficClass};
-pub use shard::{parse_sim_threads, sim_threads_from_env, ShardPool, SpanTask};
