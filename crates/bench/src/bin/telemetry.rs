@@ -21,9 +21,10 @@
 //! the overhead check.
 //!
 //! The binary validates its own outputs — every JSONL line and the trace
-//! document must re-parse, and window sums must equal the run's
-//! end-of-run aggregates — so it doubles as a smoke test for
-//! `scripts/verify.sh`.
+//! document must re-parse, window sums must equal the run's end-of-run
+//! aggregates, and the fully armed cell must still elide cycles (arming
+//! telemetry must not force per-cycle polling) — so it doubles as a
+//! smoke test for `scripts/verify.sh`.
 
 use bear_bench::cli;
 use bear_bench::report::Json;
@@ -66,12 +67,13 @@ fn class_name(class: TrafficClass) -> String {
         .unwrap_or_else(|| format!("class{}", class.0))
 }
 
-/// Runs one fully armed cell and returns its stats plus telemetry.
+/// Runs one armed cell and returns its stats, its telemetry and the
+/// cycles the event-driven loop elided (idle skips plus span advances).
 fn run_armed(
     cfg: &SystemConfig,
     workload: &Workload,
     opts: TelemetryOptions,
-) -> (bear_core::metrics::RunStats, TelemetryReport) {
+) -> (bear_core::metrics::RunStats, TelemetryReport, u64) {
     let mut sys = System::try_build(cfg, workload)
         .unwrap_or_else(|e| panic!("building {}: {e}", workload.name));
     sys.set_telemetry(TelemetryConfig::On(opts));
@@ -79,7 +81,8 @@ fn run_armed(
         .run_monitored(cfg.warmup_cycles, cfg.measure_cycles)
         .unwrap_or_else(|e| panic!("running {}: {e}", workload.name));
     let report = sys.take_telemetry().expect("armed run yields telemetry");
-    (stats, report)
+    let elided = sys.loop_counters().0 + sys.span_cycles();
+    (stats, report, elided)
 }
 
 /// Exports the ring buffer + transfer log as a Chrome trace document,
@@ -234,15 +237,20 @@ fn main() {
         trace: true,
         profile: true,
     };
-    let (stats, report) = run_armed(&cfg, &workloads[0], opts);
+    let (stats, report, elided) = run_armed(&cfg, &workloads[0], opts);
     check_window_sums(&stats, &report);
     println!(
-        "{} × {}: {} windows, {} ring events, {} transfers",
+        "{} × {}: {} windows, {} ring events, {} transfers, {} cycles elided",
         cfg.design.label(),
         workloads[0].name,
         report.samples.len(),
         report.events.len(),
-        report.transfers.len()
+        report.transfers.len(),
+        elided
+    );
+    assert!(
+        elided > 0,
+        "armed telemetry must ride the event-driven loop, not force polling"
     );
 
     // Time series: the same JSONL the campaign's --telemetry flag writes.
@@ -280,7 +288,7 @@ fn main() {
 
     // 2. A second cell with profiling only, to demonstrate campaign-wide
     // profile aggregation across cells.
-    let (_, report2) = run_armed(
+    let (_, report2, _) = run_armed(
         &cfg,
         &workloads[1],
         TelemetryOptions {

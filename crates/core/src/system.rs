@@ -67,6 +67,26 @@ struct Waiter {
     is_store: bool,
 }
 
+/// What one run-loop step did: a live tick, an idle skip or a span advance.
+#[derive(Clone, Copy)]
+enum Step {
+    Tick,
+    Skip,
+    Span,
+}
+
+impl Step {
+    /// Self-profiler row the step's host time is charged to.
+    #[cfg(feature = "telemetry")]
+    fn label(self) -> &'static str {
+        match self {
+            Step::Tick => "tick",
+            Step::Skip => "skip",
+            Step::Span => "span",
+        }
+    }
+}
+
 /// The assembled system.
 pub struct System {
     cfg: SystemConfig,
@@ -115,7 +135,7 @@ pub struct System {
     /// Cycles covered by span advances (diagnostic).
     span_cycles: u64,
     /// Telemetry state while armed (`None` costs one pointer check per
-    /// tick; absent entirely without the `telemetry` feature).
+    /// tick and loop step; absent entirely without the `telemetry` feature).
     #[cfg(feature = "telemetry")]
     telemetry: Option<Box<crate::telemetry::TelemetryState>>,
 }
@@ -295,51 +315,28 @@ impl System {
             && self.l4.harness().pending() == 0
     }
 
-    /// Enables or disables idle-cycle skipping in [`System::run`] /
-    /// [`System::run_monitored`] / [`System::quiesce`]. On by default;
-    /// both modes produce bit-identical simulated behavior (skipped
-    /// cycles are provably no-ops), so this switch only trades wall-clock
-    /// speed for the simplicity of per-cycle polling.
+    /// Enables or disables idle skips, span advances and component tick
+    /// elision in [`System::run`] / [`System::run_monitored`] /
+    /// [`System::quiesce`], telemetry armed or not. On by default; both
+    /// modes produce bit-identical results and telemetry (elided cycles
+    /// are provably no-ops), so this only trades speed for simplicity.
     pub fn set_event_driven(&mut self, on: bool) {
         self.event_driven = on;
         self.sync_gating();
     }
 
-    /// Whether per-component tick elision is active: the event-driven mode
-    /// skips provably-no-op component ticks even inside live cycles.
-    /// Telemetry forces full polling, exactly like whole-cycle skipping.
-    fn component_gating(&self) -> bool {
-        #[cfg(feature = "telemetry")]
-        if self.telemetry.is_some() {
-            return false;
-        }
-        self.event_driven
-    }
-
-    /// Propagates [`System::component_gating`] into the device harness,
-    /// which elides idle channels only while gating is armed.
+    /// Propagates [`System::event_driven`] into the device harness, which
+    /// elides idle channels only while it is set (telemetry has no say).
     fn sync_gating(&mut self) {
-        let on = self.component_gating();
-        self.l4.harness_mut().set_event_gating(on);
+        self.l4.harness_mut().set_event_gating(self.event_driven);
     }
 
-    /// Upper bound on upcoming ticks that are provably no-ops, capped at
-    /// `limit`. Zero means the next tick must run live. A tick can be
-    /// skipped only when nothing can happen in it: no fault is due, no
-    /// delay-wheel event matures, the L4 controller and both DRAM devices
-    /// report themselves idle, and every core is mid-gap (or blocked)
-    /// with no request to issue. Telemetry disables skipping outright —
-    /// its per-tick sampling windows observe the clock directly.
-    fn idle_gap(&self, limit: u64) -> u64 {
-        if !self.event_driven || limit == 0 {
-            return 0;
-        }
-        #[cfg(feature = "telemetry")]
-        if self.telemetry.is_some() {
-            return 0;
-        }
+    /// Ticks until the first non-device wake-up, capped at `limit`: the
+    /// next core issue, fault or delay-wheel event. Zero means one of
+    /// them is due now, so the next tick must run live.
+    fn quiet_bound(&self, limit: u64) -> u64 {
         let now = self.clock.0;
-        let mut gap = limit;
+        let mut bound = limit;
         // Cores first: a core ready to issue is the common busy case, and
         // its check is much cheaper than the wheel lookup or walking every
         // channel.
@@ -349,26 +346,36 @@ impl System {
                 if quiet == 0 {
                     return 0;
                 }
-                gap = gap.min(quiet);
+                bound = bound.min(quiet);
             }
         }
         if let Some(at) = self.faults.next_at() {
             if at <= now {
                 return 0;
             }
-            gap = gap.min(at - now);
+            bound = bound.min(at - now);
         }
         if self.wheel_next != u64::MAX {
             if self.wheel_next <= now {
                 return 0;
             }
-            gap = gap.min(self.wheel_next - now);
+            bound = bound.min(self.wheel_next - now);
+        }
+        bound
+    }
+
+    /// Upcoming ticks that are provably no-ops, at most the
+    /// [`System::quiet_bound`] `bound`: zero (the next tick must run live)
+    /// unless the L4 controller and both DRAM devices also report idle.
+    fn idle_gap(&self, bound: u64) -> u64 {
+        if bound == 0 {
+            return 0;
         }
         let busy = self.l4.next_busy_cycle(self.clock);
         if busy <= self.clock {
             return 0;
         }
-        gap.min(busy - self.clock)
+        bound.min(busy - self.clock)
     }
 
     /// Longest interval (in ticks) a failed idle probe can suppress
@@ -423,9 +430,9 @@ impl System {
     const MIN_SPAN: u64 = 8;
 
     /// Span fast path. When every non-device component is provably
-    /// quiet — cores mid-gap, wheel and fault plan idle, the L4
-    /// controller waiting purely on completions, retry queues empty — the
-    /// only work in the next cycles happens *inside* the DRAM channels,
+    /// quiet — cores, wheel and fault plan for `bound` ticks
+    /// ([`System::quiet_bound`]), the L4 controller waiting purely on
+    /// completions, retry queues empty — the only work in the next cycles happens *inside* the DRAM channels,
     /// and [`DeviceHarness::completion_horizon`] bounds how long that
     /// stays true: no completion (the only signal that can wake the rest
     /// of the system) can retire before it. The span
@@ -437,34 +444,12 @@ impl System {
     /// Returns the cycles advanced (0 = fast path not applicable).
     ///
     /// [`DeviceHarness::completion_horizon`]: crate::harness::DeviceHarness::completion_horizon
-    fn try_span_advance(&mut self, limit: u64) -> u64 {
-        if limit < Self::MIN_SPAN || !self.component_gating() {
+    fn try_span_advance(&mut self, bound: u64) -> u64 {
+        if bound < Self::MIN_SPAN {
             return 0;
         }
         let now = self.clock;
-        let mut span = limit;
-        // Same quiet conditions as `idle_gap`, minus the devices.
-        if !self.cores_halted {
-            for core in &self.cores {
-                let quiet = core.quiet_cycles();
-                if quiet == 0 {
-                    return 0;
-                }
-                span = span.min(quiet);
-            }
-        }
-        if let Some(at) = self.faults.next_at() {
-            if at <= now.0 {
-                return 0;
-            }
-            span = span.min(at - now.0);
-        }
-        if self.wheel_next != u64::MAX {
-            if self.wheel_next <= now.0 {
-                return 0;
-            }
-            span = span.min(self.wheel_next - now.0);
-        }
+        let mut span = bound;
         let ctrl = self.l4.controller_idle_until(now);
         if ctrl <= now {
             return 0;
@@ -498,15 +483,15 @@ impl System {
         span
     }
 
-    /// One fast-forward attempt: the plain idle skip first, then the
-    /// span advance, both behind the shared probe
-    /// back-off. Returns whether the clock moved (false = the caller must
-    /// run a live [`System::tick`]).
-    fn fast_forward(&mut self, limit: u64) -> bool {
-        if self.clock.0 < self.next_probe {
-            return false;
+    /// One event-driven fast-forward attempt: the plain idle skip first,
+    /// then the span advance, both behind the shared probe back-off.
+    /// Returns what moved the clock (`None` = run a live [`System::tick`]).
+    fn fast_forward(&mut self, limit: u64) -> Option<Step> {
+        if !self.event_driven || self.clock.0 < self.next_probe {
+            return None;
         }
-        let gap = self.idle_gap(limit);
+        let bound = self.quiet_bound(limit);
+        let gap = self.idle_gap(bound);
         if gap >= Self::MIN_SKIP.min(limit) {
             self.probe_stride = 1;
             // A skip lands exactly on a busy cycle, so the immediate
@@ -514,18 +499,27 @@ impl System {
             // probing one tick later.
             self.next_probe = self.clock.0 + gap + 1;
             self.skip_idle(gap);
-            return true;
+            return Some(Step::Skip);
         }
-        if self.try_span_advance(limit) > 0 {
+        if self.try_span_advance(bound) > 0 {
             // A span lands on a completion cycle: probe again right after
             // the live tick that consumes it, since spans often chain.
             self.probe_stride = 1;
             self.next_probe = self.clock.0 + 1;
-            return true;
+            return Some(Step::Span);
         }
         self.next_probe = self.clock.0 + self.probe_stride;
         self.probe_stride = (self.probe_stride * 2).min(Self::MAX_PROBE_STRIDE);
-        false
+        None
+    }
+
+    /// One run-loop step of at most `limit` cycles: a fast-forward when
+    /// one applies, a live [`System::tick`] otherwise.
+    fn step(&mut self, limit: u64) -> Step {
+        self.fast_forward(limit).unwrap_or_else(|| {
+            self.tick();
+            Step::Tick
+        })
     }
 
     /// Halts the cores and ticks until the memory system drains, up to
@@ -539,9 +533,7 @@ impl System {
             if self.is_drained() {
                 return true;
             }
-            if !self.fast_forward(end - self.clock) {
-                self.tick();
-            }
+            self.step(end - self.clock);
         }
         self.is_drained()
     }
@@ -556,32 +548,37 @@ impl System {
     ///
     /// Arming with tracing also arms oracle observation (the event stream
     /// feeds the telemetry ring buffer, which drains it every tick) and
-    /// the DRAM-cache transfer log. Telemetry is purely passive: it reads
-    /// counters the simulator maintains anyway and never feeds anything
-    /// back, so armed and disarmed runs retire identical instruction
-    /// streams and report identical statistics (a bench guard test pins
-    /// this).
+    /// the DRAM-cache transfer log; any previously armed state is torn
+    /// down first. Telemetry is purely passive: it reads counters the
+    /// simulator maintains anyway and never feeds anything back, so armed
+    /// and disarmed runs retire identical instruction streams and report
+    /// identical statistics (a bench guard test pins this).
     #[cfg(feature = "telemetry")]
     pub fn set_telemetry(&mut self, cfg: bear_telemetry::TelemetryConfig) {
-        match cfg {
-            bear_telemetry::TelemetryConfig::Off => {
-                if self.telemetry.take().is_some_and(|t| t.trace_armed()) {
-                    self.set_observe(false);
-                    self.l4.harness_mut().cache.set_transfer_log(None);
-                }
-            }
-            bear_telemetry::TelemetryConfig::On(opts) => {
-                if opts.trace {
-                    self.set_observe(true);
-                    self.l4
-                        .harness_mut()
-                        .cache
-                        .set_transfer_log(Some(TRANSFER_LOG_CAPACITY));
-                }
-                self.telemetry = Some(Box::new(crate::telemetry::TelemetryState::new(opts)));
-            }
+        if self.telemetry.take().is_some_and(|t| t.trace_armed()) {
+            self.disarm_trace();
         }
-        self.sync_gating();
+        if let bear_telemetry::TelemetryConfig::On(opts) = cfg {
+            if opts.trace {
+                self.set_observe(true);
+                self.l4
+                    .harness_mut()
+                    .cache
+                    .set_transfer_log(Some(TRANSFER_LOG_CAPACITY));
+            }
+            self.telemetry = Some(Box::new(crate::telemetry::TelemetryState::new(opts)));
+        }
+    }
+
+    /// Disarms what trace-armed telemetry armed (observation and the
+    /// transfer log), returning the transfer records captured so far.
+    #[cfg(feature = "telemetry")]
+    fn disarm_trace(&mut self) -> Vec<bear_dram::channel::TransferRecord> {
+        self.set_observe(false);
+        let cache = &mut self.l4.harness_mut().cache;
+        let records = cache.take_transfer_records();
+        cache.set_transfer_log(None);
+        records
     }
 
     /// Streams every closed sample window through `sink` as it happens,
@@ -601,14 +598,10 @@ impl System {
     pub fn take_telemetry(&mut self) -> Option<crate::telemetry::TelemetryReport> {
         let state = self.telemetry.take()?;
         let transfers = if state.trace_armed() {
-            self.set_observe(false);
-            let records = self.l4.harness_mut().cache.take_transfer_records();
-            self.l4.harness_mut().cache.set_transfer_log(None);
-            records
+            self.disarm_trace()
         } else {
             Vec::new()
         };
-        self.sync_gating();
         Some(state.into_report(transfers))
     }
 
@@ -622,61 +615,43 @@ impl System {
             .unwrap_or_default()
     }
 
-    /// Starts a tick-phase timer when profiling is armed.
+    /// Cycles left in the open sample window (`u64::MAX` when none is
+    /// open): the run loop stops there as on any next-event boundary.
     #[cfg(feature = "telemetry")]
-    fn prof_start(&self) -> Option<std::time::Instant> {
-        match &self.telemetry {
-            Some(t) if t.profile_armed() => Some(std::time::Instant::now()),
-            _ => None,
-        }
+    fn telemetry_window_left(&self) -> u64 {
+        let end = self.telemetry.as_ref().and_then(|t| t.next_window_end());
+        end.map_or(u64::MAX, |end| end - self.clock.0)
     }
 
-    /// Charges the elapsed phase to `name` and restarts the timer.
+    /// Loop-boundary telemetry hook after every run-loop step: charges
+    /// the step to the self-profiler and closes the sample window whose
+    /// end the clock reached (charged to `"telemetry"`).
     #[cfg(feature = "telemetry")]
-    fn prof_lap(&mut self, t0: &mut Option<std::time::Instant>, name: &'static str) {
-        if let (Some(prev), Some(t)) = (t0.as_mut(), self.telemetry.as_deref_mut()) {
-            let now = std::time::Instant::now();
-            t.profiler
-                .record(name, now.duration_since(*prev).as_nanos() as u64);
-            *prev = now;
-        }
-    }
-
-    /// Per-tick telemetry hook, called after the clock increment: feeds
-    /// the event ring and closes sample windows when due.
-    #[cfg(feature = "telemetry")]
-    fn telemetry_after_tick(&mut self) {
-        if self.telemetry.is_none() {
+    fn telemetry_after_step(&mut self, step: Step, lap: &mut Option<std::time::Instant>) {
+        let Some(t) = self.telemetry.as_deref_mut() else {
             return;
+        };
+        t.lap(lap, step.label());
+        if t.next_window_end().is_some_and(|end| self.clock.0 >= end) {
+            t.close_window(self.clock.0, &self.cores, &self.l3, self.l4.as_ref());
+            t.lap(lap, "telemetry");
         }
-        // Take/put the box so the state can borrow the rest of the system.
-        let mut t = self.telemetry.take().expect("checked above");
-        t.after_tick(
-            self.clock.0,
-            &mut self.events,
-            &self.cores,
-            &self.l3,
-            self.l4.as_ref(),
-        );
-        self.telemetry = Some(t);
     }
 
     /// Starts sample windowing at the warmup→measure boundary (counters
     /// were just reset, so the base snapshot is zero).
     #[cfg(feature = "telemetry")]
     fn telemetry_begin_measure(&mut self) {
-        if let Some(mut t) = self.telemetry.take() {
+        if let Some(t) = self.telemetry.as_deref_mut() {
             t.begin_measure(self.clock.0, &self.cores, &self.l3, self.l4.as_ref());
-            self.telemetry = Some(t);
         }
     }
 
     /// Flushes the final (partial) sample window at measure end.
     #[cfg(feature = "telemetry")]
     fn telemetry_end_measure(&mut self) {
-        if let Some(mut t) = self.telemetry.take() {
+        if let Some(t) = self.telemetry.as_deref_mut() {
             t.end_measure(self.clock.0, &self.cores, &self.l3, self.l4.as_ref());
-            self.telemetry = Some(t);
         }
     }
 
@@ -860,8 +835,6 @@ impl System {
     pub fn tick(&mut self) {
         let now = self.clock;
         self.live_ticks += 1;
-        #[cfg(feature = "telemetry")]
-        let mut prof = self.prof_start();
 
         // 0. Fault injection (testing): corrupt state at the tick boundary
         //    and re-check immediately, so every applied fault is observed
@@ -884,8 +857,6 @@ impl System {
                 }
             }
         }
-        #[cfg(feature = "telemetry")]
-        self.prof_lap(&mut prof, "cores+l3");
 
         // 2. Delay-wheel events due now. The cached minimum makes the
         //    common nothing-due tick a single integer compare.
@@ -912,8 +883,6 @@ impl System {
                 .first_key_value()
                 .map_or(u64::MAX, |(&due, _)| due);
         }
-        #[cfg(feature = "telemetry")]
-        self.prof_lap(&mut prof, "wheel");
 
         // 3. Memory system. Controller events merge in before the
         //    delivery/eviction processing that reacts to them, keeping the
@@ -929,12 +898,10 @@ impl System {
         //    after steps 1–2 so any submission they made is visible (a
         //    fresh submission lands in the harness retry queues, which
         //    report busy immediately).
-        if !self.component_gating() || self.l4.next_busy_cycle(now) <= now {
+        if !self.event_driven || self.l4.next_busy_cycle(now) <= now {
             let mut outputs = std::mem::take(&mut self.outputs);
             outputs.clear();
             self.l4.tick(now, &mut outputs);
-            #[cfg(feature = "telemetry")]
-            self.prof_lap(&mut prof, "l4+dram");
             if self.observe {
                 self.events.append(&mut outputs.events);
             }
@@ -945,15 +912,12 @@ impl System {
                 self.apply_delivery(d);
             }
             self.outputs = outputs;
-            #[cfg(feature = "telemetry")]
-            self.prof_lap(&mut prof, "deliver");
         }
 
         self.clock += 1;
         #[cfg(feature = "telemetry")]
-        {
-            self.telemetry_after_tick();
-            self.prof_lap(&mut prof, "telemetry");
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.after_tick(self.clock.0, &mut self.events);
         }
     }
 
@@ -981,14 +945,21 @@ impl System {
         let mut last_insts: u64 = self.cores.iter().map(|c| c.retired_insts()).sum();
         let mut last_progress = self.clock;
         let end = self.clock + cycles;
+        #[cfg(feature = "telemetry")]
+        let mut lap = self.telemetry.as_ref().and_then(|t| t.start_lap());
         while self.clock < end {
             // Fast-forward provably idle cycles, stopping exactly on check
-            // boundaries so invariant checks and the watchdog observe the
-            // same clock values (and states) as per-cycle polling would.
+            // boundaries and sample-window ends so invariant checks, the
+            // watchdog and telemetry observe the same clock values (and
+            // states) as per-cycle polling would.
             let to_boundary = CHECK_STRIDE - (self.clock.0 % CHECK_STRIDE);
-            if !self.fast_forward((end - self.clock).min(to_boundary)) {
-                self.tick();
-            }
+            let limit = (end - self.clock).min(to_boundary);
+            #[cfg(feature = "telemetry")]
+            let limit = limit.min(self.telemetry_window_left());
+            #[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
+            let step = self.step(limit);
+            #[cfg(feature = "telemetry")]
+            self.telemetry_after_step(step, &mut lap);
             if self.clock.0.is_multiple_of(CHECK_STRIDE) {
                 self.run_invariant_checks();
                 if window > 0 {
@@ -1519,6 +1490,12 @@ mod tests {
         armed.set_telemetry(TelemetryConfig::full(5_000));
         let armed_stats = armed.run(cfg.warmup_cycles, cfg.measure_cycles);
         assert_eq!(plain_stats, armed_stats);
+        // Arming must not force per-cycle polling: the armed run takes
+        // the same idle skips and span advances as the disarmed one.
+        assert!(
+            armed.loop_counters().0 + armed.span_cycles() > 0,
+            "armed run elided no cycles"
+        );
 
         let report = armed.take_telemetry().expect("armed");
         assert!(!report.samples.is_empty());
@@ -1526,6 +1503,81 @@ mod tests {
         assert!(!report.transfers.is_empty(), "tracing captured DRAM bursts");
         assert!(!report.profile.is_empty(), "profiling recorded phases");
         assert!(armed.take_telemetry().is_none(), "take disarms");
+    }
+
+    /// Armed telemetry rides the event-driven loop: with sampling and
+    /// tracing armed, the event loop reproduces per-cycle polling exactly —
+    /// stats, sample JSONL, ring events and DRAM transfer records — while
+    /// eliding cycles. Window lengths include non-divisors of the
+    /// invariant-check stride, so window ends are stops of their own.
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn telemetry_armed_event_loop_matches_polling() {
+        use bear_telemetry::{TelemetryConfig, TelemetryOptions};
+        for (design, bench, window) in [
+            (DesignKind::Alloy, "mcf", 7_000),
+            (DesignKind::Alloy, "lbm", 3_000),
+            (DesignKind::LohHill, "gcc", 10_000),
+            (DesignKind::NoCache, "mcf", 4_096),
+        ] {
+            let mut cfg = quick_cfg(design);
+            if design == DesignKind::Alloy {
+                cfg.bear = BearFeatures::full();
+            }
+            let run = |event_driven: bool| {
+                let mut sys = System::build_rate(&cfg, bench);
+                sys.set_event_driven(event_driven);
+                sys.set_telemetry(TelemetryConfig::On(TelemetryOptions {
+                    sample_window: window,
+                    ring_capacity: 1 << 16,
+                    trace: true,
+                    profile: false,
+                }));
+                let stats = sys.run(30_000, 45_000);
+                let elided = sys.loop_counters().0 + sys.span_cycles();
+                let report = sys.take_telemetry().expect("armed");
+                let lines: Vec<String> = report.samples.iter().map(|s| s.to_json_line()).collect();
+                (stats, lines, report.events, report.transfers, elided)
+            };
+            let (p_stats, p_lines, p_events, p_transfers, p_elided) = run(false);
+            let (e_stats, e_lines, e_events, e_transfers, e_elided) = run(true);
+            let cell = format!("{design:?}x{bench}/{window}");
+            assert_eq!(p_stats, e_stats, "{cell}: stats");
+            assert_eq!(p_lines, e_lines, "{cell}: sample JSONL");
+            assert_eq!(p_events, e_events, "{cell}: ring events");
+            assert_eq!(p_transfers, e_transfers, "{cell}: transfer records");
+            assert!(!p_lines.is_empty(), "{cell}: no windows");
+            assert!(!p_events.is_empty(), "{cell}: no events");
+            assert_eq!(p_elided, 0, "{cell}: polled run elided cycles");
+            assert!(e_elided > 0, "{cell}: event run elided no cycles");
+        }
+    }
+
+    /// Re-arming over a trace-armed state tears the old state down first:
+    /// a sampling-only re-arm leaves neither observation nor the
+    /// transfer log running, so no events pile up undrained.
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn rearming_telemetry_disarms_tracing() {
+        use bear_telemetry::TelemetryConfig;
+        let mut cfg = quick_cfg(DesignKind::Alloy);
+        cfg.bear = BearFeatures::full();
+        let mut sys = System::build_rate(&cfg, "mcf");
+        sys.set_telemetry(TelemetryConfig::full(5_000));
+        sys.set_telemetry(TelemetryConfig::sampling(5_000));
+        sys.run(20_000, 20_000);
+        assert!(sys.drain_events().is_empty(), "events leaked after re-arm");
+        assert!(
+            sys.l4
+                .harness_mut()
+                .cache
+                .take_transfer_records()
+                .is_empty(),
+            "transfer log still armed after re-arm"
+        );
+        let report = sys.take_telemetry().expect("armed");
+        assert!(report.events.is_empty() && report.transfers.is_empty());
+        assert!(!report.samples.is_empty());
     }
 
     #[test]

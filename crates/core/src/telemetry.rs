@@ -5,8 +5,10 @@
 //! the glue that fills them from live simulator state. It is compiled
 //! only with the `telemetry` cargo feature, and even then costs nothing
 //! unless a run arms it via
-//! [`crate::system::System::set_telemetry`]: the per-tick hook is a
-//! single `Option` check when disarmed.
+//! [`crate::system::System::set_telemetry`]. Armed, it rides the same
+//! event-driven loop: each live tick drains its events into the ring, and
+//! sample-window ends are next-event stops at which the run loop closes
+//! the window, on exactly the cycles per-cycle polling would.
 //!
 //! Sampling model: at the warmup→measure boundary a cumulative
 //! [`CounterSnapshot`] is taken as the base; every `sample_window`
@@ -24,6 +26,7 @@ use crate::traffic::BloatCategory;
 use bear_cpu::Core;
 use bear_dram::channel::TransferRecord;
 use bear_telemetry::{LiveSink, RingBuffer, Sample, SelfProfiler, TelemetryOptions};
+use std::time::Instant;
 
 /// Cumulative counter values at one instant; windows are diffs of two.
 #[derive(Debug, Clone, Default)]
@@ -105,8 +108,8 @@ pub struct TelemetryReport {
     /// DRAM-cache data-bus bursts captured for trace export (empty unless
     /// tracing was armed).
     pub transfers: Vec<TransferRecord>,
-    /// Host wall-clock totals per tick phase (empty unless profiling was
-    /// armed).
+    /// Host wall-clock totals per run-loop step (`tick`/`skip`/`span`)
+    /// and window close (`telemetry`); empty unless profiling was armed.
     pub profile: SelfProfiler,
 }
 
@@ -124,7 +127,7 @@ pub(crate) struct TelemetryState {
     /// (job-scoped: the daemon forwards it over the client's socket).
     live: Option<LiveSink>,
     ring: RingBuffer<(u64, ObsEvent)>,
-    pub(crate) profiler: SelfProfiler,
+    profiler: SelfProfiler,
 }
 
 impl TelemetryState {
@@ -154,8 +157,20 @@ impl TelemetryState {
         self.opts.trace
     }
 
-    pub(crate) fn profile_armed(&self) -> bool {
-        self.opts.profile
+    /// Starts a run-loop lap timer when profiling is armed.
+    pub(crate) fn start_lap(&self) -> Option<Instant> {
+        self.opts.profile.then(Instant::now)
+    }
+
+    /// Charges the host time since `*lap` to `phase` and restarts the lap
+    /// (no-op while `lap` is `None`).
+    pub(crate) fn lap(&mut self, lap: &mut Option<Instant>, phase: &'static str) {
+        if let Some(prev) = lap {
+            let now = Instant::now();
+            let ns = now.duration_since(*prev).as_nanos() as u64;
+            self.profiler.record(phase, ns);
+            *prev = now;
+        }
     }
 
     /// Starts windowing at the warmup→measure boundary. Counters were just
@@ -173,25 +188,21 @@ impl TelemetryState {
         self.window_index = 0;
     }
 
-    /// Per-tick hook, called with the *post-increment* clock. Drains this
-    /// tick's observation events into the ring (stamped with the cycle
-    /// they happened on) and closes a window when one is due.
-    pub(crate) fn after_tick(
-        &mut self,
-        clock: u64,
-        events: &mut Vec<ObsEvent>,
-        cores: &[Core],
-        l3: &L3Cache,
-        l4: &dyn L4Cache,
-    ) {
+    /// End cycle of the open sample window; `Some` only while measuring.
+    pub(crate) fn next_window_end(&self) -> Option<u64> {
+        self.in_measure
+            .then_some(self.window_start + self.opts.sample_window)
+    }
+
+    /// Per-live-tick hook, called with the *post-increment* clock. Drains
+    /// this tick's observation events into the ring, stamped with the
+    /// cycle they happened on.
+    pub(crate) fn after_tick(&mut self, clock: u64, events: &mut Vec<ObsEvent>) {
         if self.opts.trace && !events.is_empty() {
             let at = clock - 1;
             for ev in events.drain(..) {
                 self.ring.push((at, ev));
             }
-        }
-        if self.in_measure && clock - self.window_start >= self.opts.sample_window {
-            self.close_window(clock, cores, l3, l4);
         }
     }
 
@@ -203,7 +214,8 @@ impl TelemetryState {
         self.in_measure = false;
     }
 
-    fn close_window(&mut self, end: u64, cores: &[Core], l3: &L3Cache, l4: &dyn L4Cache) {
+    /// Closes the open window at cycle `at` and opens the next one.
+    pub(crate) fn close_window(&mut self, at: u64, cores: &[Core], l3: &L3Cache, l4: &dyn L4Cache) {
         let cur = counter_snapshot(cores, l3, l4);
         let probe = l4.telemetry_probe().unwrap_or_default();
         let bank_queue_depths = l4.harness().cache.bank_queue_depths();
@@ -232,7 +244,7 @@ impl TelemetryState {
         self.samples.push(Sample {
             window: self.window_index,
             start_cycle: self.window_start,
-            end_cycle: end,
+            end_cycle: at,
             insts_retired: cur.insts - b.insts,
             l3_hits: cur.l3_hits - b.l3_hits,
             l3_misses: cur.l3_misses - b.l3_misses,
@@ -270,7 +282,7 @@ impl TelemetryState {
             sink.send(self.samples.last().expect("just pushed").clone());
         }
         self.base = cur;
-        self.window_start = end;
+        self.window_start = at;
         self.window_index += 1;
     }
 

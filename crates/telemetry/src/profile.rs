@@ -2,8 +2,8 @@
 //!
 //! Phases are identified by `&'static str` labels; recording is a linear
 //! scan over a handful of entries (the phase count is small and labels
-//! usually compare pointer-equal), cheap enough to call once per tick
-//! phase when armed and trivially absent when not.
+//! usually compare pointer-equal), cheap enough to call once per run-loop
+//! step when armed and trivially absent when not.
 
 use std::time::Instant;
 

@@ -89,8 +89,9 @@ cargo test -q -p bear-bench --offline --test telemetry
 
 echo "==> telemetry smoke (JSONL + Chrome trace + self-profile)"
 # The demo binary validates its own outputs: every JSONL line and the
-# trace document re-parse, window sums equal end-of-run aggregates, and
-# disarmed telemetry measures <1% overhead.
+# trace document re-parse, window sums equal end-of-run aggregates, the
+# fully armed cell still elides cycles (arming never forces per-cycle
+# polling), and disarmed telemetry measures <1% overhead.
 TELEMETRY_SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$TELEMETRY_SMOKE_DIR"' EXIT
 cargo build -q --release -p bear-bench --bin telemetry --offline
