@@ -87,10 +87,26 @@ impl Step {
     }
 }
 
+/// Deferred-tick bookkeeping for one core. A live tick only ticks the
+/// cores whose wake cycle has come; every other core owes the quiet ticks
+/// in `[synced, now)`, which [`System::catch_up`] applies in closed form
+/// before anything reads or changes the core.
+#[derive(Debug, Clone, Copy, Default)]
+struct CoreClock {
+    /// First cycle whose tick has not been applied to the core.
+    synced: u64,
+    /// First cycle at which the core must tick live: `synced` plus its
+    /// [`Core::quiet_cycles`], saturating (a blocked core waits at
+    /// `u64::MAX` for a completion).
+    wake: u64,
+}
+
 /// The assembled system.
 pub struct System {
     cfg: SystemConfig,
     cores: Vec<Core>,
+    /// Per-core deferral state, parallel to `cores`.
+    core_clocks: Vec<CoreClock>,
     l3: L3Cache,
     l4: Box<dyn L4Cache>,
     /// Delay wheel keyed by due cycle.
@@ -134,6 +150,8 @@ pub struct System {
     live_ticks: u64,
     /// Cycles covered by span advances (diagnostic).
     span_cycles: u64,
+    /// Core ticks executed live since construction (diagnostic).
+    core_ticks: u64,
     /// Telemetry state while armed (`None` costs one pointer check per
     /// tick and loop step; absent entirely without the `telemetry` feature).
     #[cfg(feature = "telemetry")]
@@ -214,6 +232,7 @@ impl System {
 
     fn assemble(cfg: &SystemConfig, cores: Vec<Core>) -> Self {
         let mut sys = System {
+            core_clocks: vec![CoreClock::default(); cores.len()],
             cores,
             l3: L3Cache::new(cfg.l3_capacity(), cfg.l3_ways),
             l4: build_controller(cfg),
@@ -233,6 +252,7 @@ impl System {
             skipped_cycles: 0,
             live_ticks: 0,
             span_cycles: 0,
+            core_ticks: 0,
             #[cfg(feature = "telemetry")]
             telemetry: None,
             cfg: cfg.clone(),
@@ -304,6 +324,7 @@ impl System {
     /// Stops the cores from issuing further memory accesses, so in-flight
     /// traffic can drain (see [`System::quiesce`]).
     pub fn halt_cores(&mut self) {
+        self.sync_cores();
         self.cores_halted = true;
     }
 
@@ -321,6 +342,11 @@ impl System {
     /// modes produce bit-identical results and telemetry (elided cycles
     /// are provably no-ops), so this only trades speed for simplicity.
     pub fn set_event_driven(&mut self, on: bool) {
+        self.sync_cores();
+        let now = self.clock.0;
+        for c in &mut self.core_clocks {
+            c.wake = now;
+        }
         self.event_driven = on;
         self.sync_gating();
     }
@@ -331,6 +357,59 @@ impl System {
         self.l4.harness_mut().set_event_gating(self.event_driven);
     }
 
+    /// Applies core `i`'s deferred quiet ticks for the cycles
+    /// `[synced, to)` in one [`Core::skip_quiet`]. While the cores are
+    /// halted no tick applies, so only the bookkeeping moves.
+    fn catch_up(&mut self, i: usize, to: u64) {
+        let c = &mut self.core_clocks[i];
+        if c.synced >= to {
+            return;
+        }
+        if !self.cores_halted {
+            debug_assert!(to <= c.wake, "core {i} caught up past its wake cycle");
+            self.cores[i].skip_quiet(to - c.synced);
+        }
+        c.synced = to;
+    }
+
+    /// Recomputes core `i`'s wake cycle after its state changed. Polled
+    /// mode wakes every core every cycle, so the reference loop still
+    /// ticks each core each cycle.
+    fn rewake(&mut self, i: usize) {
+        let c = &mut self.core_clocks[i];
+        c.wake = if self.event_driven {
+            c.synced.saturating_add(self.cores[i].quiet_cycles())
+        } else {
+            c.synced
+        };
+    }
+
+    /// Catches every core up to the clock: the sync point before anything
+    /// outside the live tick reads core state.
+    fn sync_cores(&mut self) {
+        let now = self.clock.0;
+        for i in 0..self.cores.len() {
+            self.catch_up(i, now);
+        }
+    }
+
+    /// Delivers a load/store completion to `core` during the live tick:
+    /// its deferred tick at the current cycle is quiet (cores tick before
+    /// completions arrive), so it is applied first.
+    fn complete(&mut self, core: u32, token: LoadToken) {
+        let i = core as usize;
+        self.catch_up(i, self.clock.0 + 1);
+        self.cores[i].complete_load(token);
+        self.rewake(i);
+    }
+
+    /// Core ticks executed live since construction (diagnostic). Polled
+    /// mode ticks every core on every live tick; the event-driven loop
+    /// ticks only the cores whose wake cycle has come.
+    pub fn core_ticks(&self) -> u64 {
+        self.core_ticks
+    }
+
     /// Ticks until the first non-device wake-up, capped at `limit`: the
     /// next core issue, fault or delay-wheel event. Zero means one of
     /// them is due now, so the next tick must run live.
@@ -339,15 +418,19 @@ impl System {
         let mut bound = limit;
         // Cores first: a core ready to issue is the common busy case, and
         // its check is much cheaper than the wheel lookup or walking every
-        // channel.
+        // channel. A core's wake cycle is exact: its quiet cycles shrink
+        // one per deferred tick.
         if !self.cores_halted {
-            for core in &self.cores {
-                let quiet = core.quiet_cycles();
-                if quiet == 0 {
-                    return 0;
-                }
-                bound = bound.min(quiet);
+            let wake = self
+                .core_clocks
+                .iter()
+                .map(|c| c.wake)
+                .min()
+                .unwrap_or(u64::MAX);
+            if wake <= now {
+                return 0;
             }
+            bound = bound.min(wake - now);
         }
         if let Some(at) = self.faults.next_at() {
             if at <= now {
@@ -385,22 +468,17 @@ impl System {
     const MAX_PROBE_STRIDE: u64 = 16;
 
     /// Shortest gap worth fast-forwarding: skipping costs a full hint
-    /// walk plus per-core closed-form replay, which only pays for itself
-    /// when it replaces at least this many ticks. Shorter gaps are simply
-    /// polled through (always correct) and count as failed probes so the
-    /// back-off engages in fine-grained phases.
+    /// walk, which only pays for itself when it replaces at least this
+    /// many ticks. Shorter gaps are simply polled through (always
+    /// correct) and count as failed probes so the back-off engages in
+    /// fine-grained phases.
     const MIN_SKIP: u64 = 4;
 
     /// Fast-forwards `n` provably idle ticks (callers must have obtained
-    /// `n` from [`System::idle_gap`]): cores replay their retire/stall
-    /// arithmetic in closed form and the clock jumps; every other
+    /// `n` from [`System::idle_gap`]): only the clock jumps. The cores'
+    /// quiet ticks stay deferred (see [`System::catch_up`]); every other
     /// component is guaranteed untouched by construction.
     fn skip_idle(&mut self, n: u64) {
-        if !self.cores_halted {
-            for core in &mut self.cores {
-                core.skip_quiet(n);
-            }
-        }
         self.clock += n;
         self.skipped_cycles += n;
     }
@@ -473,11 +551,6 @@ impl System {
         }
         let end = now + span;
         self.l4.harness_mut().advance_span(now, end);
-        if !self.cores_halted {
-            for core in &mut self.cores {
-                core.skip_quiet(span);
-            }
-        }
         self.clock = end;
         self.span_cycles += span;
         span
@@ -633,6 +706,8 @@ impl System {
         };
         t.lap(lap, step.label());
         if t.next_window_end().is_some_and(|end| self.clock.0 >= end) {
+            self.sync_cores();
+            let t = self.telemetry.as_deref_mut().expect("telemetry armed");
             t.close_window(self.clock.0, &self.cores, &self.l3, self.l4.as_ref());
             t.lap(lap, "telemetry");
         }
@@ -734,7 +809,7 @@ impl System {
             }
         }
         for w in waiters {
-            self.cores[w.core as usize].complete_load(w.token);
+            self.complete(w.core, w.token);
         }
     }
 
@@ -849,10 +924,20 @@ impl System {
         }
 
         // 1. Cores issue at most one memory access each (unless halted for
-        //    a drain).
+        //    a drain). Only cores whose wake cycle has come tick; the
+        //    others' ticks are quiet and stay deferred. Index order keeps
+        //    the L3 access order of per-cycle polling.
         if !self.cores_halted {
             for i in 0..self.cores.len() {
-                if let Some(req) = self.cores[i].tick(now) {
+                if self.core_clocks[i].wake > now.0 {
+                    continue;
+                }
+                self.catch_up(i, now.0);
+                self.core_ticks += 1;
+                let req = self.cores[i].tick(now);
+                self.core_clocks[i].synced = now.0 + 1;
+                self.rewake(i);
+                if let Some(req) = req {
                     self.l3_access(req.core, req.token, req.addr, req.is_store, req.pc);
                 }
             }
@@ -864,9 +949,7 @@ impl System {
             if let Some(events) = self.wheel.remove(&now.0) {
                 for ev in events {
                     match ev {
-                        Staged::Complete { core, token } => {
-                            self.cores[core as usize].complete_load(token);
-                        }
+                        Staged::Complete { core, token } => self.complete(core, token),
                         Staged::SubmitRead { line, pc, core } => {
                             self.l4.submit_read(line, pc, core, now);
                         }
@@ -942,6 +1025,7 @@ impl System {
         /// (power of two; checks happen at tick boundaries).
         const CHECK_STRIDE: u64 = 4096;
         let window = self.cfg.watchdog_window;
+        self.sync_cores();
         let mut last_insts: u64 = self.cores.iter().map(|c| c.retired_insts()).sum();
         let mut last_progress = self.clock;
         let end = self.clock + cycles;
@@ -963,6 +1047,7 @@ impl System {
             if self.clock.0.is_multiple_of(CHECK_STRIDE) {
                 self.run_invariant_checks();
                 if window > 0 {
+                    self.sync_cores();
                     let insts: u64 = self.cores.iter().map(|c| c.retired_insts()).sum();
                     if insts != last_insts {
                         last_insts = insts;
@@ -976,6 +1061,7 @@ impl System {
                 }
             }
         }
+        self.sync_cores();
         Ok(())
     }
 
@@ -1507,9 +1593,11 @@ mod tests {
 
     /// Armed telemetry rides the event-driven loop: with sampling and
     /// tracing armed, the event loop reproduces per-cycle polling exactly —
-    /// stats, sample JSONL, ring events and DRAM transfer records — while
-    /// eliding cycles. Window lengths include non-divisors of the
-    /// invariant-check stride, so window ends are stops of their own.
+    /// stats, per-core counters, sample JSONL, ring events and DRAM
+    /// transfer records — while eliding cycles. Window closes are core
+    /// sync points, so each sample reads caught-up cores. Window lengths
+    /// include non-divisors of the invariant-check stride, so window ends
+    /// are stops of their own.
     #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_armed_event_loop_matches_polling() {
@@ -1537,12 +1625,14 @@ mod tests {
                 let elided = sys.loop_counters().0 + sys.span_cycles();
                 let report = sys.take_telemetry().expect("armed");
                 let lines: Vec<String> = report.samples.iter().map(|s| s.to_json_line()).collect();
-                (stats, lines, report.events, report.transfers, elided)
+                let cores = core_counters(&sys);
+                (stats, cores, lines, report.events, report.transfers, elided)
             };
-            let (p_stats, p_lines, p_events, p_transfers, p_elided) = run(false);
-            let (e_stats, e_lines, e_events, e_transfers, e_elided) = run(true);
+            let (p_stats, p_cores, p_lines, p_events, p_transfers, p_elided) = run(false);
+            let (e_stats, e_cores, e_lines, e_events, e_transfers, e_elided) = run(true);
             let cell = format!("{design:?}x{bench}/{window}");
             assert_eq!(p_stats, e_stats, "{cell}: stats");
+            assert_eq!(p_cores, e_cores, "{cell}: core counters");
             assert_eq!(p_lines, e_lines, "{cell}: sample JSONL");
             assert_eq!(p_events, e_events, "{cell}: ring events");
             assert_eq!(p_transfers, e_transfers, "{cell}: transfer records");
@@ -1578,6 +1668,96 @@ mod tests {
         let report = sys.take_telemetry().expect("armed");
         assert!(report.events.is_empty() && report.transfers.is_empty());
         assert!(!report.samples.is_empty());
+    }
+
+    /// Per-core counters deferral must reproduce exactly.
+    fn core_counters(sys: &System) -> Vec<[u64; 4]> {
+        sys.cores
+            .iter()
+            .map(|c| {
+                [
+                    c.retired_insts(),
+                    c.stall_cycles,
+                    c.loads_issued,
+                    c.stores_issued,
+                ]
+            })
+            .collect()
+    }
+
+    /// Deferred cores are invisible: stopped at awkward points — phase
+    /// budgets ending mid-quiet-window, a loop stop off every boundary,
+    /// a quiesce after `halt_cores` — the event loop's cores hold the
+    /// same counters as polled cores that ticked every cycle.
+    #[test]
+    fn deferred_cores_match_polling_at_awkward_stops() {
+        for (design, bear, bench) in [
+            (DesignKind::NoCache, false, "mcf"),
+            (DesignKind::Alloy, false, "sphinx3"),
+            (DesignKind::Alloy, true, "mcf"),
+            (DesignKind::Alloy, true, "lbm"),
+            (DesignKind::LohHill, false, "gcc"),
+            (DesignKind::TagsInSram, false, "omnetpp"),
+        ] {
+            let mut cfg = quick_cfg(design);
+            if bear {
+                cfg.bear = BearFeatures::full();
+            }
+            let run = |event_driven: bool| {
+                let mut sys = System::build_rate(&cfg, bench);
+                sys.set_event_driven(event_driven);
+                let stats = sys.run(30_001, 17_777);
+                let after_run = core_counters(&sys);
+                // Step the loop itself to a stop that is no check
+                // boundary, leaving quiet cores deferred; `halt_cores`
+                // must apply their owed ticks before freezing them.
+                let end = sys.clock + 1_234;
+                while sys.clock < end {
+                    sys.step(end - sys.clock);
+                }
+                let now = sys.clock.0;
+                let deferred = sys.core_clocks.iter().filter(|c| c.synced < now).count();
+                sys.halt_cores();
+                let halted = core_counters(&sys);
+                let drained = sys.quiesce(2_000_000);
+                let quiesced = (core_counters(&sys), sys.now(), drained);
+                ((stats, after_run, halted, quiesced), deferred)
+            };
+            let (polled, p_deferred) = run(false);
+            let (event, e_deferred) = run(true);
+            let cell = format!("{design:?}(bear={bear})x{bench}");
+            assert_eq!(polled, event, "{cell}: deferred cores diverged");
+            assert!(polled.3 .2, "{cell}: quiesce did not drain");
+            assert_eq!(p_deferred, 0, "{cell}: polled mode deferred a core");
+            assert!(e_deferred > 0, "{cell}: the stop caught no core deferred");
+        }
+    }
+
+    /// Pins the deferral itself: on memory-bound BEAR×mcf at 1/512, the
+    /// event loop ticks under a quarter of the cores its own live ticks
+    /// would tick if every live tick ticked every core, as polling does.
+    #[test]
+    fn event_loop_ticks_only_due_cores() {
+        let mut cfg = SystemConfig::paper_baseline(DesignKind::Alloy);
+        crate::config::ScalePreset::Half512.apply(&mut cfg);
+        cfg.bear = BearFeatures::full();
+        let mut polled = System::build_rate(&cfg, "mcf");
+        polled.set_event_driven(false);
+        let mut event = System::build_rate(&cfg, "mcf");
+        assert_eq!(polled.run(20_000, 40_000), event.run(20_000, 40_000));
+        let cores = polled.cores.len() as u64;
+        let (_, polled_live) = polled.loop_counters();
+        assert_eq!(
+            polled.core_ticks(),
+            cores * polled_live,
+            "polling ticks every core"
+        );
+        let (_, event_live) = event.loop_counters();
+        assert!(
+            event.core_ticks() * 4 < cores * event_live,
+            "event loop ticked {} cores over {event_live} live ticks",
+            event.core_ticks()
+        );
     }
 
     #[test]

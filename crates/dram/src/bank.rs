@@ -86,10 +86,17 @@ impl Bank {
         }
     }
 
-    /// Subarray index serving `row`.
+    /// Subarray index serving `row`. Power-of-two counts (including the
+    /// single-subarray default) mask instead of dividing: this runs on
+    /// every scheduler probe of every windowed request.
     #[inline]
     fn sub_of(&self, row: u64) -> usize {
-        (row % self.subarrays.len() as u64) as usize
+        let n = self.subarrays.len() as u64;
+        if n.is_power_of_two() {
+            (row & (n - 1)) as usize
+        } else {
+            (row % n) as usize
+        }
     }
 
     /// Currently open row in the subarray serving `row`, if any.
@@ -305,6 +312,20 @@ mod tests {
         assert_eq!(b.open_row_for(0), None);
         assert_eq!(b.open_row_for(1), Some(1), "sibling subarray unaffected");
         assert_eq!(b.precharges, 1);
+    }
+
+    #[test]
+    fn rows_stripe_across_subarrays_by_remainder() {
+        for n in [1u32, 2, 3, 8] {
+            let b = Bank::with_subarrays(n);
+            for row in [0u64, 1, 5, 7, 8, 1023, u64::MAX] {
+                assert_eq!(
+                    b.sub_of(row) as u64,
+                    row % u64::from(n),
+                    "{n} subarrays, row {row}"
+                );
+            }
+        }
     }
 
     #[test]

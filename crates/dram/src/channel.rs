@@ -24,6 +24,16 @@ struct InFlight {
     finish: Cycle,
 }
 
+/// Memoized scheduler preview behind [`Channel::next_busy_cycle`] and
+/// [`Channel::completion_horizon`]: one window scan feeds both hints.
+#[derive(Debug, Clone, Copy)]
+struct Hint {
+    /// `now`-independent bound of [`Channel::next_busy_cycle`].
+    busy: Cycle,
+    /// [`Channel::next_schedule_cycle`] at the time of the scan.
+    sched: Cycle,
+}
+
 /// A finished transaction, reported from [`Channel::tick`].
 #[derive(Debug, Clone, Copy)]
 pub struct ChannelCompletion {
@@ -116,17 +126,21 @@ pub struct Channel {
     bus_free_at: Cycle,
     /// Transfers in flight (data phase scheduled, completion pending).
     in_flight: Vec<InFlight>,
+    /// Earliest `finish` in `in_flight` ([`Cycle::NEVER`] when empty):
+    /// `tick` skips the retire scan before it.
+    earliest_finish: Cycle,
     /// Currently draining writes.
     draining: bool,
     /// Next scheduled refresh (NEVER when refresh is disabled).
     next_refresh: Cycle,
     /// Optional bounded capture of data bursts (armed by telemetry).
     transfer_log: Option<TransferLog>,
-    /// Memoized `now`-independent bound behind [`Channel::next_busy_cycle`]
-    /// (`None` = stale). Interior-mutable so the read-only hint can cache
-    /// across ticks that provably changed nothing; every mutation point
-    /// (enqueue, retire, refresh, drain flip, command issue) clears it.
-    hint_cache: std::cell::Cell<Option<Cycle>>,
+    /// Memoized scheduler preview behind [`Channel::next_busy_cycle`] and
+    /// [`Channel::completion_horizon`] (`None` = stale). Interior-mutable
+    /// so the read-only hints can cache across ticks that provably changed
+    /// nothing; every mutation point (enqueue, retire, refresh, drain
+    /// flip, command issue) clears it.
+    hint_cache: std::cell::Cell<Option<Hint>>,
     /// Statistics.
     pub stats: ChannelStats,
 }
@@ -143,6 +157,7 @@ impl Channel {
             write_queue: RequestQueue::new(cfg.write_queue_capacity, cfg.topology.banks_per_rank),
             bus_free_at: Cycle::ZERO,
             in_flight: Vec::with_capacity(8),
+            earliest_finish: Cycle::NEVER,
             draining: false,
             next_refresh: if cfg.timings.refresh_enabled() {
                 Cycle(cfg.timings.t_refi)
@@ -247,23 +262,31 @@ impl Channel {
     /// into `completions` and issues at most one command.
     pub fn tick(&mut self, now: Cycle, completions: &mut Vec<ChannelCompletion>) {
         // Retire finished transfers.
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            if self.in_flight[i].finish <= now {
-                let f = self.in_flight.swap_remove(i);
-                self.hint_cache.set(None);
-                if f.request.is_write {
-                    self.stats.writes_completed += 1;
+        if self.earliest_finish <= now {
+            let mut i = 0;
+            while i < self.in_flight.len() {
+                if self.in_flight[i].finish <= now {
+                    let f = self.in_flight.swap_remove(i);
+                    if f.request.is_write {
+                        self.stats.writes_completed += 1;
+                    } else {
+                        self.stats.reads_completed += 1;
+                    }
+                    completions.push(ChannelCompletion {
+                        request: f.request,
+                        finish: f.finish,
+                    });
                 } else {
-                    self.stats.reads_completed += 1;
+                    i += 1;
                 }
-                completions.push(ChannelCompletion {
-                    request: f.request,
-                    finish: f.finish,
-                });
-            } else {
-                i += 1;
             }
+            self.earliest_finish = self
+                .in_flight
+                .iter()
+                .map(|f| f.finish)
+                .min()
+                .unwrap_or(Cycle::NEVER);
+            self.hint_cache.set(None);
         }
 
         // All-bank refresh: close every row and stall the channel tRFC.
@@ -291,31 +314,11 @@ impl Channel {
         }
     }
 
-    /// The earliest future time at which this channel may make progress, for
-    /// event-skipping drivers. Returns [`Cycle::NEVER`] when fully idle.
-    pub fn next_event_hint(&self, now: Cycle) -> Cycle {
-        if !self.in_flight.is_empty() {
-            let min_finish = self
-                .in_flight
-                .iter()
-                .map(|f| f.finish)
-                .min()
-                .unwrap_or(Cycle::NEVER);
-            return min_finish.min(now + 1);
-        }
-        if self.read_queue.is_empty() && self.write_queue.is_empty() {
-            Cycle::NEVER
-        } else {
-            now + 1
-        }
-    }
-
     /// The earliest cycle at which a tick can change this channel's state:
     /// ticks strictly before the returned cycle are guaranteed no-ops, so
-    /// an event-driven driver may skip them wholesale. Stronger than
-    /// [`Channel::next_event_hint`]: queued requests are previewed through
-    /// the scheduler's own gating (bank timing windows and bus occupancy)
-    /// rather than pessimistically reported as busy `now`; in-flight
+    /// an event-driven driver may skip them wholesale. Queued requests are
+    /// previewed through the scheduler's own gating (bank timing windows
+    /// and bus occupancy) rather than reported as busy `now`; in-flight
     /// transfers contribute their earliest finish; a pending refresh bounds
     /// everything because the refresh clock reads absolute time and must
     /// not be observed late.
@@ -324,26 +327,27 @@ impl Channel {
     /// cycle — the event-driven driver guarantees this, as it only skips
     /// when no other component can enqueue.
     pub fn next_busy_cycle(&self, now: Cycle) -> Cycle {
-        let bound = match self.hint_cache.get() {
-            Some(b) => b,
-            None => {
-                let flight = self
-                    .in_flight
-                    .iter()
-                    .map(|f| f.finish)
-                    .min()
-                    .unwrap_or(Cycle::NEVER);
-                let b = flight
-                    .min(self.next_refresh)
-                    .min(self.next_schedule_cycle(now));
-                // Caching a bound that is already `<= now` is still sound:
-                // the hint stays pessimistic ("busy now") until the tick it
-                // predicts actually fires, and that tick clears the cache.
-                self.hint_cache.set(Some(b));
-                b
-            }
+        self.hint(now).busy.max(now)
+    }
+
+    /// The memoized scheduler preview, scanning the window only when a
+    /// mutation cleared the memo. A memo taken at an earlier `now'` is
+    /// exact once clamped to `now`: with the state frozen since, a preview
+    /// that returned `now'` (something issuable) would return `now` today,
+    /// and every other outcome does not depend on `now`. Caching a bound
+    /// already `<= now` stays pessimistic ("busy now") until the tick it
+    /// predicts fires, and that tick clears the memo.
+    fn hint(&self, now: Cycle) -> Hint {
+        if let Some(h) = self.hint_cache.get() {
+            return h;
+        }
+        let sched = self.next_schedule_cycle(now);
+        let h = Hint {
+            busy: self.earliest_finish.min(self.next_refresh).min(sched),
+            sched,
         };
-        bound.max(now)
+        self.hint_cache.set(Some(h));
+        h
     }
 
     /// Earliest cycle at which [`Channel::tick`]'s scheduling passes could
@@ -439,19 +443,13 @@ impl Channel {
     /// a whole span of ticks without synchronizing with the caller.
     /// [`Cycle::NEVER`] when the channel is drained.
     pub fn completion_horizon(&self, now: Cycle) -> Cycle {
-        let flight = self
-            .in_flight
-            .iter()
-            .map(|f| f.finish)
-            .min()
-            .unwrap_or(Cycle::NEVER);
-        let sched = self.next_schedule_cycle(now);
+        let sched = self.hint(now).sched;
         let first_new_finish = if sched == Cycle::NEVER {
             Cycle::NEVER
         } else {
             sched.max(now) + self.cfg.timings.t_cas + self.cfg.topology.beat_cpu_cycles
         };
-        flight.min(first_new_finish)
+        self.earliest_finish.min(first_new_finish)
     }
 
     /// Replays every live tick this channel would have executed in
@@ -569,6 +567,7 @@ impl Channel {
                     request: req,
                     finish,
                 });
+                self.earliest_finish = self.earliest_finish.min(finish);
                 return;
             }
             // Bus is the bottleneck: do not issue other commands that could
@@ -855,26 +854,6 @@ mod tests {
         assert!(ch.stats.read_queue_latency_sum >= 72);
         assert_eq!(ch.stats.reads_completed, 1);
         assert_eq!(ch.stats.writes_completed, 1);
-    }
-
-    #[test]
-    fn next_event_hint_idle_is_never() {
-        let ch = Channel::new(cfg());
-        assert_eq!(ch.next_event_hint(Cycle(5)), Cycle::NEVER);
-    }
-
-    #[test]
-    fn next_event_hint_busy_is_soon() {
-        let mut ch = Channel::new(cfg());
-        ch.try_enqueue(DramRequest::read(
-            1,
-            loc(0, 1),
-            5,
-            TrafficClass(0),
-            Cycle(0),
-        ))
-        .unwrap();
-        assert_eq!(ch.next_event_hint(Cycle(0)), Cycle(1));
     }
 
     #[test]

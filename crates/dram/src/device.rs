@@ -144,16 +144,6 @@ impl DramDevice {
         self.channels.iter().map(|c| c.pending()).sum()
     }
 
-    /// Earliest time any channel might make progress ([`Cycle::NEVER`] when
-    /// idle); drivers may fast-forward to this.
-    pub fn next_event_hint(&self, now: Cycle) -> Cycle {
-        self.channels
-            .iter()
-            .map(|c| c.next_event_hint(now))
-            .min()
-            .unwrap_or(Cycle::NEVER)
-    }
-
     /// Earliest cycle at which ticking this device can change state: ticks
     /// strictly before it are guaranteed no-ops (see
     /// [`Channel::next_busy_cycle`]). [`Cycle::NEVER`] when every channel is
@@ -449,26 +439,6 @@ mod tests {
         // After completion the bytes have moved to the transferred side.
         assert_eq!(dev.queued_bytes(), 0);
         assert_eq!(dev.total_bytes(), 144);
-    }
-
-    #[test]
-    fn next_event_hint_aggregates() {
-        let mut dev = DramDevice::new(DramConfig::stacked_cache_8x());
-        assert_eq!(dev.next_event_hint(Cycle(10)), Cycle::NEVER);
-        dev.try_enqueue(DramRequest::read(
-            1,
-            DramLocation {
-                channel: 2,
-                rank: 0,
-                bank: 0,
-                row: 0,
-            },
-            5,
-            TrafficClass(0),
-            Cycle(0),
-        ))
-        .unwrap();
-        assert_eq!(dev.next_event_hint(Cycle(10)), Cycle(11));
     }
 
     #[test]
