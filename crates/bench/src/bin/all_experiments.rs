@@ -9,6 +9,8 @@
 //!   committed cells and produces byte-identical reports.
 //! - `--only LIST` — run a comma-separated subset of the experiment ids
 //!   (e.g. `--only fig07,table5`).
+//! - `--scale {1/512,1/64,1/8,1}` — joint capacity/budget preset for
+//!   every experiment (default `1/512`).
 //! - `--telemetry [--sample-window N]` — write one windowed time-series
 //!   JSONL file per cell under `DIR/telemetry/` (requires `--out`).
 //! - `--metrics-out PATH` — collect every cell's attributed byte
@@ -28,18 +30,18 @@
 //! `--out`) arms the deterministic chaos plan that the `chaos` binary
 //! and test suite use to prove all of that recovery machinery correct.
 
-use bear_bench::checkpoint::{self, CellStore};
+use bear_bench::chaos::Chaos;
 use bear_bench::experiments as ex;
 use bear_bench::report::Report;
-use bear_bench::{chaos, cli, metrics, runner, supervisor, telemetry, RunPlan};
+use bear_bench::{cli, Campaign};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One experiment step: report id plus its entry point.
-type Step = (&'static str, fn(&RunPlan, &mut Report));
+type Step = (&'static str, fn(&Campaign, &mut Report));
 
 fn main() {
     let args = cli::parse_campaign_args(std::env::args().skip(1));
-    let plan = RunPlan::from_env();
     let t0 = Instant::now();
     let steps: [Step; 15] = [
         ("fig03", ex::fig03_designs::run),
@@ -67,23 +69,18 @@ fn main() {
             );
         }
     }
-    chaos::arm_from_env(args.out.as_deref());
-    supervisor::set_manifest_dir(args.out.as_deref());
-    telemetry::set_active(args.telemetry_sink());
-    if args.metrics_out.is_some() {
-        metrics::set_active(Some(bear_telemetry::Registry::new()));
-    }
-    runner::set_heartbeat(true);
+    let out = args.out.as_deref();
+    let mut campaign = args.campaign().with_manifest_dir(out).with_heartbeat();
+    campaign.chaos = Chaos::from_env(out).map(Arc::new);
     for (name, f) in steps {
         if !args.selected(name) {
             continue;
         }
         let t = Instant::now();
-        supervisor::set_experiment(name);
-        checkpoint::set_active(args.out.as_deref().map(|d| CellStore::new(d, name)));
+        let step = campaign.experiment(name, out);
         let mut report = Report::new(name);
-        f(&plan, &mut report);
-        cli::write_report(&mut report, args.out.as_deref(), &plan);
+        f(&step, &mut report);
+        cli::write_report(&step, &mut report, out);
         println!(
             "[{name} done in {:.1}s, total {:.1}s]\n",
             t.elapsed().as_secs_f64(),
@@ -94,26 +91,11 @@ fn main() {
     // dodged (the chaos driver reads it unconditionally); an unarmed
     // campaign only writes it when something actually happened, so a
     // clean campaign's output stays byte-for-byte what it always was.
-    if let Some(out) = args.out.as_deref() {
-        if chaos::armed_seed().is_some() {
-            supervisor::write_manifest(out).expect("writing failures.json");
-        }
+    if let (Some(out), Some(_)) = (out, &campaign.chaos) {
+        campaign.write_manifest(out).expect("writing failures.json");
     }
-    if let Some(report) = supervisor::profile_report() {
+    if let Some(report) = campaign.profile_report() {
         eprintln!("[{report}]");
     }
-    if let Some(path) = args.metrics_out.as_deref() {
-        match metrics::write_active(path) {
-            Ok(p) => eprintln!("[metrics: {}]", p.display()),
-            Err(e) => eprintln!(
-                "[warning: failed to write metrics to {}: {e}]",
-                path.display()
-            ),
-        }
-        metrics::set_active(None);
-    }
-    runner::set_heartbeat(false);
-    telemetry::set_active(None);
-    checkpoint::set_active(None);
-    supervisor::set_manifest_dir(None);
+    args.write_metrics(&campaign);
 }

@@ -11,13 +11,14 @@
 //! machines.
 
 use bear_bench::report::Report;
-use bear_bench::{config_for, RunPlan};
+use bear_bench::{config_for, Campaign};
 use bear_core::config::{BearFeatures, DesignKind, ScalePreset};
 use bear_core::system::System;
 use bear_workloads::{BenchmarkProfile, Workload};
 use std::time::Instant;
 
-fn run(plan: &RunPlan, report: &mut Report) {
+fn run(campaign: &Campaign, report: &mut Report) {
+    let plan = &campaign.plan;
     report.banner("scale_demo", "Full-scale (1 GB L4) demo cell", plan);
     let cfg = config_for(DesignKind::Alloy, BearFeatures::full(), plan);
     let profile = BenchmarkProfile::by_name("mcf").expect("mcf profile");

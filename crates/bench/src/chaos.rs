@@ -11,16 +11,16 @@
 //!
 //! - **Injection** (in-process): when `BEAR_CHAOS_SEED` is set, the
 //!   campaign driver arms a seeded, replayable
-//!   [`ChaosPlan`](bear_sim::faultinject::ChaosPlan). The supervisor
-//!   consults it per attempt ([`attempt_fault`]) to inject worker panics
-//!   and stalls; the checkpoint layer consults it per store
-//!   ([`checkpoint_fault_for`]) to tear files or fail fsyncs; and every
-//!   successful cell completion ([`on_cell_complete`]) may hit a kill
-//!   point that aborts the whole process. Kill points are gated by
-//!   marker files under the report directory, so a resumed campaign does
-//!   not re-fire a spent kill. All decisions key on the cell's stable
-//!   identity hash — worker count, scheduling, and restarts cannot
-//!   change which cells draw which faults.
+//!   [`ChaosPlan`](bear_sim::faultinject::ChaosPlan) into the campaign
+//!   context ([`Chaos::from_env`]). The supervisor consults it per
+//!   attempt to inject worker panics and stalls; the checkpoint layer
+//!   consults it per store to tear files or fail fsyncs; and every
+//!   successful cell completion ([`Chaos::on_cell_complete`]) may hit a
+//!   kill point that aborts the whole process. Kill points are gated by marker files under the
+//!   report directory, so a resumed campaign does not re-fire a spent
+//!   kill. All decisions key on the cell's stable identity hash — worker
+//!   count, scheduling, and restarts cannot change which cells draw which
+//!   faults.
 //!
 //! - **Driving** (out-of-process): [`drive`] runs a fault-free reference
 //!   campaign and then the same campaign under chaos (restarting it each
@@ -31,7 +31,8 @@
 //!   pinned [`SMOKE_SEED`] and publishes `BENCH_chaos.json`.
 
 use crate::report::Json;
-use crate::{checkpoint, config_for, supervisor, RunPlan};
+use crate::supervisor::{Disposition, SupervisionRow};
+use crate::{checkpoint, config_for, Campaign, RunPlan};
 use bear_core::config::{BearFeatures, DesignKind, SystemConfig};
 use bear_sim::error::SimError;
 use bear_sim::faultinject::{ChaosFault, ChaosKind, ChaosPlan};
@@ -39,7 +40,7 @@ use bear_workloads::Workload;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// How long an injected stall wedges its attempt (must exceed
@@ -58,66 +59,71 @@ const STALL_DEADLINE_MS: u64 = 150;
 /// points — on that grid.
 pub const SMOKE_SEED: u64 = 41;
 
-/// Armed chaos state for this process.
+/// An armed chaos plan: the campaign's [`Campaign::chaos`] field.
 #[derive(Debug)]
-struct Armed {
-    plan: ChaosPlan,
+pub struct Chaos {
+    pub(crate) plan: ChaosPlan,
     /// Report directory: kill markers live in `out/chaos-kills/`.
     out: PathBuf,
     /// Successful cell completions so far (kill-point clock).
-    completed: u64,
+    completed: AtomicU64,
 }
 
-static ARMED: Mutex<Option<Armed>> = Mutex::new(None);
-
-/// Arms chaos injection from `BEAR_CHAOS_SEED`, if set. Campaign drivers
-/// call this once at startup; without the variable this is a no-op and
-/// the campaign behaves exactly as before this layer existed.
-///
-/// # Panics
-///
-/// Panics when `BEAR_CHAOS_SEED` is set without an `--out` directory
-/// (kill markers and the failure manifest need somewhere durable) or is
-/// not an integer.
-pub fn arm_from_env(out: Option<&Path>) {
-    let Ok(v) = std::env::var("BEAR_CHAOS_SEED") else {
-        return;
-    };
-    let seed: u64 = v.parse().expect("BEAR_CHAOS_SEED must be an integer");
-    let out = out
-        .unwrap_or_else(|| {
+impl Chaos {
+    /// Arms chaos injection from `BEAR_CHAOS_SEED`, if set. Campaign
+    /// drivers call this once at startup; without the variable this
+    /// returns `None` and the campaign behaves exactly as before this
+    /// layer existed.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `BEAR_CHAOS_SEED` is set without an `--out` directory
+    /// (kill markers and the failure manifest need somewhere durable) or
+    /// is not an integer.
+    pub fn from_env(out: Option<&Path>) -> Option<Chaos> {
+        let v = std::env::var("BEAR_CHAOS_SEED").ok()?;
+        let seed: u64 = v.parse().expect("BEAR_CHAOS_SEED must be an integer");
+        let out = out.unwrap_or_else(|| {
             panic!("BEAR_CHAOS_SEED requires --out DIR (kill markers land in DIR/chaos-kills/)")
+        });
+        let plan = ChaosPlan::new(seed);
+        eprintln!(
+            "[chaos: armed with seed {seed}; kill points at completions {:?}]",
+            plan.kill_points
+        );
+        Some(Chaos {
+            plan,
+            out: out.to_path_buf(),
+            completed: AtomicU64::new(0),
         })
-        .to_path_buf();
-    let plan = ChaosPlan::new(seed);
-    eprintln!(
-        "[chaos: armed with seed {seed}; kill points at completions {:?}]",
-        plan.kill_points
-    );
-    *ARMED.lock().expect("chaos state poisoned") = Some(Armed {
-        plan,
-        out,
-        completed: 0,
-    });
-}
+    }
 
-/// The armed chaos seed, if any (recorded in the failure manifest).
-pub fn armed_seed() -> Option<u64> {
-    ARMED
-        .lock()
-        .expect("chaos state poisoned")
-        .as_ref()
-        .map(|a| a.plan.seed)
-}
+    /// The armed seed (recorded in the failure manifest).
+    pub fn seed(&self) -> u64 {
+        self.plan.seed
+    }
 
-/// The attempt-level fault to inject into attempt `attempt` of the cell
-/// identified by `key`, if chaos is armed and the plan drew one.
-pub(crate) fn attempt_fault(key: u64, attempt: u32) -> Option<ChaosFault> {
-    ARMED
-        .lock()
-        .expect("chaos state poisoned")
-        .as_ref()
-        .and_then(|a| a.plan.attempt_fault(key, attempt))
+    /// Notes one successful cell completion; if the plan scheduled a kill
+    /// at this count (and it has not fired in a previous incarnation of
+    /// this campaign — marker files under `out/chaos-kills/` gate each
+    /// point), aborts the whole process, exactly as `kill -9` would.
+    pub(crate) fn on_cell_complete(&self) {
+        let completed = self.completed.fetch_add(1, Ordering::SeqCst) + 1;
+        let Some(point) = self.plan.kill_due(completed) else {
+            return;
+        };
+        let dir = self.out.join("chaos-kills");
+        let marker = dir.join(format!("kill-{point}.marker"));
+        if marker.exists() {
+            return; // this kill point already fired in a previous run
+        }
+        fs::create_dir_all(&dir).ok();
+        if let Ok(f) = fs::File::create(&marker) {
+            f.sync_all().ok();
+        }
+        eprintln!("[chaos: kill point {point} at completion {completed} — aborting]");
+        std::process::abort();
+    }
 }
 
 /// The deadline (ms) an injected stall imposes on its attempt, if
@@ -148,20 +154,10 @@ pub(crate) fn apply_attempt_fault(fault: Option<ChaosFault>) -> Option<SimError>
     }
 }
 
-/// The checkpoint-persistence fault to inject when storing the given
-/// cell, if chaos is armed and the plan drew one.
-pub(crate) fn checkpoint_fault_for(cfg: &SystemConfig, workload: &Workload) -> Option<ChaosKind> {
-    let key = checkpoint::cell_hash(cfg, workload);
-    ARMED
-        .lock()
-        .expect("chaos state poisoned")
-        .as_ref()
-        .and_then(|a| a.plan.checkpoint_fault(key))
-}
-
-/// Records an absorbed checkpoint fault (shared wording for the torn /
-/// io variants applied by [`crate::checkpoint`]).
-pub(crate) fn record_absorbed_checkpoint(
+/// Records an absorbed checkpoint fault (one that never reached the
+/// cell's result) in the campaign log, announcing it on stderr.
+pub(crate) fn record_absorbed(
+    campaign: &Campaign,
     cfg: &SystemConfig,
     workload: &Workload,
     kind: ChaosKind,
@@ -173,13 +169,19 @@ pub(crate) fn record_absorbed_checkpoint(
         cfg.design.label(),
         workload.name
     );
-    supervisor::record_absorbed(
-        cfg.design.label(),
-        &workload.name,
-        "io",
-        kind.label(),
-        detail,
-    );
+    campaign.record(SupervisionRow {
+        experiment: String::new(),
+        config: cfg.design.label().to_string(),
+        workload: workload.name.clone(),
+        disposition: Disposition::Absorbed,
+        kind: "io".to_string(),
+        error: detail.to_string(),
+        attempts: 0,
+        chaos: Some(kind.label().to_string()),
+        checkpoint: None,
+        repro: String::new(),
+        trace: None,
+    });
 }
 
 /// Truncates `path` to 60% of its length — a committed-looking but torn
@@ -192,35 +194,6 @@ pub(crate) fn tear_file(path: &Path) {
             fs::write(path, &bytes[..keep.min(bytes.len())]).ok();
         }
     }
-}
-
-/// Notes one successful cell completion; if the plan scheduled a kill at
-/// this count (and it has not fired in a previous incarnation of this
-/// campaign — marker files under `out/chaos-kills/` gate each point),
-/// aborts the whole process, exactly as `kill -9` would.
-pub(crate) fn on_cell_complete() {
-    let mut guard = ARMED.lock().expect("chaos state poisoned");
-    let Some(armed) = guard.as_mut() else {
-        return;
-    };
-    armed.completed += 1;
-    let Some(point) = armed.plan.kill_due(armed.completed) else {
-        return;
-    };
-    let dir = armed.out.join("chaos-kills");
-    let marker = dir.join(format!("kill-{point}.marker"));
-    if marker.exists() {
-        return; // this kill point already fired in a previous run
-    }
-    fs::create_dir_all(&dir).ok();
-    if let Ok(f) = fs::File::create(&marker) {
-        f.sync_all().ok();
-    }
-    eprintln!(
-        "[chaos: kill point {point} at completion {} — aborting]",
-        armed.completed
-    );
-    std::process::abort();
 }
 
 // ---------------------------------------------------------------------
@@ -682,9 +655,13 @@ mod tests {
 
     #[test]
     fn disarmed_chaos_is_inert() {
-        assert_eq!(armed_seed(), None);
-        assert_eq!(attempt_fault(123, 0), None);
+        let plan = RunPlan {
+            warmup: 1,
+            measure: 1,
+            scale_shift: 12,
+        };
+        assert!(Campaign::new(plan).chaos.is_none(), "chaos is opt-in");
+        assert_eq!(stall_deadline_ms(None), None);
         assert_eq!(apply_attempt_fault(None), None);
-        on_cell_complete(); // no plan, no kill
     }
 }

@@ -34,11 +34,13 @@
 //! identical** to an uninterrupted one (pinned by the `resume_identical`
 //! integration test).
 //!
-//! The store is activated per experiment by the campaign driver
-//! ([`set_active`]); `try_run_one` consults it transparently, so every
-//! experiment module gains checkpointing without code changes.
+//! The store is a field of the [`Campaign`] context, set per experiment
+//! by the campaign driver ([`Campaign::experiment`]); `try_run_one`
+//! consults it transparently, so every experiment module gains
+//! checkpointing without code changes.
 
 use crate::report::{stats_from_json, stats_to_json, Json};
+use crate::Campaign;
 use bear_core::config::SystemConfig;
 use bear_core::metrics::RunStats;
 use bear_sim::faultinject::ChaosKind;
@@ -46,7 +48,6 @@ use bear_workloads::Workload;
 use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// FNV-1a 64-bit hash (offline-first: no hasher dependencies).
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -282,74 +283,42 @@ impl CellStore {
     }
 }
 
-/// The campaign-wide active store, consulted by `try_run_one`. `None`
-/// (the default) disables checkpointing entirely.
-static ACTIVE: Mutex<Option<CellStore>> = Mutex::new(None);
-
-/// Activates (or, with `None`, deactivates) checkpointing for subsequent
-/// cells. The campaign driver calls this once per experiment step.
-pub fn set_active(store: Option<CellStore>) {
-    *ACTIVE.lock().expect("checkpoint store poisoned") = store;
-}
-
-/// Looks a cell up in the active store, if any.
-pub(crate) fn load_active(cfg: &SystemConfig, workload: &Workload) -> Option<RunStats> {
-    ACTIVE
-        .lock()
-        .expect("checkpoint store poisoned")
-        .as_ref()?
-        .load(cfg, workload)
-}
-
-/// Persists a cell to the active store, if any. Write errors degrade to
-/// a warning — a full disk must not fail a finished simulation. When a
-/// [`crate::chaos`] plan is armed, the plan's checkpoint fault for this
-/// cell (torn file, failed fsync) is applied here and recorded as an
-/// *absorbed* supervision event: the in-memory result survives either
-/// way, so the fault costs a re-run after a crash, never a result.
-pub(crate) fn store_active(cfg: &SystemConfig, workload: &Workload, stats: &RunStats) {
-    if let Some(store) = ACTIVE.lock().expect("checkpoint store poisoned").as_ref() {
-        let fault = crate::chaos::checkpoint_fault_for(cfg, workload);
-        match store.store_with_fault(cfg, workload, stats, fault) {
-            Ok(()) => {
-                if let Some(kind) = fault {
-                    crate::chaos::record_absorbed_checkpoint(
-                        cfg,
-                        workload,
-                        kind,
-                        "data file truncated after commit; resume re-runs the cell",
-                    );
-                }
-            }
-            Err(e) => {
-                if let Some(kind) = fault {
-                    crate::chaos::record_absorbed_checkpoint(
-                        cfg,
-                        workload,
-                        kind,
-                        "cell left unpersisted; resume re-runs the cell",
-                    );
-                }
-                eprintln!(
-                    "[warning: failed to checkpoint {} × {}: {e}]",
-                    cfg.design.label(),
-                    workload.name
-                );
-            }
-        }
+/// Persists a freshly simulated cell to the campaign's store, if it has
+/// one. Write errors degrade to a warning — a full disk must not fail a
+/// finished simulation. When the campaign armed a [`crate::chaos`] plan,
+/// the plan's checkpoint fault for this cell (torn file, failed fsync) is
+/// applied here and recorded as an *absorbed* supervision event: the
+/// in-memory result survives either way, so the fault costs a re-run
+/// after a crash, never a result.
+pub(crate) fn store_cell(
+    campaign: &Campaign,
+    cfg: &SystemConfig,
+    workload: &Workload,
+    stats: &RunStats,
+) {
+    let Some(store) = &campaign.store else {
+        return;
+    };
+    let fault = campaign
+        .chaos
+        .as_ref()
+        .and_then(|c| c.plan.checkpoint_fault(cell_hash(cfg, workload)));
+    let result = store.store_with_fault(cfg, workload, stats, fault);
+    if let Some(kind) = fault {
+        let detail = if result.is_ok() {
+            "data file truncated after commit; resume re-runs the cell"
+        } else {
+            "cell left unpersisted; resume re-runs the cell"
+        };
+        crate::chaos::record_absorbed(campaign, cfg, workload, kind, detail);
     }
-}
-
-/// Path of the cell's committed data file in the active store, as a
-/// string for the failure manifest; `None` without an active store or a
-/// committed cell.
-pub(crate) fn active_committed_path(cfg: &SystemConfig, workload: &Workload) -> Option<String> {
-    ACTIVE
-        .lock()
-        .expect("checkpoint store poisoned")
-        .as_ref()?
-        .committed_path(cfg, workload)
-        .map(|p| p.display().to_string())
+    if let Err(e) = result {
+        eprintln!(
+            "[warning: failed to checkpoint {} × {}: {e}]",
+            cfg.design.label(),
+            workload.name
+        );
+    }
 }
 
 #[cfg(test)]

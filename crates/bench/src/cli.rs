@@ -10,7 +10,7 @@
 //!   see [`crate::telemetry`]).
 //! - `--sample-window N` — telemetry window length in cycles (default
 //!   10k; only meaningful with `--telemetry`).
-//! - `--metrics-out PATH` — arm a process-wide metrics
+//! - `--metrics-out PATH` — arm a metrics
 //!   [`Registry`](bear_telemetry::Registry) for the campaign and write
 //!   its stable JSON dump (per-cell attributed byte decomposition, bloat
 //!   factors) to `PATH` when the run finishes (see [`crate::metrics`]).
@@ -25,9 +25,10 @@
 
 use crate::report::Report;
 use crate::telemetry::TelemetrySink;
-use crate::{runner, RunPlan};
+use crate::{Campaign, RunPlan};
 use bear_core::config::ScalePreset;
-use std::path::PathBuf;
+use bear_telemetry::Registry;
+use std::path::{Path, PathBuf};
 
 /// Extracts `--out DIR` / `--out=DIR` from an argument list.
 ///
@@ -105,6 +106,35 @@ impl CampaignArgs {
             panic!("--telemetry requires --out DIR (samples land in DIR/telemetry/)")
         });
         Some(TelemetrySink::new(out, self.sample_window))
+    }
+
+    /// The campaign these arguments describe: the `--scale` plan (with
+    /// the environment knobs on top), the `--telemetry` sink, and a fresh
+    /// metrics registry when `--metrics-out` is given.
+    ///
+    /// # Panics
+    ///
+    /// As [`CampaignArgs::telemetry_sink`].
+    pub fn campaign(&self) -> Campaign {
+        let mut campaign = Campaign::new(RunPlan::from_env_with(self.scale.unwrap_or_default()));
+        campaign.telemetry = self.telemetry_sink();
+        campaign.metrics = self.metrics_out.is_some().then(Registry::new);
+        campaign
+    }
+
+    /// Dumps the campaign's metrics registry to `--metrics-out`, if both
+    /// exist, logging the path (or the failure) to stderr.
+    pub fn write_metrics(&self, campaign: &Campaign) {
+        let (Some(path), Some(reg)) = (self.metrics_out.as_deref(), &campaign.metrics) else {
+            return;
+        };
+        match crate::metrics::write(reg, path) {
+            Ok(p) => eprintln!("[metrics: {}]", p.display()),
+            Err(e) => eprintln!(
+                "[warning: failed to write metrics to {}: {e}]",
+                path.display()
+            ),
+        }
     }
 }
 
@@ -210,10 +240,10 @@ pub fn parse_campaign_args(args: impl Iterator<Item = String>) -> CampaignArgs {
     )
 }
 
-/// Entry point for a single-experiment binary: builds the plan from the
-/// environment, runs `f`, and honors `--out DIR` / `--telemetry` /
-/// `--metrics-out`.
-pub fn run_single(experiment: &str, f: fn(&RunPlan, &mut Report)) {
+/// Entry point for a single-experiment binary: builds the campaign from
+/// the arguments and the environment, runs `f`, and honors `--out DIR` /
+/// `--telemetry` / `--metrics-out`.
+pub fn run_single(experiment: &str, f: fn(&Campaign, &mut Report)) {
     run_single_with(experiment, parse_single_args(std::env::args().skip(1)), f);
 }
 
@@ -223,39 +253,22 @@ pub fn run_single(experiment: &str, f: fn(&RunPlan, &mut Report)) {
 pub fn run_single_with(
     experiment: &str,
     args: CampaignArgs,
-    f: fn(&RunPlan, &mut Report),
+    f: fn(&Campaign, &mut Report),
 ) -> Report {
-    if let Some(preset) = args.scale {
-        crate::set_scale_preset(preset);
-    }
-    let plan = RunPlan::from_env();
-    crate::telemetry::set_active(args.telemetry_sink());
-    if args.metrics_out.is_some() {
-        crate::metrics::set_active(Some(bear_telemetry::Registry::new()));
-    }
+    let campaign = args.campaign();
     let mut report = Report::new(experiment);
-    f(&plan, &mut report);
-    write_report(&mut report, args.out.as_deref(), &plan);
-    if let Some(path) = args.metrics_out.as_deref() {
-        match crate::metrics::write_active(path) {
-            Ok(p) => eprintln!("[metrics: {}]", p.display()),
-            Err(e) => eprintln!(
-                "[warning: failed to write metrics to {}: {e}]",
-                path.display()
-            ),
-        }
-        crate::metrics::set_active(None);
-    }
-    crate::telemetry::set_active(None);
+    f(&campaign, &mut report);
+    write_report(&campaign, &mut report, args.out.as_deref());
+    args.write_metrics(&campaign);
     report
 }
 
-/// Folds any cell failures recorded during the experiment into `report`,
-/// tags the placeholder rows those failures degraded (graceful
-/// degradation stays visible row-by-row), then writes the report to
-/// `out` (if any), logging the path to stderr.
-pub fn write_report(report: &mut Report, out: Option<&std::path::Path>, plan: &RunPlan) {
-    for failure in runner::take_failures() {
+/// Folds the cell failures `campaign` recorded for the current experiment
+/// into `report`, tags the placeholder rows those failures degraded
+/// (graceful degradation stays visible row-by-row), then writes the
+/// report to `out` (if any), logging the path to stderr.
+pub fn write_report(campaign: &Campaign, report: &mut Report, out: Option<&Path>) {
+    for failure in campaign.failures() {
         report.add_failure(failure);
     }
     report.mark_degraded_rows();
@@ -268,7 +281,7 @@ pub fn write_report(report: &mut Report, out: Option<&std::path::Path>, plan: &R
     }
     if let Some(dir) = out {
         let path = report
-            .write(dir, plan)
+            .write(dir, &campaign.plan)
             .unwrap_or_else(|e| panic!("writing report to {}: {e}", dir.display()));
         eprintln!("[report: {}]", path.display());
     }

@@ -609,6 +609,11 @@ impl DaemonConfig {
         }
         self
     }
+
+    /// Seed of the armed daemon chaos plan, recorded in `failures.json`.
+    fn chaos_seed(&self) -> Option<u64> {
+        self.chaos.as_ref().map(|plan| plan.seed)
+    }
 }
 
 /// Where a job is in its lifecycle.
@@ -1533,8 +1538,16 @@ fn run_job(shared: &Arc<Shared>, idx: usize, id: &str) {
             Ok(stats)
         }
     };
-    let (outcome, row) =
-        supervisor::supervise_with(&scfg, key, &config_label, &spec.workload, &repro, attempt);
+    // Daemon chaos is service-level: attempts run without injected faults.
+    let (outcome, row) = supervisor::supervise_with(
+        &scfg,
+        None,
+        key,
+        &config_label,
+        &spec.workload,
+        &repro,
+        attempt,
+    );
     drop(live);
     if let Some(h) = forwarder {
         h.join().ok();
@@ -1550,7 +1563,9 @@ fn run_job(shared: &Arc<Shared>, idx: usize, id: &str) {
         let mut st = shared.state.lock().expect("daemon state poisoned");
         st.rows.push(row.clone());
         drop(st);
-        if let Err(e) = supervisor::merge_rows_into(&shared.cfg.out, vec![row]) {
+        if let Err(e) =
+            supervisor::merge_rows_into(&shared.cfg.out, vec![row], shared.cfg.chaos_seed())
+        {
             eprintln!("[daemon: failed to persist failures.json: {e}]");
         }
     }
@@ -1777,7 +1792,9 @@ fn handle_drain(shared: &Arc<Shared>, fast: bool, reply: &ReplyHandle) {
                 .count();
             let counters = st.counters;
             drop(st);
-            if let Err(e) = supervisor::merge_rows_into(&shared.cfg.out, rows) {
+            if let Err(e) =
+                supervisor::merge_rows_into(&shared.cfg.out, rows, shared.cfg.chaos_seed())
+            {
                 eprintln!("[daemon: failed to flush failures.json: {e}]");
             }
             let report = match report {

@@ -14,11 +14,12 @@
 
 use crate::experiments::{rate_mix_all, run_matrix, speedups};
 use crate::report::Report;
-use crate::{config_for, f3, print_row, suite_sensitivity, RunPlan};
+use crate::{config_for, f3, print_row, suite_sensitivity, Campaign};
 use bear_core::config::{BearFeatures, DesignKind, FillPolicy};
 
 /// Runs and prints all the ablations.
-pub fn run(plan: &RunPlan, report: &mut Report) {
+pub fn run(campaign: &Campaign, report: &mut Report) {
+    let plan = &campaign.plan;
     let suite = suite_sensitivity();
 
     // Build every config up front so the whole grid runs as one
@@ -66,7 +67,7 @@ pub fn run(plan: &RunPlan, report: &mut Report) {
         cfgs.push(config_for(DesignKind::Alloy, bear, plan));
     }
 
-    let results = run_matrix(&cfgs, &suite);
+    let results = run_matrix(campaign, &cfgs, &suite);
     let mut results = results.iter();
     let base = results.next().expect("base run");
     report.add_suite("Alloy", base, None);

@@ -16,7 +16,7 @@
 
 use crate::experiments::run_matrix;
 use crate::report::Report;
-use crate::{config_for, f3, print_row, suite_rate, RunPlan};
+use crate::{config_for, f3, print_row, suite_rate, Campaign};
 use bear_core::config::{BearFeatures, DesignKind};
 use bear_core::metrics::BloatBreakdown;
 use bear_core::traffic::BloatCategory;
@@ -32,7 +32,8 @@ pub fn ladder() -> [(&'static str, &'static str, BearFeatures); 4] {
 }
 
 /// Runs and prints the ledger-backed decomposition table.
-pub fn run(plan: &RunPlan, report: &mut Report) {
+pub fn run(campaign: &Campaign, report: &mut Report) {
+    let plan = &campaign.plan;
     report.banner(
         "bloat_ledger",
         "Attributed bandwidth decomposition, B/BD/BDN/BEAR",
@@ -44,7 +45,7 @@ pub fn run(plan: &RunPlan, report: &mut Report) {
         .iter()
         .map(|(_, _, bear)| config_for(DesignKind::Alloy, *bear, plan))
         .collect();
-    let results = run_matrix(&cfgs, &suite);
+    let results = run_matrix(campaign, &cfgs, &suite);
     let header: Vec<String> = ["bloat", "cache_mb", "mem_mb"]
         .into_iter()
         .map(String::from)

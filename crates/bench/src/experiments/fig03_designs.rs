@@ -3,11 +3,12 @@
 
 use crate::experiments::{rate_mix_all, run_matrix, speedups};
 use crate::report::Report;
-use crate::{config_for, f3, print_row, suite_all, RunPlan};
+use crate::{config_for, f3, print_row, suite_all, Campaign};
 use bear_core::config::{BearFeatures, DesignKind};
 
 /// Runs and prints the Figure 3 comparison.
-pub fn run(plan: &RunPlan, report: &mut Report) {
+pub fn run(campaign: &Campaign, report: &mut Report) {
+    let plan = &campaign.plan;
     report.banner("Fig 3", "LH / Alloy / BW-Opt vs no DRAM cache", plan);
     let suite = suite_all();
     let none = BearFeatures::none();
@@ -16,7 +17,7 @@ pub fn run(plan: &RunPlan, report: &mut Report) {
         .chain(designs)
         .map(|d| config_for(d, none, plan))
         .collect();
-    let mut results = run_matrix(&cfgs, &suite).into_iter();
+    let mut results = run_matrix(campaign, &cfgs, &suite).into_iter();
     let base = results.next().expect("base run");
     report.add_suite("NoL4", &base, None);
 

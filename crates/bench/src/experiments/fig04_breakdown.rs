@@ -4,13 +4,14 @@
 
 use crate::experiments::{rate_mix_all, run_matrix, speedups};
 use crate::report::Report;
-use crate::{config_for, f3, print_row, suite_all, RunPlan};
+use crate::{config_for, f3, print_row, suite_all, Campaign};
 use bear_core::config::{BearFeatures, DesignKind};
 use bear_core::metrics::BloatBreakdown;
 use bear_core::traffic::BloatCategory;
 
 /// Runs and prints the Figure 4 breakdown.
-pub fn run(plan: &RunPlan, report: &mut Report) {
+pub fn run(campaign: &Campaign, report: &mut Report) {
+    let plan = &campaign.plan;
     report.banner("Fig 4", "Alloy bloat breakdown and BW-Opt potential", plan);
     let suite = suite_all();
     let none = BearFeatures::none();
@@ -18,7 +19,7 @@ pub fn run(plan: &RunPlan, report: &mut Report) {
         config_for(DesignKind::Alloy, none, plan),
         config_for(DesignKind::BwOpt, none, plan),
     ];
-    let results = run_matrix(&cfgs, &suite);
+    let results = run_matrix(campaign, &cfgs, &suite);
     let (alloy, opt) = (&results[0], &results[1]);
 
     for (label, stats) in [("Alloy", alloy), ("BW-Opt", opt)] {

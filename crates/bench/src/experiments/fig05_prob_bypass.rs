@@ -3,11 +3,12 @@
 
 use crate::experiments::run_matrix;
 use crate::report::Report;
-use crate::{config_for, f3, print_row, speedup, suite_rate, RunPlan};
+use crate::{config_for, f3, print_row, speedup, suite_rate, Campaign};
 use bear_core::config::{BearFeatures, DesignKind, FillPolicy};
 
 /// Runs and prints the Figure 5 study.
-pub fn run(plan: &RunPlan, report: &mut Report) {
+pub fn run(campaign: &Campaign, report: &mut Report) {
+    let plan = &campaign.plan;
     report.banner("Fig 5", "Probabilistic Bypass P=50% / P=90%", plan);
     let suite = suite_rate();
     let mut cfgs = vec![config_for(DesignKind::Alloy, BearFeatures::none(), plan)];
@@ -18,7 +19,7 @@ pub fn run(plan: &RunPlan, report: &mut Report) {
         };
         cfgs.push(config_for(DesignKind::Alloy, bear, plan));
     }
-    let mut results = run_matrix(&cfgs, &suite).into_iter();
+    let mut results = run_matrix(campaign, &cfgs, &suite).into_iter();
     let base = results.next().expect("base run");
     let variants: Vec<_> = results.collect();
     report.add_suite("Alloy", &base, None);

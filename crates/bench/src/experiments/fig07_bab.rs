@@ -2,18 +2,19 @@
 
 use crate::experiments::{rate_mix_all, run_matrix, speedups};
 use crate::report::Report;
-use crate::{config_for, f3, print_row, suite_all, RunPlan};
+use crate::{config_for, f3, print_row, suite_all, Campaign};
 use bear_core::config::{BearFeatures, DesignKind};
 
 /// Runs and prints the Figure 7 study.
-pub fn run(plan: &RunPlan, report: &mut Report) {
+pub fn run(campaign: &Campaign, report: &mut Report) {
+    let plan = &campaign.plan;
     report.banner("Fig 7", "Bandwidth-Aware Bypass speedup", plan);
     let suite = suite_all();
     let cfgs = [
         config_for(DesignKind::Alloy, BearFeatures::none(), plan),
         config_for(DesignKind::Alloy, BearFeatures::bab(), plan),
     ];
-    let results = run_matrix(&cfgs, &suite);
+    let results = run_matrix(campaign, &cfgs, &suite);
     let (base, bab) = (&results[0], &results[1]);
     let spd = speedups(&suite, bab, base);
     report.add_suite("Alloy", base, None);

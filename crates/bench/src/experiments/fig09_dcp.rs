@@ -3,11 +3,12 @@
 
 use crate::experiments::{rate_mix_all, run_matrix, speedups};
 use crate::report::Report;
-use crate::{config_for, f3, print_row, suite_all, RunPlan};
+use crate::{config_for, f3, print_row, suite_all, Campaign};
 use bear_core::config::{BearFeatures, DesignKind};
 
 /// Runs and prints the Figure 9 study.
-pub fn run(plan: &RunPlan, report: &mut Report) {
+pub fn run(campaign: &Campaign, report: &mut Report) {
+    let plan = &campaign.plan;
     report.banner("Fig 9", "DCP over BAB", plan);
     let suite = suite_all();
     let cfgs = [
@@ -15,7 +16,7 @@ pub fn run(plan: &RunPlan, report: &mut Report) {
         config_for(DesignKind::Alloy, BearFeatures::bab(), plan),
         config_for(DesignKind::Alloy, BearFeatures::bab_dcp(), plan),
     ];
-    let results = run_matrix(&cfgs, &suite);
+    let results = run_matrix(campaign, &cfgs, &suite);
     let (base, bab, dcp) = (&results[0], &results[1], &results[2]);
     let spd_bab = speedups(&suite, bab, base);
     let spd_dcp = speedups(&suite, dcp, base);

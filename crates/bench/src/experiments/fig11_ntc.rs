@@ -2,11 +2,12 @@
 
 use crate::experiments::{rate_mix_all, run_matrix, speedups};
 use crate::report::Report;
-use crate::{config_for, f3, print_row, suite_all, RunPlan};
+use crate::{config_for, f3, print_row, suite_all, Campaign};
 use bear_core::config::{BearFeatures, DesignKind};
 
 /// Runs and prints the Figure 11 study.
-pub fn run(plan: &RunPlan, report: &mut Report) {
+pub fn run(campaign: &Campaign, report: &mut Report) {
+    let plan = &campaign.plan;
     report.banner("Fig 11", "NTC over BAB+DCP", plan);
     let suite = suite_all();
     let variants = [
@@ -18,7 +19,7 @@ pub fn run(plan: &RunPlan, report: &mut Report) {
         .chain(variants.iter().map(|&(_, b)| b))
         .map(|b| config_for(DesignKind::Alloy, b, plan))
         .collect();
-    let mut results = run_matrix(&cfgs, &suite).into_iter();
+    let mut results = run_matrix(campaign, &cfgs, &suite).into_iter();
     let base = results.next().expect("base run");
     report.add_suite("Alloy", &base, None);
     let mut all_spd = Vec::new();

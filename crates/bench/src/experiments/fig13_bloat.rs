@@ -3,7 +3,7 @@
 
 use crate::experiments::run_matrix;
 use crate::report::Report;
-use crate::{config_for, f3, print_row, suite_all, RunPlan};
+use crate::{config_for, f3, print_row, suite_all, Campaign};
 use bear_core::config::{BearFeatures, DesignKind};
 use bear_core::metrics::BloatBreakdown;
 use bear_core::traffic::BloatCategory;
@@ -20,7 +20,8 @@ fn merged(stats: &[(bool, &BloatBreakdown)], rate: Option<bool>) -> BloatBreakdo
 }
 
 /// Runs and prints the Figure 13 breakdowns.
-pub fn run(plan: &RunPlan, report: &mut Report) {
+pub fn run(campaign: &Campaign, report: &mut Report) {
+    let plan = &campaign.plan;
     report.banner("Fig 13", "Bloat Factor breakdown by scheme", plan);
     let suite = suite_all();
     let schemes: [(&str, DesignKind, BearFeatures); 5] = [
@@ -34,7 +35,7 @@ pub fn run(plan: &RunPlan, report: &mut Report) {
         .iter()
         .map(|&(_, design, bear)| config_for(design, bear, plan))
         .collect();
-    let results = run_matrix(&cfgs, &suite);
+    let results = run_matrix(campaign, &cfgs, &suite);
     let header: Vec<String> = ["group", "bloat"]
         .into_iter()
         .map(String::from)

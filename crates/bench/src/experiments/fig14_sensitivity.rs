@@ -5,12 +5,13 @@
 
 use crate::experiments::{rate_mix_all, run_matrix, speedups};
 use crate::report::Report;
-use crate::{config_for, f3, print_row, suite_sensitivity, RunPlan};
+use crate::{config_for, f3, print_row, suite_sensitivity, Campaign};
 use bear_core::config::{BearFeatures, DesignKind};
 use bear_dram::config::DramConfig;
 
 /// Runs and prints both Figure 14 sweeps.
-pub fn run(plan: &RunPlan, report: &mut Report) {
+pub fn run(campaign: &Campaign, report: &mut Report) {
+    let plan = &campaign.plan;
     report.banner("Fig 14a", "Sensitivity to DRAM cache bandwidth", plan);
     let suite = suite_sensitivity();
 
@@ -25,7 +26,7 @@ pub fn run(plan: &RunPlan, report: &mut Report) {
             cfgs.push(cfg);
         }
     }
-    let results = run_matrix(&cfgs, &suite);
+    let results = run_matrix(campaign, &cfgs, &suite);
     print_row(
         "bandwidth",
         ["BEAR/Alloy(R)", "(M)", "(ALL)"].map(String::from).as_ref(),
@@ -50,7 +51,7 @@ pub fn run(plan: &RunPlan, report: &mut Report) {
             cfgs.push(cfg);
         }
     }
-    let results = run_matrix(&cfgs, &suite);
+    let results = run_matrix(campaign, &cfgs, &suite);
     print_row(
         "capacity",
         ["BEAR/Alloy(R)", "(M)", "(ALL)"].map(String::from).as_ref(),

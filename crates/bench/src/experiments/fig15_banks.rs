@@ -3,11 +3,12 @@
 
 use crate::experiments::{rate_mix_all, run_matrix, speedups};
 use crate::report::Report;
-use crate::{config_for, f3, print_row, suite_sensitivity, RunPlan};
+use crate::{config_for, f3, print_row, suite_sensitivity, Campaign};
 use bear_core::config::{BearFeatures, DesignKind};
 
 /// Runs and prints the Figure 15 sweep.
-pub fn run(plan: &RunPlan, report: &mut Report) {
+pub fn run(campaign: &Campaign, report: &mut Report) {
+    let plan = &campaign.plan;
     report.banner("Fig 15", "Sensitivity to DRAM cache banks", plan);
     let suite = suite_sensitivity();
     let bank_points = [64u32, 128, 256, 512, 1024, 2048];
@@ -20,7 +21,7 @@ pub fn run(plan: &RunPlan, report: &mut Report) {
             cfgs.push(cfg);
         }
     }
-    let results = run_matrix(&cfgs, &suite);
+    let results = run_matrix(campaign, &cfgs, &suite);
     print_row(
         "banks",
         ["BEAR/Alloy(R)", "(M)", "(ALL)"].map(String::from).as_ref(),

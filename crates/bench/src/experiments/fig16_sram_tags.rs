@@ -3,7 +3,7 @@
 
 use crate::experiments::{rate_mix_all, run_matrix, speedups};
 use crate::report::Report;
-use crate::{config_for, f3, print_row, suite_all, RunPlan};
+use crate::{config_for, f3, print_row, suite_all, Campaign};
 use bear_core::config::{BearFeatures, DesignKind};
 use bear_core::metrics::{BloatBreakdown, RunStats};
 
@@ -28,7 +28,8 @@ fn aggregate(stats: &[RunStats]) -> (f64, f64, f64, f64) {
 }
 
 /// Runs and prints the Figure 16 comparison.
-pub fn run(plan: &RunPlan, report: &mut Report) {
+pub fn run(campaign: &Campaign, report: &mut Report) {
+    let plan = &campaign.plan;
     report.banner("Fig 16", "BEAR vs Tags-In-SRAM and Sector Cache", plan);
     let suite = suite_all();
     let variants = [
@@ -41,7 +42,7 @@ pub fn run(plan: &RunPlan, report: &mut Report) {
         .iter()
         .map(|&(_, design, bear)| config_for(design, bear, plan))
         .collect();
-    let results = run_matrix(&cfgs, &suite);
+    let results = run_matrix(campaign, &cfgs, &suite);
     let alloy = &results[0];
     print_row(
         "design",

@@ -3,11 +3,12 @@
 
 use crate::experiments::{rate_mix_all, run_matrix, speedups};
 use crate::report::Report;
-use crate::{config_for, f3, print_row, suite_all, RunPlan};
+use crate::{config_for, f3, print_row, suite_all, Campaign};
 use bear_core::config::{BearFeatures, DesignKind};
 
 /// Runs and prints the Figure 17 comparison.
-pub fn run(plan: &RunPlan, report: &mut Report) {
+pub fn run(campaign: &Campaign, report: &mut Report) {
+    let plan = &campaign.plan;
     report.banner(
         "Fig 17",
         "DRAM cache implementations vs no DRAM cache",
@@ -29,7 +30,7 @@ pub fn run(plan: &RunPlan, report: &mut Report) {
         .chain(variants.iter().map(|&(_, d, b)| (d, b)))
         .map(|(design, bear)| config_for(design, bear, plan))
         .collect();
-    let mut results = run_matrix(&cfgs, &suite).into_iter();
+    let mut results = run_matrix(campaign, &cfgs, &suite).into_iter();
     let base = results.next().expect("base run");
     report.add_suite("NoCache", &base, None);
     print_row("design", ["RATE", "MIX", "ALL"].map(String::from).as_ref());

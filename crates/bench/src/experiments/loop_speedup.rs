@@ -15,7 +15,7 @@
 //! and the headline `speedup_gmean`.
 
 use crate::report::Report;
-use crate::{config_for, f3, gmean, print_row, quick_mode, RunPlan};
+use crate::{config_for, f3, gmean, print_row, quick_mode, Campaign};
 use bear_core::config::{BearFeatures, DesignKind};
 use bear_core::metrics::RunStats;
 use bear_core::system::System;
@@ -117,7 +117,8 @@ fn assert_equivalent(label: &str, bench: &str, event: &RunStats, poll: &RunStats
 }
 
 /// Entry point (see the `loop_speedup` binary).
-pub fn run(plan: &RunPlan, report: &mut Report) {
+pub fn run(campaign: &Campaign, report: &mut Report) {
+    let plan = &campaign.plan;
     report.banner(
         "loop_speedup",
         "Event-driven run loop vs per-cycle polling (wall clock)",

@@ -1,10 +1,11 @@
 //! One module per table/figure of the paper's evaluation.
 //!
-//! Every module exposes `run(plan: &RunPlan, report: &mut Report)` which
-//! simulates the required configurations through the parallel grid
-//! [`runner`](crate::runner), prints rows/series shaped like the paper's,
-//! and records every run (plus headline scalars) into the experiment's
-//! machine-readable [`Report`](crate::report::Report). The binaries in
+//! Every module exposes `run(campaign: &Campaign, report: &mut Report)`
+//! which simulates the required configurations under the campaign's plan
+//! through the parallel grid [`runner`](crate::runner), prints
+//! rows/series shaped like the paper's, and records every run (plus
+//! headline scalars) into the experiment's machine-readable
+//! [`Report`](crate::report::Report). The binaries in
 //! `src/bin/` are thin wrappers; `bin/all_experiments` runs the whole
 //! campaign.
 

@@ -3,7 +3,7 @@
 
 use crate::experiments::run_matrix;
 use crate::report::Report;
-use crate::{config_for, f3, print_row, suite_all, RunPlan};
+use crate::{config_for, f3, print_row, suite_all, Campaign};
 use bear_core::config::{BearFeatures, DesignKind};
 use bear_core::metrics::RunStats;
 
@@ -27,7 +27,8 @@ fn aggregate(stats: &[RunStats]) -> (f64, f64, f64, f64) {
 }
 
 /// Runs and prints Table 4.
-pub fn run(plan: &RunPlan, report: &mut Report) {
+pub fn run(campaign: &Campaign, report: &mut Report) {
+    let plan = &campaign.plan;
     report.banner("Table 4", "DRAM cache hit-rate and latency", plan);
     let suite = suite_all();
     let variants = [
@@ -38,7 +39,7 @@ pub fn run(plan: &RunPlan, report: &mut Report) {
         .iter()
         .map(|&(_, bear)| config_for(DesignKind::Alloy, bear, plan))
         .collect();
-    let results = run_matrix(&cfgs, &suite);
+    let results = run_matrix(campaign, &cfgs, &suite);
     print_row(
         "design",
         ["hit_rate%", "hit_lat", "miss_lat", "avg_lat"]

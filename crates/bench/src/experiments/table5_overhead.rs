@@ -3,12 +3,13 @@
 //! simulation.
 
 use crate::report::Report;
-use crate::{print_row, RunPlan};
+use crate::{print_row, Campaign};
 use bear_core::config::{BearFeatures, DesignKind, SystemConfig};
 use bear_core::overhead::{sector_tag_store_bytes, tis_tag_store_bytes, StorageOverhead};
 
 /// Prints Table 5.
-pub fn run(plan: &RunPlan, report: &mut Report) {
+pub fn run(campaign: &Campaign, report: &mut Report) {
+    let plan = &campaign.plan;
     report.banner("Table 5", "Storage overhead of BEAR", plan);
     let mut cfg = SystemConfig::paper_baseline(DesignKind::Alloy);
     cfg.bear = BearFeatures::full();

@@ -9,6 +9,11 @@
 //! machine-readable [`report`]s, and the dependency-free [`microbench`]
 //! harness.
 //!
+//! A campaign's run state — plan, checkpoint store, telemetry sink,
+//! metrics registry, chaos plan, and its log of supervision rows — is one
+//! explicit [`Campaign`] context passed down to every cell; the crate
+//! keeps no process-global run state.
+//!
 //! Environment knobs (all optional):
 //! - `BEAR_QUICK=1` — shrink the suite (first 4 rate + 2 mixes) and halve
 //!   the simulated windows; useful for smoke-testing every binary.
@@ -30,6 +35,7 @@ use bear_cpu::metrics::{normalized_weighted_speedup, rate_mode_speedup};
 use bear_sim::stats::geometric_mean;
 use bear_workloads::{mix_workloads, named_mixes, rate_workloads, Workload};
 
+pub mod campaign;
 pub mod chaos;
 pub mod checkpoint;
 pub mod cli;
@@ -43,27 +49,7 @@ pub mod supervisor;
 pub mod telemetry;
 
 use bear_sim::error::RunOutcome;
-use std::sync::Mutex;
-
-/// Campaign-wide `--scale` preset, consulted by [`RunPlan::from_env`].
-/// `None` means the default [`ScalePreset::Half512`] (the historical
-/// 2 MB development scale).
-static SCALE_PRESET: Mutex<Option<ScalePreset>> = Mutex::new(None);
-
-/// Selects the joint capacity/budget scale for the rest of the process.
-///
-/// The CLI layer calls this once, before any plan is built; every
-/// subsequent [`RunPlan::from_env`] picks the preset up. Explicit
-/// `BEAR_SCALE` / `BEAR_WARMUP` / `BEAR_CYCLES` overrides still win over
-/// the preset, knob by knob.
-pub fn set_scale_preset(preset: ScalePreset) {
-    *SCALE_PRESET.lock().unwrap() = Some(preset);
-}
-
-/// The active `--scale` preset (default [`ScalePreset::Half512`]).
-pub fn scale_preset() -> ScalePreset {
-    SCALE_PRESET.lock().unwrap().unwrap_or_default()
-}
+pub use campaign::Campaign;
 
 /// Cycle/scale parameters for one experiment campaign.
 #[derive(Debug, Clone, Copy)]
@@ -77,10 +63,10 @@ pub struct RunPlan {
 }
 
 impl RunPlan {
-    /// The default experiment plan, honoring the active `--scale` preset
-    /// and the environment knobs.
+    /// The default experiment plan (the [`ScalePreset::Half512`]
+    /// development scale), honoring the environment knobs.
     pub fn from_env() -> Self {
-        Self::from_env_with(scale_preset())
+        Self::from_env_with(ScalePreset::default())
     }
 
     /// [`RunPlan::from_env`] under an explicit preset: the preset sets
@@ -167,14 +153,19 @@ pub fn config_for(design: DesignKind, bear: BearFeatures, plan: &RunPlan) -> Sys
     cfg
 }
 
-/// Runs one workload under one configuration.
+/// Runs one workload under one configuration, outside any campaign.
 ///
 /// # Panics
 ///
 /// Panics on any simulation failure. Grid code uses [`try_run_one`]
 /// instead, which reports failures as typed errors.
 pub fn run_one(cfg: &SystemConfig, workload: &Workload) -> RunStats {
-    try_run_one(cfg, workload)
+    let bare = Campaign::new(RunPlan {
+        warmup: cfg.warmup_cycles,
+        measure: cfg.measure_cycles,
+        scale_shift: cfg.scale_shift,
+    });
+    try_run_one(&bare, cfg, workload)
         .unwrap_or_else(|e| panic!("{} × {} failed: {e}", cfg.design.label(), workload.name))
 }
 
@@ -182,38 +173,46 @@ pub fn run_one(cfg: &SystemConfig, workload: &Workload) -> RunStats {
 /// forward-progress watchdog, and reports failures as typed
 /// [`SimError`](bear_sim::error::SimError)s instead of panicking.
 ///
-/// When a campaign activated a [`checkpoint`] store, a committed cell is
-/// loaded from disk instead of re-simulating, and a freshly simulated
-/// cell is persisted before returning — this is what makes interrupted
+/// With a checkpoint store in `campaign`, a committed cell is loaded
+/// from disk instead of re-simulating, and a freshly simulated cell is
+/// persisted before returning — this is what makes interrupted
 /// campaigns resumable.
 ///
-/// When a campaign activated a [`telemetry`] sink, each freshly simulated
-/// cell is armed for windowed sampling and its time series written next
-/// to the reports. Cached cells skip both arming and writing, so a
-/// resumed campaign never duplicates or tears a cell's sample file.
+/// With a telemetry sink, each freshly simulated cell is armed for
+/// windowed sampling and its time series written next to the reports.
+/// Cached cells skip both arming and writing, so a resumed campaign
+/// never duplicates or tears a cell's sample file.
 ///
-/// When a campaign armed a [`metrics`] registry (`--metrics-out`), each
-/// freshly simulated cell additionally records its attributed byte
-/// decomposition there — observability-only, never touching the stats.
+/// With a metrics registry (`--metrics-out`), each freshly simulated
+/// cell additionally records its attributed byte decomposition there —
+/// observability-only, never touching the stats.
 ///
 /// # Errors
 ///
 /// Anything [`System::try_build`](bear_core::system::System::try_build)
 /// or the monitored run loop rejects: bad configs, watchdog stalls, and
 /// (in debug builds) invariant violations.
-pub fn try_run_one(cfg: &SystemConfig, workload: &Workload) -> RunOutcome<RunStats> {
-    if let Some(cached) = checkpoint::load_active(cfg, workload) {
-        runner::heartbeat(cfg, workload);
+pub fn try_run_one(
+    campaign: &Campaign,
+    cfg: &SystemConfig,
+    workload: &Workload,
+) -> RunOutcome<RunStats> {
+    if let Some(cached) = campaign.store.as_ref().and_then(|s| s.load(cfg, workload)) {
         return Ok(cached);
     }
     let mut sys = System::try_build(cfg, workload)?;
-    telemetry::arm_active(&mut sys);
+    if let Some(sink) = &campaign.telemetry {
+        sys.set_telemetry(sink.config());
+    }
     let mut stats = sys.run_monitored(cfg.warmup_cycles, cfg.measure_cycles)?;
     stats.workload = workload.name.clone();
-    telemetry::write_active(cfg, workload, &mut sys);
-    metrics::record_cell(cfg, workload, &stats);
-    checkpoint::store_active(cfg, workload, &stats);
-    runner::heartbeat(cfg, workload);
+    if let Some(sink) = &campaign.telemetry {
+        sink.write_cell(cfg, workload, &mut sys);
+    }
+    if let Some(registry) = &campaign.metrics {
+        metrics::record_cell(registry, cfg, workload, &stats);
+    }
+    checkpoint::store_cell(campaign, cfg, workload, &stats);
     Ok(stats)
 }
 

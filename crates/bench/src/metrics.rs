@@ -1,12 +1,12 @@
 //! Campaign-side metrics registry: `--metrics-out` plumbing.
 //!
-//! Mirrors [`crate::telemetry`]'s seam: a process-wide active
-//! [`Registry`] is armed by the campaign driver ([`set_active`]) and fed
-//! transparently by `try_run_one` — each freshly simulated cell records
-//! its bandwidth-attribution decomposition (per-category cache bytes
-//! from the ledger-backed [`BloatBreakdown`]), memory bytes, and bloat
-//! factor. The driver dumps the registry's stable JSON at campaign end
-//! via [`write_active`].
+//! Like the telemetry sink, the [`Registry`] is a field of the
+//! [`Campaign`](crate::Campaign) context, armed by the campaign driver
+//! and fed transparently by `try_run_one` — each freshly simulated cell
+//! records its bandwidth-attribution decomposition (per-category cache
+//! bytes from the ledger-backed [`BloatBreakdown`]), memory bytes, and
+//! bloat factor. The driver dumps the registry's stable JSON at campaign
+//! end via [`write`].
 //!
 //! Observability-only by construction: nothing here touches `RunStats`
 //! or the report files, so a campaign with no `--metrics-out` stays
@@ -22,30 +22,16 @@ use bear_workloads::Workload;
 use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
-/// The campaign-wide active registry, consulted by `try_run_one`.
-static ACTIVE: Mutex<Option<Registry>> = Mutex::new(None);
-
-/// Activates (or, with `None`, deactivates) metrics collection for
-/// subsequently simulated cells.
-pub fn set_active(registry: Option<Registry>) {
-    *ACTIVE.lock().unwrap_or_else(|e| e.into_inner()) = registry;
-}
-
-/// A clone of the active registry, if one is armed.
-pub fn active() -> Option<Registry> {
-    ACTIVE.lock().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-/// Records one freshly simulated cell into the active registry (no-op
-/// when none is armed): per-category attributed cache bytes, memory
-/// bytes, bloat factor, and a cell counter, all labelled by design and
-/// workload.
-pub(crate) fn record_cell(cfg: &SystemConfig, workload: &Workload, stats: &RunStats) {
-    let Some(reg) = active() else {
-        return;
-    };
+/// Records one freshly simulated cell into `reg`: per-category
+/// attributed cache bytes, memory bytes, bloat factor, and a cell
+/// counter, all labelled by design and workload.
+pub(crate) fn record_cell(
+    reg: &Registry,
+    cfg: &SystemConfig,
+    workload: &Workload,
+    stats: &RunStats,
+) {
     let design = cfg.design.label();
     let workload = workload.name.as_str();
     reg.set_help("bear_cells_total", "Cells simulated by this campaign");
@@ -85,17 +71,13 @@ pub(crate) fn record_cell(cfg: &SystemConfig, workload: &Workload, stats: &RunSt
     .set(stats.bloat.factor());
 }
 
-/// Writes the active registry's stable JSON dump to `path`, atomically
-/// (tmp → rename). No-op returning `path` when no registry is armed.
+/// Writes `reg`'s stable JSON dump to `path`, atomically (tmp → rename).
 ///
 /// # Errors
 ///
 /// Propagates the underlying filesystem error; callers treat metrics
 /// persistence as best-effort.
-pub fn write_active(path: &Path) -> std::io::Result<PathBuf> {
-    let Some(reg) = active() else {
-        return Ok(path.to_path_buf());
-    };
+pub fn write(reg: &Registry, path: &Path) -> std::io::Result<PathBuf> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             fs::create_dir_all(parent)?;
@@ -115,11 +97,9 @@ pub fn write_active(path: &Path) -> std::io::Result<PathBuf> {
 mod tests {
     use super::*;
     use crate::report::Json;
+    use crate::{try_run_one, Campaign, RunPlan};
     use bear_core::config::DesignKind;
     use bear_core::metrics::RunStats;
-
-    /// Serializes tests that flip the process-global [`ACTIVE`] seam.
-    static SEAM: Mutex<()> = Mutex::new(());
 
     fn sample_stats() -> RunStats {
         let mut stats = RunStats::default();
@@ -132,23 +112,26 @@ mod tests {
 
     #[test]
     fn record_cell_is_inert_without_a_registry() {
-        let _guard = SEAM.lock().unwrap_or_else(|e| e.into_inner());
-        set_active(None);
-        let cfg = SystemConfig::paper_baseline(DesignKind::Alloy);
+        // A registry no campaign carries sees nothing, even while a
+        // campaign without one simulates a cell.
+        let bystander = Registry::new();
+        let plan = RunPlan {
+            warmup: 500,
+            measure: 500,
+            scale_shift: 12,
+        };
+        let cfg = plan.configure(SystemConfig::paper_baseline(DesignKind::Alloy));
         let workload = bear_workloads::rate_workloads().remove(0);
-        record_cell(&cfg, &workload, &sample_stats());
-        assert!(active().is_none());
+        try_run_one(&Campaign::new(plan), &cfg, &workload).expect("cell runs");
+        assert!(bystander.is_empty());
     }
 
     #[test]
     fn record_cell_attributes_bytes_and_dump_parses() {
-        let _guard = SEAM.lock().unwrap_or_else(|e| e.into_inner());
         let reg = Registry::new();
-        set_active(Some(reg.clone()));
         let cfg = SystemConfig::paper_baseline(DesignKind::Alloy);
         let workload = bear_workloads::rate_workloads().remove(0);
-        record_cell(&cfg, &workload, &sample_stats());
-        set_active(None);
+        record_cell(&reg, &cfg, &workload, &sample_stats());
         let hit = reg.counter(
             "bear_cell_cache_bytes_total",
             &[
@@ -164,9 +147,7 @@ mod tests {
         assert!(!metrics.is_empty());
         // Write + read back through the atomic path.
         let path = std::env::temp_dir().join(format!("bear_metrics_{}.json", std::process::id()));
-        set_active(Some(reg));
-        write_active(&path).expect("write dump");
-        set_active(None);
+        write(&reg, &path).expect("write dump");
         let text = std::fs::read_to_string(&path).expect("read back");
         assert_eq!(text, dump);
         std::fs::remove_file(&path).ok();

@@ -18,24 +18,23 @@
 //! run every cell through the [`supervisor`](crate::supervisor) — retry
 //! with backoff for transient failures, wall-clock deadlines, quarantine
 //! on exhaustion — and degrade cells that stay failed to zeroed
-//! placeholder stats while recording a
-//! [`FailureRow`](crate::report::FailureRow) (drained by
-//! [`take_failures`] into the experiment's report), so every other cell
-//! still completes and the merged report says exactly what broke.
+//! placeholder stats while the quarantined row lands in the
+//! [`Campaign`] log (read back by [`Campaign::failures`] into the
+//! experiment's report), so every other cell still completes and the
+//! merged report says exactly what broke. Every settled cell ticks the
+//! campaign's heartbeat, when it has one.
 //!
 //! The worker count comes from `BEAR_WORKERS` (default: the machine's
 //! available parallelism; malformed values warn and fall back).
 //! `BEAR_WORKERS=1` forces the serial path.
 
-use crate::report::FailureRow;
-use crate::supervisor;
+use crate::{supervisor, Campaign};
 use bear_core::config::SystemConfig;
 use bear_core::metrics::RunStats;
 use bear_sim::error::{RunOutcome, SimError};
 use bear_workloads::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Parses a `BEAR_WORKERS` value: a positive integer (a `0` is clamped to
 /// 1, preserving the historical "minimum one worker" behavior). `None`
@@ -132,104 +131,6 @@ where
     })
 }
 
-/// Campaign-wide progress counters behind the stderr heartbeat.
-#[derive(Debug)]
-struct Progress {
-    /// Cells completed (fresh or checkpoint-cached) since activation.
-    done: usize,
-    /// Cells scheduled so far: grows as each suite/matrix is submitted,
-    /// since the campaign's full cell count isn't known up front.
-    total: usize,
-    start: Instant,
-}
-
-/// Heartbeat state; `None` (the default) keeps the runner silent.
-static PROGRESS: Mutex<Option<Progress>> = Mutex::new(None);
-
-/// Enables (or disables) the per-cell stderr heartbeat and resets its
-/// counters. A long campaign driver turns this on so an observer can see
-/// `[cell i/N ...]` lines with elapsed time and a completion estimate;
-/// one-shot binaries leave it off.
-pub fn set_heartbeat(enabled: bool) {
-    *PROGRESS.lock().expect("progress state poisoned") = enabled.then(|| Progress {
-        done: 0,
-        total: 0,
-        start: Instant::now(),
-    });
-}
-
-/// Registers `n` more cells with the heartbeat, if enabled.
-fn progress_begin(n: usize) {
-    if let Some(p) = PROGRESS.lock().expect("progress state poisoned").as_mut() {
-        p.total += n;
-    }
-}
-
-/// One-line stderr heartbeat, emitted per completed cell when enabled:
-/// `cell i/N`, which cell finished, elapsed wall-clock, and an ETA
-/// extrapolated from the mean cell time so far (checkpoint-cached cells
-/// complete instantly and pull the estimate down — by design, since a
-/// resumed campaign really is that much closer to done). Once the
-/// supervisor has recovery events to report (retries, healed cells,
-/// quarantines, absorbed faults), the running totals ride along so an
-/// observer sees degradation as it happens, not at campaign end.
-pub(crate) fn heartbeat(cfg: &SystemConfig, workload: &Workload) {
-    let mut guard = PROGRESS.lock().expect("progress state poisoned");
-    let Some(p) = guard.as_mut() else {
-        return;
-    };
-    p.done += 1;
-    let elapsed = p.start.elapsed().as_secs_f64();
-    let remaining = p.total.saturating_sub(p.done);
-    let eta = elapsed / p.done as f64 * remaining as f64;
-    let recovery = supervisor::recovery_note().map_or(String::new(), |n| format!("; {n}"));
-    eprintln!(
-        "[cell {}/{} ({} × {}) elapsed {elapsed:.1}s, \
-         ETA {eta:.1}s{recovery}]",
-        p.done,
-        p.total.max(p.done),
-        cfg.design.label(),
-        workload.name,
-    );
-}
-
-/// Failed cells recorded by [`run_suite`]/[`run_matrix`] since the last
-/// [`take_failures`] call.
-static FAILURES: Mutex<Vec<FailureRow>> = Mutex::new(Vec::new());
-
-/// Records a quarantined cell's failure row (called by the
-/// [`supervisor`](crate::supervisor) once the cell's retries are
-/// exhausted — the supervisor owns the stderr announcement and the
-/// attempt count).
-pub(crate) fn record_failure_row(row: FailureRow) {
-    FAILURES.lock().expect("failure log poisoned").push(row);
-}
-
-/// Sorts failure rows by the full (config, workload, kind, attempts,
-/// error) tuple — the completion-order-independent key that keeps the
-/// report's failures section (and `failures.json`) byte-stable across
-/// `BEAR_WORKERS` values.
-fn sort_failures(v: &mut [FailureRow]) {
-    v.sort_by(|a, b| {
-        (&a.config, &a.workload, &a.kind, a.attempts, &a.error).cmp(&(
-            &b.config,
-            &b.workload,
-            &b.kind,
-            b.attempts,
-            &b.error,
-        ))
-    });
-}
-
-/// Drains the failures recorded since the last call, sorted by
-/// [`sort_failures`]' full tuple so the report section is deterministic
-/// regardless of worker count or completion order.
-pub fn take_failures() -> Vec<FailureRow> {
-    let mut v = std::mem::take(&mut *FAILURES.lock().expect("failure log poisoned"));
-    sort_failures(&mut v);
-    v
-}
-
 /// Zeroed stats standing in for a failed cell, so grid indexing (and the
 /// tables computed from it) survive; the recorded failure row carries the
 /// real story. Zero IPC makes the cell's speedup read as 0, which is
@@ -254,13 +155,26 @@ fn settle(cfg: &SystemConfig, workload: &Workload, outcome: RunOutcome<RunStats>
     }
 }
 
+/// Runs one cell under the [`supervisor`](crate::supervisor) and ticks
+/// the campaign heartbeat once it has settled, whatever the outcome.
+fn run_ticked(
+    campaign: &Campaign,
+    cfg: &SystemConfig,
+    workload: &Workload,
+) -> RunOutcome<RunStats> {
+    let outcome = supervisor::run_cell(campaign, cfg, workload);
+    campaign.settled(cfg, workload);
+    outcome
+}
+
 /// Runs one configuration over a suite of workloads in parallel,
 /// returning per-workload stats in suite order. Every cell runs under
 /// the [`supervisor`](crate::supervisor); cells that stay failed degrade
-/// to placeholder stats and a recorded failure (see [`take_failures`]).
-pub fn run_suite(cfg: &SystemConfig, workloads: &[Workload]) -> Vec<RunStats> {
-    progress_begin(workloads.len());
-    try_parallel_map(workloads, |w| supervisor::run_cell(cfg, w))
+/// to placeholder stats and a quarantined row in the campaign log (see
+/// [`Campaign::failures`]).
+pub fn run_suite(campaign: &Campaign, cfg: &SystemConfig, workloads: &[Workload]) -> Vec<RunStats> {
+    campaign.schedule(workloads.len());
+    try_parallel_map(workloads, |w| run_ticked(campaign, cfg, w))
         .into_iter()
         .zip(workloads)
         .map(|(outcome, w)| settle(cfg, w, outcome))
@@ -271,14 +185,18 @@ pub fn run_suite(cfg: &SystemConfig, workloads: &[Workload]) -> Vec<RunStats> {
 /// scheduled at once, so a slow workload in one config does not serialize
 /// the others. Returns `result[config_index][workload_index]`. Every
 /// cell runs under the [`supervisor`](crate::supervisor); cells that
-/// stay failed degrade to placeholder stats and a recorded failure.
-pub fn run_matrix(cfgs: &[SystemConfig], workloads: &[Workload]) -> Vec<Vec<RunStats>> {
+/// stay failed degrade to placeholder stats and a quarantined row.
+pub fn run_matrix(
+    campaign: &Campaign,
+    cfgs: &[SystemConfig],
+    workloads: &[Workload],
+) -> Vec<Vec<RunStats>> {
     let cells: Vec<(usize, usize)> = (0..cfgs.len())
         .flat_map(|c| (0..workloads.len()).map(move |w| (c, w)))
         .collect();
-    progress_begin(cells.len());
+    campaign.schedule(cells.len());
     let flat = try_parallel_map(&cells, |&(c, w)| {
-        supervisor::run_cell(&cfgs[c], &workloads[w])
+        run_ticked(campaign, &cfgs[c], &workloads[w])
     });
     let mut out: Vec<Vec<RunStats>> = Vec::with_capacity(cfgs.len());
     let mut it = flat.into_iter().zip(&cells);
@@ -343,6 +261,14 @@ mod tests {
         }
     }
 
+    fn bare() -> Campaign {
+        Campaign::new(crate::RunPlan {
+            warmup: 1_000,
+            measure: 1_000,
+            scale_shift: 12,
+        })
+    }
+
     #[test]
     fn failed_cells_degrade_to_placeholders_and_failure_rows() {
         use bear_core::config::{DesignKind, SystemConfig};
@@ -354,47 +280,19 @@ mod tests {
             .into_iter()
             .take(2)
             .collect();
-        let stats = run_suite(&cfg, &suite);
+        let campaign = bare();
+        let stats = run_suite(&campaign, &cfg, &suite);
         assert_eq!(stats.len(), 2, "grid shape survives the failures");
         assert_eq!(stats[0].workload, suite[0].name);
         assert_eq!(stats[0].cycles, 0, "placeholder stats are zeroed");
-        let failures = take_failures();
-        let ours: Vec<&FailureRow> = failures
-            .iter()
-            .filter(|f| f.workload == suite[0].name || f.workload == suite[1].name)
-            .collect();
-        assert_eq!(ours.len(), 2);
-        assert_eq!(ours[0].kind, "config");
-        assert!(ours[0].error.contains("sched_window"));
+        let failures = campaign.failures();
+        assert_eq!(failures.len(), 2);
+        assert_eq!(failures[0].kind, "config");
+        assert!(failures[0].error.contains("sched_window"));
         assert!(
-            take_failures().iter().all(|f| f.workload != suite[0].name),
-            "take_failures drains"
+            bare().failures().is_empty(),
+            "failures stay with the campaign that recorded them"
         );
-    }
-
-    #[test]
-    fn failure_ordering_is_worker_count_independent() {
-        let mk = |c: &str, w: &str, k: &str, a: usize| FailureRow {
-            config: c.into(),
-            workload: w.into(),
-            kind: k.into(),
-            error: format!("{c} × {w} broke"),
-            attempts: a,
-        };
-        // Two completion orders of the same failures (as different
-        // BEAR_WORKERS schedules would record them) sort identically.
-        let mut by_schedule_a = vec![
-            mk("BEAR", "rate:mcf", "panic", 3),
-            mk("Alloy", "rate:mcf", "config", 1),
-            mk("Alloy", "mix:a", "timeout", 3),
-        ];
-        let mut by_schedule_b: Vec<FailureRow> = by_schedule_a.iter().rev().cloned().collect();
-        sort_failures(&mut by_schedule_a);
-        sort_failures(&mut by_schedule_b);
-        assert_eq!(by_schedule_a, by_schedule_b);
-        assert_eq!(by_schedule_a[0].workload, "mix:a");
-        assert_eq!(by_schedule_a[1].kind, "config");
-        assert_eq!(by_schedule_a[2].config, "BEAR");
     }
 
     #[test]
@@ -408,7 +306,7 @@ mod tests {
             .into_iter()
             .take(2)
             .collect();
-        let m = run_matrix(&[cfg.clone(), cfg], &suite);
+        let m = run_matrix(&bare(), &[cfg.clone(), cfg], &suite);
         assert_eq!(m.len(), 2);
         assert_eq!(m[0].len(), 2);
         assert_eq!(m[0][0].workload, suite[0].name);
@@ -427,7 +325,7 @@ mod tests {
             .take(3)
             .collect();
         let serial: Vec<RunStats> = suite.iter().map(|w| crate::run_one(&cfg, w)).collect();
-        let parallel = run_suite(&cfg, &suite);
+        let parallel = run_suite(&bare(), &cfg, &suite);
         assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
     }
 }

@@ -25,27 +25,28 @@
 //!    invariant, divergence) fail immediately, because they would fail
 //!    identically on every attempt.
 //! 3. A cell that succeeds after retries is recorded as **healed**; a
-//!    cell that exhausts them is **quarantined**: a
-//!    [`FailureRow`] (kind, attempts, message) degrades it to a
-//!    placeholder in the report, and a [`SupervisionRow`] in the
-//!    `failures.json` manifest carries the full recovery story — error
-//!    kind, attempt count, checkpoint state, and a repro pointer.
+//!    cell that exhausts them is **quarantined**. Either way a
+//!    [`SupervisionRow`] lands in the [`Campaign`] log and the
+//!    `failures.json` manifest with the full recovery story — error
+//!    kind, attempt count, checkpoint state, and a repro pointer. A
+//!    quarantined row also degrades the cell to a placeholder in the
+//!    report, where it appears as a
+//!    [`FailureRow`](crate::report::FailureRow).
 //!
 //! All supervision chatter goes to **stderr**; with no faults and no
 //! chaos plan armed, stdout and every report byte are identical to an
 //! unsupervised run.
 
-use crate::report::{FailureRow, Json};
-use crate::{chaos, checkpoint, runner, try_run_one};
+use crate::report::Json;
+use crate::{chaos, checkpoint, try_run_one, Campaign};
 use bear_core::config::SystemConfig;
 use bear_core::metrics::RunStats;
 use bear_sim::error::{RunOutcome, SimError};
+use bear_sim::faultinject::ChaosPlan;
 use bear_sim::rng::SimRng;
-use bear_telemetry::SelfProfiler;
 use bear_workloads::Workload;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Retry/deadline policy for one campaign.
@@ -183,78 +184,6 @@ impl SupervisionRow {
     }
 }
 
-/// Supervision events recorded since the campaign started (manifest
-/// source) — appended by [`run_cell`]/[`record_absorbed`], tagged with
-/// the current [`set_experiment`] label, snapshotted by
-/// [`write_manifest`], drained by [`take_supervision`].
-static MANIFEST: Mutex<Vec<SupervisionRow>> = Mutex::new(Vec::new());
-
-/// Directory to persist `failures.json` into after every recorded event
-/// (`None` keeps the manifest in-memory only). Incremental persistence
-/// matters because the process can die *mid-experiment* — a chaos kill
-/// point, a real OOM-kill — and recovery history must survive into the
-/// resumed campaign's manifest.
-static MANIFEST_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-/// Experiment id to stamp onto subsequently recorded events (set by the
-/// campaign driver at the start of each step).
-static EXPERIMENT: Mutex<String> = Mutex::new(String::new());
-
-/// Campaign-wide recovery event counters (`supervisor.retry` etc.),
-/// reported at the end of a campaign via [`profile_report`].
-static PROF: Mutex<SelfProfiler> = Mutex::new(SelfProfiler::new());
-
-fn prof_bump(name: &'static str) {
-    PROF.lock().expect("supervisor profile poisoned").bump(name);
-}
-
-/// Sets the experiment id stamped onto subsequently recorded supervision
-/// events. The campaign driver calls this at the *start* of each step —
-/// before any cell can fail — so even events whose process dies
-/// mid-experiment carry the right id in the persisted manifest.
-pub fn set_experiment(experiment: &str) {
-    *EXPERIMENT.lock().expect("experiment label poisoned") = experiment.to_string();
-}
-
-/// Sets (or, with `None`, clears) the directory `failures.json` is
-/// incrementally persisted into.
-pub fn set_manifest_dir(dir: Option<&Path>) {
-    *MANIFEST_DIR.lock().expect("manifest dir poisoned") = dir.map(Path::to_path_buf);
-}
-
-/// Records a supervision event (also used by the chaos layer for
-/// absorbed checkpoint faults), stamping it with the current experiment
-/// id and — when a manifest directory is set — immediately persisting
-/// the updated `failures.json` so the event survives a process kill.
-pub(crate) fn push_row(mut row: SupervisionRow) {
-    if row.experiment.is_empty() {
-        row.experiment = EXPERIMENT
-            .lock()
-            .expect("experiment label poisoned")
-            .clone();
-    }
-    MANIFEST
-        .lock()
-        .expect("supervision manifest poisoned")
-        .push(row);
-    let dir = MANIFEST_DIR.lock().expect("manifest dir poisoned").clone();
-    if let Some(dir) = dir {
-        if let Err(e) = write_manifest(&dir) {
-            eprintln!("[warning: failed to persist failures.json: {e}]");
-        }
-    }
-}
-
-/// Drains every recorded supervision event, sorted by (experiment,
-/// config, workload, kind) — deterministic regardless of worker
-/// completion order. Tests use this; the campaign manifest uses the
-/// non-draining [`write_manifest`].
-pub fn take_supervision() -> Vec<SupervisionRow> {
-    let mut v = std::mem::take(&mut *MANIFEST.lock().expect("supervision manifest poisoned"));
-    sort_rows(&mut v);
-    v
-}
-
 fn sort_rows(v: &mut [SupervisionRow]) {
     // The full field tuple, so equal rows (a resumed campaign re-records
     // a quarantine identically) end up adjacent for dedup and the order
@@ -379,12 +308,12 @@ impl Drop for ManifestLock {
 }
 
 /// Writes the machine-readable recovery manifest `DIR/failures.json`
-/// (atomically: temp file, fsync, rename) from everything recorded so
-/// far **merged with the manifest a previous incarnation of this
-/// campaign persisted in `DIR`** — a killed-and-resumed campaign keeps
+/// (atomically: temp file, fsync, rename) from `new_rows` **merged with
+/// the manifest already in `DIR`** — a killed-and-resumed campaign keeps
 /// its full recovery history (identical rows recur deterministically
 /// across incarnations and collapse in the dedup). Returns its path.
-/// The schema:
+/// `chaos_seed` is the seed of the chaos plan armed for the writer, if
+/// any. The schema:
 ///
 /// ```json
 /// {
@@ -398,29 +327,21 @@ impl Drop for ManifestLock {
 /// }
 /// ```
 ///
-/// # Errors
-///
-/// Propagates the underlying filesystem error.
-pub fn write_manifest(dir: &Path) -> std::io::Result<PathBuf> {
-    let rows = MANIFEST
-        .lock()
-        .expect("supervision manifest poisoned")
-        .clone();
-    merge_rows_into(dir, rows)
-}
-
-/// Merges `new_rows` into `DIR/failures.json` under the manifest's
-/// advisory lock: existing rows are re-read *inside* the critical
-/// section, so two concurrent writer processes both land their rows
-/// instead of last-writer-wins dropping one side's. This is the write
-/// path for everything that persists supervision history — the in-process
-/// campaign manifest ([`write_manifest`]) and the daemon's per-job
-/// recovery rows.
+/// The merge runs under the manifest's advisory lock: existing rows are
+/// re-read *inside* the critical section, so two concurrent writer
+/// processes both land their rows instead of last-writer-wins dropping
+/// one side's. This is the write path for everything that persists
+/// supervision history — the campaign manifest
+/// ([`Campaign::write_manifest`]) and the daemon's per-job recovery rows.
 ///
 /// # Errors
 ///
 /// Propagates the underlying filesystem error.
-pub fn merge_rows_into(dir: &Path, new_rows: Vec<SupervisionRow>) -> std::io::Result<PathBuf> {
+pub fn merge_rows_into(
+    dir: &Path,
+    new_rows: Vec<SupervisionRow>,
+    chaos_seed: Option<u64>,
+) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let _lock = ManifestLock::acquire(dir)?;
     let mut rows = read_manifest_rows(dir);
@@ -442,7 +363,7 @@ pub fn merge_rows_into(dir: &Path, new_rows: Vec<SupervisionRow>) -> std::io::Re
             Json::Obj(vec![
                 (
                     "chaos_seed".into(),
-                    chaos::armed_seed().map_or(Json::Null, Json::uint),
+                    chaos_seed.map_or(Json::Null, Json::uint),
                 ),
                 ("max_retries".into(), Json::uint(scfg.max_retries as u64)),
             ]),
@@ -463,45 +384,6 @@ pub fn merge_rows_into(dir: &Path, new_rows: Vec<SupervisionRow>) -> std::io::Re
     }
     std::fs::rename(&tmp, &path)?;
     Ok(path)
-}
-
-/// Compact recovery summary for the campaign heartbeat (e.g.
-/// `"2 retries, 1 quarantined"`), or `None` while the campaign is clean
-/// — quiet campaigns keep their exact pre-supervision heartbeat lines.
-pub fn recovery_note() -> Option<String> {
-    let p = PROF.lock().expect("supervisor profile poisoned");
-    let count = |name: &str| {
-        p.rows()
-            .find(|&(n, _, _)| n == name)
-            .map_or(0, |(_, _, c)| c)
-    };
-    let parts: Vec<String> = [
-        ("supervisor.retry", "retries"),
-        ("supervisor.healed", "healed"),
-        ("supervisor.quarantined", "quarantined"),
-        ("supervisor.absorbed", "absorbed"),
-    ]
-    .iter()
-    .filter_map(|(key, label)| {
-        let c = count(key);
-        (c > 0).then(|| format!("{c} {label}"))
-    })
-    .collect();
-    (!parts.is_empty()).then(|| parts.join(", "))
-}
-
-/// A text report of the supervisor's recovery counters (retries, heals,
-/// quarantines, absorbed faults), or `None` when nothing happened —
-/// campaign drivers print it to stderr at the end of a run.
-pub fn profile_report() -> Option<String> {
-    let p = PROF.lock().expect("supervisor profile poisoned");
-    if p.is_empty() {
-        return None;
-    }
-    let mut rows: Vec<(&'static str, u64)> = p.rows().map(|(n, _ns, c)| (n, c)).collect();
-    rows.sort();
-    let body: Vec<String> = rows.iter().map(|(n, c)| format!("{n}={c}")).collect();
-    Some(format!("supervision: {}", body.join(" ")))
 }
 
 /// Deterministic backoff before retry number `retry_no` (1-based) of the
@@ -561,12 +443,16 @@ where
 /// per-attempt deadline, chaos injection, and classification of the
 /// final outcome. `attempt` receives the attempt number (0-based).
 ///
+/// `chaos_plan` is the armed chaos plan whose attempt faults (worker
+/// panics, stalls) are injected; `None` runs every attempt as is.
+///
 /// Returns the final outcome plus a [`SupervisionRow`] when anything
 /// noteworthy happened (`None` for a clean first-attempt success).
-/// Recording the row (manifest, failure log) is the caller's job so this
-/// stays a pure, unit-testable state machine.
+/// Recording the row is the caller's job so this stays a pure,
+/// unit-testable state machine.
 pub fn supervise_with<R, F>(
     scfg: &SupervisorConfig,
+    chaos_plan: Option<&ChaosPlan>,
     key: u64,
     config_label: &str,
     workload_name: &str,
@@ -582,7 +468,7 @@ where
     let mut chaos_label: Option<String> = None;
     let mut n: u32 = 0;
     loop {
-        let fault = chaos::attempt_fault(key, n);
+        let fault = chaos_plan.and_then(|plan| plan.attempt_fault(key, n));
         if let Some(f) = fault {
             chaos_label.get_or_insert_with(|| f.kind.label().to_string());
         }
@@ -605,7 +491,6 @@ where
         match outcome {
             Ok(r) => {
                 let row = (n > 0).then(|| {
-                    prof_bump("supervisor.healed");
                     let e = first_error.clone().expect("retried without an error");
                     eprintln!("[cell HEALED on attempt {}: {context}: {e}]", n + 1);
                     SupervisionRow {
@@ -630,7 +515,6 @@ where
                 if e.is_transient() && n < scfg.max_retries {
                     n += 1;
                     let sleep = backoff_ms(scfg, key, n);
-                    prof_bump("supervisor.retry");
                     eprintln!(
                         "[cell RETRY {n}/{}: {context}: {e}; backing off {sleep}ms]",
                         scfg.max_retries
@@ -638,7 +522,6 @@ where
                     std::thread::sleep(Duration::from_millis(sleep));
                     continue;
                 }
-                prof_bump("supervisor.quarantined");
                 eprintln!(
                     "[cell QUARANTINED after {} attempt(s): {context}: {e}]",
                     n + 1
@@ -662,58 +545,47 @@ where
     }
 }
 
-/// Records an absorbed fault (one that never reached the cell's result,
-/// e.g. a failed checkpoint write) in the manifest and counters.
-pub(crate) fn record_absorbed(config: &str, workload: &str, kind: &str, chaos: &str, error: &str) {
-    prof_bump("supervisor.absorbed");
-    push_row(SupervisionRow {
-        experiment: String::new(),
-        config: config.to_string(),
-        workload: workload.to_string(),
-        disposition: Disposition::Absorbed,
-        kind: kind.to_string(),
-        error: error.to_string(),
-        attempts: 0,
-        chaos: Some(chaos.to_string()),
-        checkpoint: None,
-        repro: String::new(),
-        trace: None,
-    });
-}
-
 /// The supervised cell runner used by [`crate::runner::run_suite`] /
 /// [`crate::runner::run_matrix`]: wraps [`try_run_one`] in the retry /
-/// deadline / quarantine state machine, records recovery events, and —
-/// on quarantine — the [`FailureRow`] that degrades the cell to a
-/// placeholder in the report.
-pub fn run_cell(cfg: &SystemConfig, workload: &Workload) -> RunOutcome<RunStats> {
+/// deadline / quarantine state machine under the campaign's chaos plan
+/// and records any recovery event in the campaign log — a quarantined
+/// row is what degrades the cell to a placeholder in the report.
+pub fn run_cell(
+    campaign: &Campaign,
+    cfg: &SystemConfig,
+    workload: &Workload,
+) -> RunOutcome<RunStats> {
     let scfg = SupervisorConfig::from_env();
     let key = checkpoint::cell_hash(cfg, workload);
     let stem = checkpoint::cell_stem(cfg, workload);
     let config_label = cfg.design.label().to_string();
-    let workload_name = workload.name.clone();
     let repro = format!("cell {stem} (BEAR_WORKERS=1, same plan/env)");
     let attempt = {
+        let campaign = campaign.clone();
         let cfg = cfg.clone();
         let workload = workload.clone();
-        move |_n: u32| try_run_one(&cfg, &workload)
+        move |_n: u32| try_run_one(&campaign, &cfg, &workload)
     };
-    let (outcome, row) = supervise_with(&scfg, key, &config_label, &workload_name, &repro, attempt);
+    let chaos = campaign.chaos.as_deref();
+    let (outcome, row) = supervise_with(
+        &scfg,
+        chaos.map(|c| &c.plan),
+        key,
+        &config_label,
+        &workload.name,
+        &repro,
+        attempt,
+    );
     if let Some(mut row) = row {
-        row.checkpoint = checkpoint::active_committed_path(cfg, workload);
-        if row.disposition == Disposition::Quarantined {
-            runner::record_failure_row(FailureRow {
-                config: row.config.clone(),
-                workload: row.workload.clone(),
-                kind: row.kind.clone(),
-                error: row.error.clone(),
-                attempts: row.attempts,
-            });
-        }
-        push_row(row);
+        row.checkpoint = campaign
+            .store
+            .as_ref()
+            .and_then(|s| s.committed_path(cfg, workload))
+            .map(|p| p.display().to_string());
+        campaign.record(row);
     }
-    if outcome.is_ok() {
-        chaos::on_cell_complete();
+    if let (Ok(_), Some(chaos)) = (&outcome, chaos) {
+        chaos.on_cell_complete();
     }
     outcome
 }
@@ -735,7 +607,7 @@ mod tests {
 
     #[test]
     fn clean_success_produces_no_row() {
-        let (out, row) = supervise_with(&quiet(), 1, "A", "w", "r", |_| Ok(42u64));
+        let (out, row) = supervise_with(&quiet(), None, 1, "A", "w", "r", |_| Ok(42u64));
         assert_eq!(out.unwrap(), 42);
         assert!(row.is_none(), "clean first-attempt success is silent");
     }
@@ -744,7 +616,7 @@ mod tests {
     fn transient_failures_heal_within_the_retry_budget() {
         let calls = Arc::new(AtomicU32::new(0));
         let c = calls.clone();
-        let (out, row) = supervise_with(&quiet(), 2, "A", "w", "r", move |n| {
+        let (out, row) = supervise_with(&quiet(), None, 2, "A", "w", "r", move |n| {
             c.fetch_add(1, Ordering::SeqCst);
             if n < 2 {
                 Err(SimError::panicked("cell", "flaky"))
@@ -765,7 +637,7 @@ mod tests {
     fn permanent_failures_are_not_retried() {
         let calls = Arc::new(AtomicU32::new(0));
         let c = calls.clone();
-        let (out, row) = supervise_with(&quiet(), 3, "A", "w", "r", move |_| {
+        let (out, row) = supervise_with(&quiet(), None, 3, "A", "w", "r", move |_| {
             c.fetch_add(1, Ordering::SeqCst);
             Err::<u64, _>(SimError::config("l3", "ways must be non-zero"))
         });
@@ -778,7 +650,7 @@ mod tests {
 
     #[test]
     fn exhausted_retries_quarantine_with_attempt_count() {
-        let (out, row) = supervise_with(&quiet(), 4, "BAB", "rate:mcf", "r", |_| {
+        let (out, row) = supervise_with(&quiet(), None, 4, "BAB", "rate:mcf", "r", |_| {
             Err::<u64, _>(SimError::panicked("cell", "always broken"))
         });
         assert_eq!(out.unwrap_err().kind(), "panic");
@@ -794,7 +666,7 @@ mod tests {
             deadline_ms: Some(40),
             ..quiet()
         };
-        let (out, row) = supervise_with(&scfg, 5, "A", "w", "r", |n| {
+        let (out, row) = supervise_with(&scfg, None, 5, "A", "w", "r", |n| {
             if n == 0 {
                 std::thread::sleep(Duration::from_millis(400));
             }
@@ -857,7 +729,7 @@ mod tests {
                         repro: String::new(),
                         trace: None,
                     };
-                    merge_rows_into(&dir, vec![row]).expect("merge");
+                    merge_rows_into(&dir, vec![row], None).expect("merge");
                 })
             })
             .collect();
@@ -897,7 +769,7 @@ mod tests {
             .is_ok();
         if backdated {
             let t0 = std::time::Instant::now();
-            merge_rows_into(&dir, Vec::new()).expect("merge past stale lock");
+            merge_rows_into(&dir, Vec::new(), None).expect("merge past stale lock");
             assert!(
                 t0.elapsed() < Duration::from_secs(5),
                 "a stale lock must be broken promptly"

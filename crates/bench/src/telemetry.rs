@@ -1,12 +1,11 @@
 //! Campaign-side telemetry sink: per-cell JSONL time series on disk.
 //!
 //! The simulator produces telemetry (see `bear_core::telemetry`); this
-//! module decides *whether* a campaign collects it and *where* it lands.
-//! Mirroring [`crate::checkpoint`], a process-wide active sink is set by
-//! the campaign driver ([`set_active`]) and consulted transparently by
-//! `try_run_one`: when a sink is active, every freshly simulated cell is
-//! armed with [`TelemetryConfig::sampling`] and its windowed samples are
-//! written to
+//! module decides where a campaign's samples land. A campaign collects
+//! them when its [`Campaign`](crate::Campaign) context carries a
+//! [`TelemetrySink`] (`--telemetry`): `try_run_one` then arms every
+//! freshly simulated cell with [`TelemetryConfig::sampling`] and writes
+//! its windowed samples to
 //!
 //! ```text
 //! DIR/telemetry/<cell_stem>.jsonl     one JSON object per sample window
@@ -25,7 +24,7 @@
 //! tmp → rename protocol as checkpoints, so an interrupt mid-write leaves
 //! an ignorable `.tmp`, never a half sample.
 //!
-//! With no active sink (the default), cells run with
+//! Without a sink (the default), cells run with
 //! [`TelemetryConfig::Off`] and are byte-identical to a build without the
 //! feature — the `telemetry_off_is_free` guard test pins this.
 
@@ -37,7 +36,6 @@ use bear_workloads::Workload;
 use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// Destination and options for campaign telemetry collection.
 #[derive(Debug, Clone)]
@@ -91,45 +89,21 @@ impl TelemetrySink {
         fs::rename(&tmp, &path)?;
         Ok(path)
     }
-}
 
-/// The campaign-wide active sink, consulted by `try_run_one`. `None`
-/// (the default) leaves every cell's telemetry off.
-static ACTIVE: Mutex<Option<TelemetrySink>> = Mutex::new(None);
-
-/// Activates (or, with `None`, deactivates) telemetry collection for
-/// subsequently simulated cells.
-pub fn set_active(sink: Option<TelemetrySink>) {
-    *ACTIVE.lock().expect("telemetry sink poisoned") = sink;
-}
-
-/// Arms a freshly built system when a sink is active.
-pub(crate) fn arm_active(sys: &mut System) {
-    if let Some(sink) = ACTIVE.lock().expect("telemetry sink poisoned").as_ref() {
-        sys.set_telemetry(sink.config());
-    }
-}
-
-/// Drains a finished cell's telemetry into the active sink, if any.
-/// Write errors degrade to a warning — telemetry must never fail a
-/// finished simulation.
-pub(crate) fn write_active(cfg: &SystemConfig, workload: &Workload, sys: &mut System) {
-    let sink = {
-        let guard = ACTIVE.lock().expect("telemetry sink poisoned");
-        match guard.as_ref() {
-            Some(sink) => sink.clone(),
-            None => return,
+    /// Drains a finished cell's telemetry into this sink. Write errors
+    /// degrade to a warning — telemetry must never fail a finished
+    /// simulation.
+    pub(crate) fn write_cell(&self, cfg: &SystemConfig, workload: &Workload, sys: &mut System) {
+        let Some(report) = sys.take_telemetry() else {
+            return;
+        };
+        if let Err(e) = self.write(cfg, workload, &report.samples) {
+            eprintln!(
+                "[warning: failed to write telemetry for {} × {}: {e}]",
+                cfg.design.label(),
+                workload.name
+            );
         }
-    };
-    let Some(report) = sys.take_telemetry() else {
-        return;
-    };
-    if let Err(e) = sink.write(cfg, workload, &report.samples) {
-        eprintln!(
-            "[warning: failed to write telemetry for {} × {}: {e}]",
-            cfg.design.label(),
-            workload.name
-        );
     }
 }
 

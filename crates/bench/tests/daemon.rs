@@ -217,6 +217,18 @@ fn chaos_riddled_daemon_reports_are_byte_identical() {
         "reference run saw chaos:\n{ref_log}"
     );
 
+    // The recovery manifest names the chaos seed that armed the run.
+    let chaos_seed = |dir: &Path| {
+        let text = std::fs::read_to_string(dir.join("failures.json")).expect("failures.json");
+        let doc = Json::parse(&text).expect("failures.json parses");
+        doc.get("campaign")
+            .and_then(|c| c.get("chaos_seed"))
+            .cloned()
+            .expect("campaign.chaos_seed")
+    };
+    assert_eq!(chaos_seed(&chaos_dir), Json::uint(DAEMON_SMOKE_SEED));
+    assert_eq!(chaos_seed(&ref_dir), Json::Null);
+
     std::fs::remove_dir_all(&ref_dir).ok();
     std::fs::remove_dir_all(&chaos_dir).ok();
 }

@@ -4,7 +4,7 @@
 //! diffable and the JSON reports reproducible.
 
 use bear_bench::runner::{run_matrix, run_suite};
-use bear_bench::{config_for, run_one, RunPlan};
+use bear_bench::{config_for, run_one, Campaign, RunPlan};
 use bear_core::config::{BearFeatures, DesignKind};
 use bear_workloads::{rate_workloads, Workload};
 
@@ -56,8 +56,12 @@ fn parallel_runner_matches_serial_reference() {
         .map(|cfg| suite.iter().map(|w| run_one(cfg, w)).collect())
         .collect();
 
-    let via_suite: Vec<Vec<_>> = cfgs.iter().map(|cfg| run_suite(cfg, &suite)).collect();
-    let via_matrix = run_matrix(&cfgs, &suite);
+    let campaign = Campaign::new(plan);
+    let via_suite: Vec<Vec<_>> = cfgs
+        .iter()
+        .map(|cfg| run_suite(&campaign, cfg, &suite))
+        .collect();
+    let via_matrix = run_matrix(&campaign, &cfgs, &suite);
 
     assert_eq!(reference, via_suite, "run_suite diverged from run_one");
     assert_eq!(reference, via_matrix, "run_matrix diverged from run_one");

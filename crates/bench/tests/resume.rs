@@ -5,8 +5,8 @@
 //! `--out DIR`, resumes from the committed cells and produces a merged
 //! report **byte-identical** to an uninterrupted campaign.
 
-use bear_bench::checkpoint::{self, CellStore};
-use bear_bench::{config_for, try_run_one, RunPlan};
+use bear_bench::checkpoint::CellStore;
+use bear_bench::{config_for, try_run_one, Campaign, RunPlan};
 use bear_core::config::{BearFeatures, DesignKind};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -29,10 +29,10 @@ fn in_process_resume_reloads_identical_stats() {
     };
     let cfg = config_for(DesignKind::Alloy, BearFeatures::full(), &plan);
     let workload = bear_workloads::rate_workloads().remove(0);
-    checkpoint::set_active(Some(CellStore::new(&dir, "itest")));
-    let first = try_run_one(&cfg, &workload).expect("first run");
-    let resumed = try_run_one(&cfg, &workload).expect("resumed run");
-    checkpoint::set_active(None);
+    let mut campaign = Campaign::new(plan);
+    campaign.store = Some(CellStore::new(&dir, "itest"));
+    let first = try_run_one(&campaign, &cfg, &workload).expect("first run");
+    let resumed = try_run_one(&campaign, &cfg, &workload).expect("resumed run");
     assert_eq!(
         first, resumed,
         "a reloaded cell must round-trip bit-for-bit"
@@ -56,8 +56,9 @@ fn cell_torn_by_a_kill_mid_store_is_rerun_not_trusted() {
     };
     let cfg = config_for(DesignKind::Alloy, BearFeatures::full(), &plan);
     let workload = bear_workloads::rate_workloads().remove(0);
-    checkpoint::set_active(Some(CellStore::new(&dir, "torn")));
-    let first = try_run_one(&cfg, &workload).expect("first run");
+    let mut campaign = Campaign::new(plan);
+    campaign.store = Some(CellStore::new(&dir, "torn"));
+    let first = try_run_one(&campaign, &cfg, &workload).expect("first run");
 
     // Truncate the committed data file while its `.done` marker stands —
     // the artifact a `kill -9` (or a torn page-cache flush) can leave
@@ -75,8 +76,7 @@ fn cell_torn_by_a_kill_mid_store_is_rerun_not_trusted() {
 
     // The resumed run must re-simulate (not trust the torn bytes), land
     // on identical stats, and leave the cell loadable again.
-    let resumed = try_run_one(&cfg, &workload).expect("resumed run");
-    checkpoint::set_active(None);
+    let resumed = try_run_one(&campaign, &cfg, &workload).expect("resumed run");
     assert_eq!(
         first, resumed,
         "re-running a torn cell must reproduce the original stats"

@@ -12,15 +12,13 @@
 //!    without changing a single report byte, and with the registry off
 //!    the run is byte-identical to one that never heard of metrics.
 //!
-//! The sink, checkpoint, and metrics registries are process-wide, so
-//! everything runs in a single `#[test]` to keep activation windows
-//! disjoint.
+//! Each phase runs its cells under its own [`Campaign`] context carrying
+//! exactly the sink, store, or registry that phase arms.
 
-use bear_bench::checkpoint::{self, cell_stem, CellStore};
-use bear_bench::metrics;
+use bear_bench::checkpoint::{cell_stem, CellStore};
 use bear_bench::report::{stats_to_json, Json};
-use bear_bench::telemetry::{self, TelemetrySink};
-use bear_bench::try_run_one;
+use bear_bench::telemetry::TelemetrySink;
+use bear_bench::{try_run_one, Campaign, RunPlan};
 use bear_core::config::{BearFeatures, DesignKind, SystemConfig};
 use std::fs;
 use std::path::PathBuf;
@@ -36,6 +34,15 @@ fn config() -> SystemConfig {
     cfg
 }
 
+/// A campaign with nothing armed, under `cfg`'s own cycle budget.
+fn bare(cfg: &SystemConfig) -> Campaign {
+    Campaign::new(RunPlan {
+        warmup: cfg.warmup_cycles,
+        measure: cfg.measure_cycles,
+        scale_shift: cfg.scale_shift,
+    })
+}
+
 fn tmp_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bear_telemetry_guard_{}", std::process::id()));
     fs::remove_dir_all(&dir).ok();
@@ -49,11 +56,11 @@ fn telemetry_off_is_free_and_resume_does_not_duplicate() {
     let workload = bear_workloads::rate_workloads().remove(0);
 
     // Phase 1: identical reports with and without an active sink.
-    let plain = try_run_one(&cfg, &workload).expect("plain run");
+    let plain = try_run_one(&bare(&cfg), &cfg, &workload).expect("plain run");
     let plain_json = stats_to_json(&plain).to_string_pretty();
-    telemetry::set_active(Some(TelemetrySink::new(&dir, Some(WINDOW))));
-    let armed = try_run_one(&cfg, &workload).expect("armed run");
-    telemetry::set_active(None);
+    let mut sampled = bare(&cfg);
+    sampled.telemetry = Some(TelemetrySink::new(&dir, Some(WINDOW)));
+    let armed = try_run_one(&sampled, &cfg, &workload).expect("armed run");
     let armed_json = stats_to_json(&armed).to_string_pretty();
     assert_eq!(
         plain_json, armed_json,
@@ -90,9 +97,9 @@ fn telemetry_off_is_free_and_resume_does_not_duplicate() {
     // armed registry must observe the cell (non-empty, attributed bytes
     // recorded) while the stats stay byte-identical to the plain run.
     let reg = bear_telemetry::Registry::new();
-    metrics::set_active(Some(reg.clone()));
-    let metered = try_run_one(&cfg, &workload).expect("metered run");
-    metrics::set_active(None);
+    let mut metered_campaign = bare(&cfg);
+    metered_campaign.metrics = Some(reg.clone());
+    let metered = try_run_one(&metered_campaign, &cfg, &workload).expect("metered run");
     assert_eq!(
         plain_json,
         stats_to_json(&metered).to_string_pretty(),
@@ -120,7 +127,7 @@ fn telemetry_off_is_free_and_resume_does_not_duplicate() {
     );
     // And a disarmed follow-up run records nothing new.
     let before = reg.len();
-    let unmetered = try_run_one(&cfg, &workload).expect("unmetered run");
+    let unmetered = try_run_one(&bare(&cfg), &cfg, &workload).expect("unmetered run");
     assert_eq!(plain_json, stats_to_json(&unmetered).to_string_pretty());
     assert_eq!(
         reg.len(),
@@ -131,13 +138,12 @@ fn telemetry_off_is_free_and_resume_does_not_duplicate() {
     // Phase 2: resume. Commit the cell to a checkpoint store, delete its
     // sample file, then rerun with both store and sink active: the cached
     // cell must come back from disk without the sample file reappearing.
-    checkpoint::set_active(Some(CellStore::new(&dir, "guard")));
-    telemetry::set_active(Some(TelemetrySink::new(&dir, Some(WINDOW))));
-    let first = try_run_one(&cfg, &workload).expect("fresh checkpointed run");
+    let mut resumable = bare(&cfg);
+    resumable.store = Some(CellStore::new(&dir, "guard"));
+    resumable.telemetry = Some(TelemetrySink::new(&dir, Some(WINDOW)));
+    let first = try_run_one(&resumable, &cfg, &workload).expect("fresh checkpointed run");
     fs::remove_file(&jsonl_path).expect("drop the sample file");
-    let resumed = try_run_one(&cfg, &workload).expect("resumed run");
-    telemetry::set_active(None);
-    checkpoint::set_active(None);
+    let resumed = try_run_one(&resumable, &cfg, &workload).expect("resumed run");
     assert_eq!(first, resumed, "resume returns the committed stats");
     assert!(
         !jsonl_path.exists(),
