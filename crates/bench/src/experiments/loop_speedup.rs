@@ -12,6 +12,8 @@
 //! Report rows carry the event-driven run's statistics with `speedup` set
 //! to `poll_wall_ns / event_wall_ns`; scalars record both raw wall times
 //! per cell (`poll_ns:<config>:<workload>`, `event_ns:<config>:<workload>`)
+//! and their skip and span shares of all simulated cycles
+//! (`skip_frac:<config>:<workload>`, `span_frac:<config>:<workload>`),
 //! and the headline `speedup_gmean`.
 
 use crate::report::Report;
@@ -66,7 +68,8 @@ fn grid() -> Vec<Cell> {
     ]
 }
 
-/// Runs one cell in the given mode, returning (best wall ns, stats).
+/// Runs one cell in the given mode, returning (best wall ns, stats,
+/// skip share, span share). The shares are of all simulated cycles.
 /// Wall time covers the monitored run only (not system construction);
 /// best-of-N suppresses scheduler noise the way the microbench harness
 /// median does, without tripling an already simulation-bound budget.
@@ -75,10 +78,10 @@ fn time_cell(
     workload: &Workload,
     event_driven: bool,
     samples: usize,
-) -> (u64, RunStats, f64) {
+) -> (u64, RunStats, f64, f64) {
     let mut best_ns = u64::MAX;
     let mut best_stats = None;
-    let mut skip_frac = 0.0;
+    let (mut skip_frac, mut span_frac) = (0.0, 0.0);
     for _ in 0..samples.max(1) {
         let mut sys = System::build(cfg, workload);
         sys.set_event_driven(event_driven);
@@ -88,11 +91,13 @@ fn time_cell(
         if ns < best_ns {
             best_ns = ns;
             best_stats = Some(stats);
-            let (skipped, live) = sys.loop_counters();
-            skip_frac = skipped as f64 / (skipped + live).max(1) as f64;
+            let total = sys.now().raw().max(1) as f64;
+            skip_frac = sys.loop_counters().0 as f64 / total;
+            span_frac = sys.span_cycles() as f64 / total;
         }
     }
-    (best_ns, best_stats.expect("at least one sample"), skip_frac)
+    let stats = best_stats.expect("at least one sample");
+    (best_ns, stats, skip_frac, span_frac)
 }
 
 /// Asserts the two modes produced bit-identical simulated results.
@@ -131,6 +136,7 @@ pub fn run(campaign: &Campaign, report: &mut Report) {
             "poll ms".into(),
             "event ms".into(),
             "skipped".into(),
+            "spans".into(),
             "speedup".into(),
         ],
     );
@@ -140,8 +146,9 @@ pub fn run(campaign: &Campaign, report: &mut Report) {
         let profile = BenchmarkProfile::by_name(cell.bench)
             .unwrap_or_else(|| panic!("unknown benchmark {}", cell.bench));
         let workload = Workload::rate(profile);
-        let (poll_ns, poll_stats, _) = time_cell(&cfg, &workload, false, samples);
-        let (event_ns, event_stats, skip_frac) = time_cell(&cfg, &workload, true, samples);
+        let (poll_ns, poll_stats, ..) = time_cell(&cfg, &workload, false, samples);
+        let (event_ns, event_stats, skip_frac, span_frac) =
+            time_cell(&cfg, &workload, true, samples);
         assert_equivalent(cell.label, cell.bench, &event_stats, &poll_stats);
         let sp = poll_ns as f64 / event_ns.max(1) as f64;
         let key = format!("{}:{}", cell.label, cell.bench);
@@ -151,6 +158,7 @@ pub fn run(campaign: &Campaign, report: &mut Report) {
                 format!("{:.1}", poll_ns as f64 / 1e6),
                 format!("{:.1}", event_ns as f64 / 1e6),
                 format!("{:.0}%", skip_frac * 100.0),
+                format!("{:.0}%", span_frac * 100.0),
                 f3(sp),
             ],
         );
@@ -158,6 +166,7 @@ pub fn run(campaign: &Campaign, report: &mut Report) {
         report.add_scalar(&format!("poll_ns:{key}"), poll_ns as f64);
         report.add_scalar(&format!("event_ns:{key}"), event_ns as f64);
         report.add_scalar(&format!("skip_frac:{key}"), skip_frac);
+        report.add_scalar(&format!("span_frac:{key}"), span_frac);
         speedups.push(sp);
     }
     let overall = gmean(&speedups);

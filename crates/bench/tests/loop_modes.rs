@@ -1,7 +1,7 @@
 //! Run-loop-mode property test for the event-driven fast paths.
 //!
-//! The event-driven loop (idle skips, channel gating, completion-horizon
-//! span advances) claims to be purely a wall-clock optimisation: it must
+//! The event-driven loop (completion-horizon advances, channel gating,
+//! per-core deferral) claims to be purely a wall-clock optimisation: it must
 //! produce the *identical* simulation to per-cycle polling — same
 //! observable-event stream, same statistics, same attribution ledger, same
 //! report bytes. This test pins that contract where it is hardest to keep:
@@ -31,9 +31,18 @@ struct Fingerprint {
     stats: String,
     ledger: String,
     report: String,
-    /// Cycles the run loop did not tick one by one (idle skips plus span
-    /// advances); zero under polling.
-    elided: u64,
+    /// Run-loop accounting: cycles advanced with no device work, cycles
+    /// advanced with some, live ticks, and the final clock.
+    cycles: Cycles,
+}
+
+/// Where a run's simulated cycles went.
+#[derive(Debug, Clone, Copy)]
+struct Cycles {
+    skipped: u64,
+    span: u64,
+    live: u64,
+    now: u64,
 }
 
 /// Replays `case`'s trace in the given run-loop mode and fingerprints
@@ -63,12 +72,18 @@ fn fingerprint(case: &FuzzCase, event_driven: bool) -> Fingerprint {
         stats: format!("{stats:?}"),
         ledger,
         report: report.to_json(&plan).to_string_pretty(),
-        elided: sys.loop_counters().0 + sys.span_cycles(),
+        cycles: Cycles {
+            skipped: sys.loop_counters().0,
+            span: sys.span_cycles(),
+            live: sys.loop_counters().1,
+            now: sys.now().raw(),
+        },
     }
 }
 
 #[test]
 fn event_loop_is_invisible_across_adversarial_grid() {
+    let (mut any_skip, mut any_span) = (false, false);
     for pattern in AdversarialPattern::ALL {
         for features in RUNGS {
             let mut case = FuzzCase::new(DesignKind::Alloy, features, pattern, 0xBEA2);
@@ -77,8 +92,25 @@ fn event_loop_is_invisible_across_adversarial_grid() {
             let polled = fingerprint(&case, false);
             let event = fingerprint(&case, true);
             let cell = format!("{}/{}", pattern.label(), features.label());
-            assert_eq!(polled.elided, 0, "{cell}: polling must not elide");
-            assert!(event.elided > 0, "{cell}: the event loop elided nothing");
+            for (mode, c) in [("polled", polled.cycles), ("event", event.cycles)] {
+                assert_eq!(
+                    c.skipped + c.span + c.live,
+                    c.now,
+                    "{cell}: {mode} cycle accounting does not add up: {c:?}"
+                );
+            }
+            let (p, e) = (polled.cycles, event.cycles);
+            assert_eq!(
+                (p.skipped, p.span),
+                (0, 0),
+                "{cell}: polling must not elide"
+            );
+            assert!(
+                e.skipped + e.span > 0,
+                "{cell}: the event loop elided nothing"
+            );
+            any_skip |= e.skipped > 0;
+            any_span |= e.span > 0;
             assert_eq!(
                 polled.events, event.events,
                 "{cell}: ObsEvent stream diverged from polling"
@@ -97,4 +129,6 @@ fn event_loop_is_invisible_across_adversarial_grid() {
             );
         }
     }
+    assert!(any_skip, "no cell of the grid skipped a cycle");
+    assert!(any_span, "no cell of the grid advanced a span");
 }

@@ -567,14 +567,9 @@ impl L4Cache for AlloyController {
         self.txns.len()
     }
 
-    fn next_busy_cycle(&self, now: Cycle) -> Cycle {
-        // Purely completion-driven: every read/writeback transaction is
-        // waiting on a device leg, so the device hint is exact.
-        self.engine.next_busy_cycle(now)
-    }
-
     fn controller_idle_until(&self, _now: Cycle) -> Cycle {
-        // Purely completion-driven (see next_busy_cycle).
+        // Purely completion-driven: every read/writeback transaction is
+        // waiting on a device leg.
         Cycle::NEVER
     }
 

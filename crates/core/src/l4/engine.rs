@@ -180,11 +180,6 @@ impl Engine {
         }
     }
 
-    /// Whether oracle observation is armed.
-    pub fn observing(&self) -> bool {
-        self.observe
-    }
-
     /// Arms (or disarms) oracle observation.
     pub fn set_observe(&mut self, on: bool) {
         self.observe = on;
@@ -221,13 +216,6 @@ impl Engine {
         let txn = self.alloc_txn();
         self.harness
             .mem_write(txn, line, MemTraffic::VictimWrite.class(), now);
-    }
-
-    /// Earliest cycle at which ticking the devices can change state (see
-    /// [`DeviceHarness::next_busy_cycle`]). Controllers with no internal
-    /// time-based queues can use this directly as their event hint.
-    pub fn next_busy_cycle(&self, now: Cycle) -> Cycle {
-        self.harness.next_busy_cycle(now)
     }
 
     /// Resets statistics across the engine, stack, and devices.

@@ -348,18 +348,10 @@ impl L4Cache for LohHillController {
         self.reads.len() + self.staged.len()
     }
 
-    fn next_busy_cycle(&self, now: Cycle) -> Cycle {
-        // The front-end delay queue is FIFO with a constant latency, so the
-        // front entry carries the earliest ready time.
-        let front = match self.staged.front() {
-            Some((ready, _)) => *ready,
-            None => Cycle::NEVER,
-        };
-        front.max(now).min(self.engine.next_busy_cycle(now))
-    }
-
     fn controller_idle_until(&self, now: Cycle) -> Cycle {
         // Only the staged delay queue can act without a device completion.
+        // It is FIFO with a constant latency, so the front entry carries
+        // the earliest ready time.
         match self.staged.front() {
             Some((ready, _)) => (*ready).max(now),
             None => Cycle::NEVER,

@@ -208,27 +208,26 @@ pub trait L4Cache {
     /// Outstanding transactions (for drain checks in tests).
     fn pending_txns(&self) -> usize;
 
-    /// Earliest cycle at which a [`L4Cache::tick`] can change this
-    /// controller's state: ticks strictly before the returned cycle are
-    /// guaranteed no-ops, so an event-driven driver may skip them. The
-    /// conservative default (`now`) declares the controller always busy,
-    /// which disables skipping but is never wrong. Implementations must
-    /// fold in every internal time-based queue on top of the device
-    /// harness hint.
-    fn next_busy_cycle(&self, now: Cycle) -> Cycle {
-        now
-    }
-
     /// Earliest cycle at which the controller *itself* — excluding the
     /// DRAM devices — can act without a device completion arriving first.
     /// [`Cycle::NEVER`] means "purely completion-driven": with no new
     /// submissions, the controller does nothing until a device completes.
-    /// The span-advance fast path in `System` uses this to prove that a
-    /// window of cycles can be executed entirely inside the devices; the
-    /// conservative default (`now`) declares the controller always busy,
-    /// which disables span advancement but is never wrong.
+    /// This is the controller's one busy hint, and it must cover every
+    /// internal time-based queue. The fast-forward in `System` uses it to
+    /// prove that a window of cycles can run entirely inside the devices;
+    /// the conservative default (`now`) declares the controller always
+    /// busy, which disables fast-forwarding but is never wrong.
     fn controller_idle_until(&self, now: Cycle) -> Cycle {
         now
+    }
+
+    /// Earliest cycle at which a [`L4Cache::tick`] can change any state:
+    /// ticks strictly before the returned cycle are guaranteed no-ops, so
+    /// an event-driven driver may skip them. Composes the controller's own
+    /// hint with the device harness's; implementations do not override it.
+    fn next_busy_cycle(&self, now: Cycle) -> Cycle {
+        self.controller_idle_until(now)
+            .min(self.harness().next_busy_cycle(now))
     }
 
     /// Runs design-specific structural self-checks, reporting violations to

@@ -103,14 +103,9 @@ impl L4Cache for NoCacheController {
         self.reads.len()
     }
 
-    fn next_busy_cycle(&self, now: Cycle) -> Cycle {
-        // All transaction state waits on device completions; the engine's
-        // device hint is exact.
-        self.engine.next_busy_cycle(now)
-    }
-
     fn controller_idle_until(&self, _now: Cycle) -> Cycle {
-        // Purely completion-driven.
+        // Purely completion-driven: all transaction state waits on device
+        // completions.
         Cycle::NEVER
     }
 

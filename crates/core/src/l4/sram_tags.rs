@@ -422,18 +422,10 @@ macro_rules! delegate_l4 {
                 self.inner.reads.len()
             }
 
-            fn next_busy_cycle(&self, now: Cycle) -> Cycle {
-                // Deferred evictions flush at the start of the next tick,
-                // so any backlog makes the controller busy immediately.
-                if !self.inner.pending_evictions.is_empty() {
-                    return now;
-                }
-                self.inner.engine.next_busy_cycle(now)
-            }
-
             fn controller_idle_until(&self, now: Cycle) -> Cycle {
                 // The deferred-eviction backlog is the only non-device
-                // work; with it empty the controller waits on completions.
+                // work and flushes at the start of the next tick; with it
+                // empty the controller waits on completions.
                 if self.inner.pending_evictions.is_empty() {
                     Cycle::NEVER
                 } else {

@@ -67,7 +67,8 @@ struct Waiter {
     is_store: bool,
 }
 
-/// What one run-loop step did: a live tick, an idle skip or a span advance.
+/// What one run-loop step did: a live tick, or an advance with no device
+/// work (a skip) or with some (a span).
 #[derive(Clone, Copy)]
 enum Step {
     Tick,
@@ -132,7 +133,7 @@ pub struct System {
     /// When set, cores stop issuing new accesses (drain/quiesce support).
     cores_halted: bool,
     /// When set (the default), the run loop fast-forwards provably idle
-    /// cycles instead of ticking through them (see [`System::idle_gap`]).
+    /// cycles instead of ticking through them (see [`System::try_advance`]).
     /// Disable via [`System::set_event_driven`] to force per-cycle
     /// polling — the equivalence guard tests pin both modes to identical
     /// results.
@@ -143,12 +144,12 @@ pub struct System {
     /// Current probe back-off stride, doubled on each failed probe up to
     /// [`System::MAX_PROBE_STRIDE`], reset to 1 on success.
     probe_stride: u64,
-    /// Cycles fast-forwarded by [`System::skip_idle`] since construction
+    /// Cycles fast-forwarded with no device work since construction
     /// (diagnostic; not part of simulated state).
     skipped_cycles: u64,
     /// Live [`System::tick`] calls since construction (diagnostic).
     live_ticks: u64,
-    /// Cycles covered by span advances (diagnostic).
+    /// Cycles fast-forwarded with device work (diagnostic).
     span_cycles: u64,
     /// Core ticks executed live since construction (diagnostic).
     core_ticks: u64,
@@ -336,7 +337,7 @@ impl System {
             && self.l4.harness().pending() == 0
     }
 
-    /// Enables or disables idle skips, span advances and component tick
+    /// Enables or disables fast-forward advances and component tick
     /// elision in [`System::run`] / [`System::run_monitored`] /
     /// [`System::quiesce`], telemetry armed or not. On by default; both
     /// modes produce bit-identical results and telemetry (elided cycles
@@ -447,52 +448,32 @@ impl System {
         bound
     }
 
-    /// Upcoming ticks that are provably no-ops, at most the
-    /// [`System::quiet_bound`] `bound`: zero (the next tick must run live)
-    /// unless the L4 controller and both DRAM devices also report idle.
-    fn idle_gap(&self, bound: u64) -> u64 {
-        if bound == 0 {
-            return 0;
-        }
-        let busy = self.l4.next_busy_cycle(self.clock);
-        if busy <= self.clock {
-            return 0;
-        }
-        bound.min(busy - self.clock)
-    }
-
-    /// Longest interval (in ticks) a failed idle probe can suppress
-    /// further probing. Bounds how late a skip opportunity can be noticed;
+    /// Longest interval (in ticks) a failed probe can suppress further
+    /// probing. Bounds how late a fast-forward opportunity can be noticed;
     /// small enough that a missed window costs a handful of (always
     /// correct) polled ticks.
     const MAX_PROBE_STRIDE: u64 = 16;
 
-    /// Shortest gap worth fast-forwarding: skipping costs a full hint
-    /// walk, which only pays for itself when it replaces at least this
-    /// many ticks. Shorter gaps are simply polled through (always
-    /// correct) and count as failed probes so the back-off engages in
-    /// fine-grained phases.
-    const MIN_SKIP: u64 = 4;
-
-    /// Fast-forwards `n` provably idle ticks (callers must have obtained
-    /// `n` from [`System::idle_gap`]): only the clock jumps. The cores'
-    /// quiet ticks stay deferred (see [`System::catch_up`]); every other
-    /// component is guaranteed untouched by construction.
-    fn skip_idle(&mut self, n: u64) {
-        self.clock += n;
-        self.skipped_cycles += n;
-    }
+    /// Shortest advance worth taking: the probe (a scheduler-window scan
+    /// per channel) only pays for itself when it replaces at least this
+    /// many ticks. Shorter advances are polled through (always correct)
+    /// and count as failed probes so the back-off engages in fine-grained
+    /// phases. A run-loop stop closer than this may still be reached in
+    /// one advance.
+    const MIN_ADVANCE: u64 = 4;
 
     /// Diagnostic run-loop counters: `(skipped_cycles, live_ticks)` since
-    /// construction. The ratio shows how much of a run the event-driven
-    /// loop fast-forwarded.
+    /// construction. Skipped cycles are advances in which no device
+    /// worked: only the clock jumped.
     pub fn loop_counters(&self) -> (u64, u64) {
         (self.skipped_cycles, self.live_ticks)
     }
 
-    /// Cycles covered by span advances since construction
-    /// (diagnostic; these cycles appear in neither [`System::loop_counters`]
-    /// bucket — the devices ticked, the system loop did not).
+    /// Cycles covered by advances in which some DRAM channel worked, since
+    /// construction (diagnostic; these cycles appear in neither
+    /// [`System::loop_counters`] bucket — the devices ticked, the system
+    /// loop did not). Skipped, span and live-tick cycles sum to
+    /// [`System::now`].
     pub fn span_cycles(&self) -> u64 {
         self.span_cycles
     }
@@ -502,88 +483,71 @@ impl System {
     /// benchmark (`benchmark/`), which still calls it.
     pub fn set_sim_threads(&mut self, _threads: usize) {}
 
-    /// Shortest span worth the span fast path: below this the horizon
-    /// walk (a scheduler-window scan per channel) costs more than the
-    /// handful of `System::tick` calls it would elide.
-    const MIN_SPAN: u64 = 8;
-
-    /// Span fast path. When every non-device component is provably
+    /// The one fast-forward. When every non-device component is provably
     /// quiet — cores, wheel and fault plan for `bound` ticks
     /// ([`System::quiet_bound`]), the L4 controller waiting purely on
-    /// completions, retry queues empty — the only work in the next cycles happens *inside* the DRAM channels,
-    /// and [`DeviceHarness::completion_horizon`] bounds how long that
-    /// stays true: no completion (the only signal that can wake the rest
-    /// of the system) can retire before it. The span
+    /// completions, retry queues empty — the only work in the next cycles
+    /// happens *inside* the DRAM channels, and
+    /// [`DeviceHarness::completion_horizon`] bounds how long that stays
+    /// true: no completion (the only signal that can wake the rest of the
+    /// system) can retire before it. The span
     /// `[now, min(horizon, first component wake-up))` is then executed by
     /// ticking each busy channel independently and jumping the clock,
     /// which is bit-identical to per-cycle `System::tick` driving because
     /// each of those ticks would have reduced to exactly the per-channel
-    /// device tick being replayed.
-    /// Returns the cycles advanced (0 = fast path not applicable).
+    /// device tick being replayed. When no channel has work inside the
+    /// span either, only the clock jumps and the step counts as a skip.
+    /// The cores' quiet ticks stay deferred (see [`System::catch_up`]).
+    /// Returns what moved the clock (`None` = no advance applies).
     ///
     /// [`DeviceHarness::completion_horizon`]: crate::harness::DeviceHarness::completion_horizon
-    fn try_span_advance(&mut self, bound: u64) -> u64 {
-        if bound < Self::MIN_SPAN {
-            return 0;
+    fn try_advance(&mut self, bound: u64, min: u64) -> Option<Step> {
+        if bound < min {
+            return None;
         }
         let now = self.clock;
-        let mut span = bound;
         let ctrl = self.l4.controller_idle_until(now);
-        if ctrl <= now {
-            return 0;
-        }
-        if ctrl != Cycle::NEVER {
-            span = span.min(ctrl - now);
-        }
         let harness = self.l4.harness();
-        if harness.retry_depth() > 0 {
-            return 0;
-        }
+        // A retry backlog makes the horizon `now`.
         let horizon = harness.completion_horizon(now);
-        if horizon <= now || horizon == Cycle::NEVER {
-            // Either a completion is due this very cycle (must tick live)
-            // or the devices are drained (the plain idle skip covers it).
-            return 0;
+        if ctrl <= now || horizon <= now {
+            return None;
         }
-        span = span.min(horizon - now);
-        if span < Self::MIN_SPAN {
-            return 0;
+        let span = bound.min(ctrl - now).min(horizon - now);
+        if span < min {
+            return None;
         }
         let end = now + span;
-        self.l4.harness_mut().advance_span(now, end);
+        let step = if harness.next_busy_cycle(now) >= end {
+            self.skipped_cycles += span;
+            Step::Skip
+        } else {
+            self.l4.harness_mut().advance_span(now, end);
+            self.span_cycles += span;
+            Step::Span
+        };
         self.clock = end;
-        self.span_cycles += span;
-        span
+        Some(step)
     }
 
-    /// One event-driven fast-forward attempt: the plain idle skip first,
-    /// then the span advance, both behind the shared probe back-off.
+    /// One event-driven fast-forward attempt behind the probe back-off.
     /// Returns what moved the clock (`None` = run a live [`System::tick`]).
     fn fast_forward(&mut self, limit: u64) -> Option<Step> {
         if !self.event_driven || self.clock.0 < self.next_probe {
             return None;
         }
-        let bound = self.quiet_bound(limit);
-        let gap = self.idle_gap(bound);
-        if gap >= Self::MIN_SKIP.min(limit) {
-            self.probe_stride = 1;
-            // A skip lands exactly on a busy cycle, so the immediate
-            // post-skip probe would always fail: suppress it and resume
-            // probing one tick later.
-            self.next_probe = self.clock.0 + gap + 1;
-            self.skip_idle(gap);
-            return Some(Step::Skip);
-        }
-        if self.try_span_advance(bound) > 0 {
-            // A span lands on a completion cycle: probe again right after
-            // the live tick that consumes it, since spans often chain.
+        let step = self.try_advance(self.quiet_bound(limit), Self::MIN_ADVANCE.min(limit));
+        if step.is_some() {
+            // An advance short of a run-loop stop lands on a busy cycle,
+            // where a probe would fail: probe again right after the live
+            // tick that consumes it, since advances often chain.
             self.probe_stride = 1;
             self.next_probe = self.clock.0 + 1;
-            return Some(Step::Span);
+        } else {
+            self.next_probe = self.clock.0 + self.probe_stride;
+            self.probe_stride = (self.probe_stride * 2).min(Self::MAX_PROBE_STRIDE);
         }
-        self.next_probe = self.clock.0 + self.probe_stride;
-        self.probe_stride = (self.probe_stride * 2).min(Self::MAX_PROBE_STRIDE);
-        None
+        step
     }
 
     /// One run-loop step of at most `limit` cycles: a fast-forward when
@@ -676,16 +640,6 @@ impl System {
             Vec::new()
         };
         Some(state.into_report(transfers))
-    }
-
-    /// Recent `(cycle, event)` pairs from the telemetry ring buffer,
-    /// oldest first (divergence context; empty unless tracing is armed).
-    #[cfg(feature = "telemetry")]
-    pub fn recent_telemetry_events(&self) -> Vec<(u64, ObsEvent)> {
-        self.telemetry
-            .as_ref()
-            .map(|t| t.recent_events())
-            .unwrap_or_default()
     }
 
     /// Cycles left in the open sample window (`u64::MAX` when none is

@@ -286,12 +286,6 @@ impl TelemetryState {
         self.window_index += 1;
     }
 
-    /// Recent `(cycle, event)` pairs in the ring, oldest first (divergence
-    /// context for the fuzzer; also used by trace export).
-    pub(crate) fn recent_events(&self) -> Vec<(u64, ObsEvent)> {
-        self.ring.iter().copied().collect()
-    }
-
     pub(crate) fn into_report(self, transfers: Vec<TransferRecord>) -> TelemetryReport {
         TelemetryReport {
             samples: self.samples,

@@ -13,16 +13,9 @@
 
 use crate::bank::{Bank, BankAction};
 use crate::config::DramConfig;
+use crate::device::Completion;
 use crate::request::{DramRequest, RequestQueue, TrafficClass};
 use bear_sim::time::Cycle;
-
-/// A request whose data transfer has been scheduled and will complete at
-/// `finish`.
-#[derive(Debug, Clone, Copy)]
-struct InFlight {
-    request: DramRequest,
-    finish: Cycle,
-}
 
 /// Memoized scheduler preview behind [`Channel::next_busy_cycle`] and
 /// [`Channel::completion_horizon`]: one window scan feeds both hints.
@@ -32,15 +25,6 @@ struct Hint {
     busy: Cycle,
     /// [`Channel::next_schedule_cycle`] at the time of the scan.
     sched: Cycle,
-}
-
-/// A finished transaction, reported from [`Channel::tick`].
-#[derive(Debug, Clone, Copy)]
-pub struct ChannelCompletion {
-    /// The original request.
-    pub request: DramRequest,
-    /// Time the last data beat transferred.
-    pub finish: Cycle,
 }
 
 /// A data-bus burst captured for trace export (telemetry only).
@@ -124,8 +108,9 @@ pub struct Channel {
     write_queue: RequestQueue,
     /// Data bus is busy until this time.
     bus_free_at: Cycle,
-    /// Transfers in flight (data phase scheduled, completion pending).
-    in_flight: Vec<InFlight>,
+    /// Transfers in flight (data phase scheduled, completion pending at
+    /// `finish`).
+    in_flight: Vec<Completion>,
     /// Earliest `finish` in `in_flight` ([`Cycle::NEVER`] when empty):
     /// `tick` skips the retire scan before it.
     earliest_finish: Cycle,
@@ -260,7 +245,7 @@ impl Channel {
 
     /// Advances the channel to CPU cycle `now`: retires finished transfers
     /// into `completions` and issues at most one command.
-    pub fn tick(&mut self, now: Cycle, completions: &mut Vec<ChannelCompletion>) {
+    pub fn tick(&mut self, now: Cycle, completions: &mut Vec<Completion>) {
         // Retire finished transfers.
         if self.earliest_finish <= now {
             let mut i = 0;
@@ -272,10 +257,7 @@ impl Channel {
                     } else {
                         self.stats.reads_completed += 1;
                     }
-                    completions.push(ChannelCompletion {
-                        request: f.request,
-                        finish: f.finish,
-                    });
+                    completions.push(f);
                 } else {
                     i += 1;
                 }
@@ -464,12 +446,7 @@ impl Channel {
     /// is bit-identical to serial per-cycle ticking because each tick runs
     /// at exactly the cycle the busy hint names — the same cycles a
     /// per-cycle driver would find non-elidable.
-    pub fn advance_to(
-        &mut self,
-        now: Cycle,
-        horizon: Cycle,
-        completions: &mut Vec<ChannelCompletion>,
-    ) {
+    pub fn advance_to(&mut self, now: Cycle, horizon: Cycle, completions: &mut Vec<Completion>) {
         let mut cur = now;
         loop {
             let t = self.next_busy_cycle(cur);
@@ -563,7 +540,7 @@ impl Channel {
                 if !req.is_write {
                     self.stats.read_queue_latency_sum += data_start - req.arrival;
                 }
-                self.in_flight.push(InFlight {
+                self.in_flight.push(Completion {
                     request: req,
                     finish,
                 });
@@ -619,7 +596,7 @@ mod tests {
         }
     }
 
-    fn run_until_n_done(ch: &mut Channel, n: usize, max_cycles: u64) -> Vec<ChannelCompletion> {
+    fn run_until_n_done(ch: &mut Channel, n: usize, max_cycles: u64) -> Vec<Completion> {
         let mut done = Vec::new();
         let mut t = Cycle(0);
         while done.len() < n && t.0 < max_cycles {
@@ -946,7 +923,7 @@ mod tests {
                 next => t = next,
             }
         }
-        let key = |c: &ChannelCompletion| (c.request.id, c.finish);
+        let key = |c: &Completion| (c.request.id, c.finish);
         assert_eq!(
             poll_done.iter().map(key).collect::<Vec<_>>(),
             ev_done.iter().map(key).collect::<Vec<_>>(),

@@ -5,13 +5,14 @@
 //! by `bear-core` (stacked cache and commodity memory) differ only in their
 //! [`crate::config::DramConfig`].
 
-use crate::channel::{Channel, ChannelCompletion, ChannelStats, TransferRecord};
+use crate::channel::{Channel, ChannelStats, TransferRecord};
 use crate::config::DramConfig;
 use crate::request::{DramLocation, DramRequest, TrafficClass};
 use bear_sim::error::SimError;
 use bear_sim::time::Cycle;
 
-/// A completed DRAM transaction.
+/// A DRAM transaction whose data transfer is scheduled: in flight inside
+/// its channel until `finish`, then reported as completed.
 #[derive(Debug, Clone, Copy)]
 pub struct Completion {
     /// The original request.
@@ -25,7 +26,6 @@ pub struct Completion {
 pub struct DramDevice {
     cfg: DramConfig,
     channels: Vec<Channel>,
-    scratch: Vec<ChannelCompletion>,
 }
 
 impl DramDevice {
@@ -39,11 +39,7 @@ impl DramDevice {
         let channels = (0..cfg.topology.channels)
             .map(|_| Channel::new(cfg))
             .collect();
-        Ok(DramDevice {
-            cfg,
-            channels,
-            scratch: Vec::with_capacity(16),
-        })
+        Ok(DramDevice { cfg, channels })
     }
 
     /// Creates an idle device.
@@ -96,12 +92,7 @@ impl DramDevice {
     /// `completions`.
     pub fn tick(&mut self, now: Cycle, completions: &mut Vec<Completion>) {
         for ch in &mut self.channels {
-            self.scratch.clear();
-            ch.tick(now, &mut self.scratch);
-            completions.extend(self.scratch.iter().map(|c| Completion {
-                request: c.request,
-                finish: c.finish,
-            }));
+            ch.tick(now, completions);
         }
     }
 
@@ -130,12 +121,7 @@ impl DramDevice {
                 }
                 continue;
             }
-            self.scratch.clear();
-            ch.tick(now, &mut self.scratch);
-            completions.extend(self.scratch.iter().map(|c| Completion {
-                request: c.request,
-                finish: c.finish,
-            }));
+            ch.tick(now, completions);
         }
     }
 
@@ -183,14 +169,14 @@ impl DramDevice {
     ///
     /// Panics if a completion retires inside the span, i.e. the caller
     /// broke the completion-horizon contract. The check stays on in
-    /// release builds.
+    /// release builds; the buffer it checks allocates only then.
     pub fn advance_span(&mut self, now: Cycle, horizon: Cycle) {
-        self.scratch.clear();
+        let mut retired = Vec::new();
         for (idx, ch) in self.channels.iter_mut().enumerate() {
             // Returns at once when the channel's busy hint is past `horizon`.
-            ch.advance_to(now, horizon, &mut self.scratch);
+            ch.advance_to(now, horizon, &mut retired);
             assert!(
-                self.scratch.is_empty(),
+                retired.is_empty(),
                 "channel {idx} retired a completion inside the span \
                  [{now:?}, {horizon:?}): completion_horizon contract violated"
             );

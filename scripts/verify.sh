@@ -117,6 +117,10 @@ echo "==> SALP elision audit (BEAR_GATE_DIAG=1, multi-subarray banks)"
 # subarray-aware busy hints (per-subarray open rows and timing state)
 # on top of the polled-vs-spanned equalities.
 BEAR_GATE_DIAG=1 cargo test -q -p bear-core --offline --test span_equivalence
+# The same audit over the run-loop-mode grid (adversarial traces x the
+# B/BD/BDN/BEAR ladder) cross-checks every channel tick the event loop
+# elides there.
+BEAR_GATE_DIAG=1 cargo test -q -p bear-bench --offline --test loop_modes
 
 echo "==> run-loop speedup record (BENCH_core.json)"
 # The event-driven-vs-polling microbench asserts bit-identical results
