@@ -33,6 +33,7 @@
 use bear_bench::chaos::Chaos;
 use bear_bench::experiments as ex;
 use bear_bench::report::Report;
+use bear_bench::supervisor::ManifestHeader;
 use bear_bench::{cli, Campaign};
 use std::sync::Arc;
 use std::time::Instant;
@@ -70,8 +71,13 @@ fn main() {
         }
     }
     let out = args.out.as_deref();
-    let mut campaign = args.campaign().with_manifest_dir(out).with_heartbeat();
+    let mut campaign = args.campaign().with_heartbeat();
     campaign.chaos = Chaos::from_env(out).map(Arc::new);
+    let header = ManifestHeader {
+        chaos_seed: campaign.chaos.as_ref().map(|c| c.seed()),
+        max_retries: campaign.supervisor.max_retries,
+    };
+    let campaign = campaign.with_manifest_dir(out, header);
     for (name, f) in steps {
         if !args.selected(name) {
             continue;
@@ -92,7 +98,9 @@ fn main() {
     // campaign only writes it when something actually happened, so a
     // clean campaign's output stays byte-for-byte what it always was.
     if let (Some(out), Some(_)) = (out, &campaign.chaos) {
-        campaign.write_manifest(out).expect("writing failures.json");
+        campaign
+            .write_manifest(out, header)
+            .expect("writing failures.json");
     }
     if let Some(report) = campaign.profile_report() {
         eprintln!("[{report}]");

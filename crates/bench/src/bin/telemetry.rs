@@ -28,7 +28,7 @@
 
 use bear_bench::cli;
 use bear_bench::report::Json;
-use bear_bench::telemetry::TelemetrySink;
+use bear_bench::telemetry::write_samples;
 use bear_bench::RunPlan;
 use bear_core::config::{BearFeatures, DesignKind, SystemConfig};
 use bear_core::system::System;
@@ -254,9 +254,7 @@ fn main() {
     );
 
     // Time series: the same JSONL the campaign's --telemetry flag writes.
-    let sink = TelemetrySink::new(&out, Some(window));
-    let jsonl_path = sink
-        .write(&cfg, &workloads[0], &report.samples)
+    let jsonl_path = write_samples(&out.join("telemetry"), &cfg, &workloads[0], &report.samples)
         .expect("write sample JSONL");
     let jsonl = std::fs::read_to_string(&jsonl_path).expect("read back JSONL");
     for (i, line) in jsonl.lines().enumerate() {

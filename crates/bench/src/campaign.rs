@@ -1,13 +1,18 @@
 //! The campaign context: everything one experiment campaign runs under.
 //!
-//! A [`Campaign`] owns the [`RunPlan`], the optional checkpoint store,
-//! telemetry sink, metrics registry and armed chaos plan, and one shared
-//! log of supervision rows. It is passed explicitly to every experiment,
-//! the [`runner`](crate::runner), the [`supervisor`](crate::supervisor)
-//! and [`try_run_one`](crate::try_run_one), so two campaigns in one
-//! process never see each other's cells, sample files, counters or
-//! failures. Clones share the log and chaos state through `Arc`s, which
-//! lets the supervisor move an attempt onto a detached deadline thread.
+//! A [`Campaign`] owns the [`RunPlan`], the supervision policy, the
+//! optional checkpoint store, telemetry sink, metrics registry and armed
+//! chaos plan, and one shared log of supervision rows. It is passed
+//! explicitly to every experiment, the [`runner`](crate::runner), the
+//! [`supervisor`](crate::supervisor) and [`try_run_one`](crate::try_run_one),
+//! so two campaigns in one process never see each other's cells, sample
+//! files, counters or failures. Clones share the log and chaos state
+//! through `Arc`s, which lets the supervisor move an attempt onto a
+//! detached deadline thread.
+//!
+//! The `beard` [`daemon`](crate::daemon) runs each job as a cell of its
+//! own campaign, on a clone carrying the job's deadline, [`JobTag`] and
+//! live telemetry sink.
 //!
 //! Recovery reporting is read off the log: the report's failure rows are
 //! the current experiment's quarantined rows, `failures.json` is the log
@@ -17,7 +22,9 @@
 use crate::chaos::Chaos;
 use crate::checkpoint::CellStore;
 use crate::report::FailureRow;
-use crate::supervisor::{merge_rows_into, Disposition, SupervisionRow};
+use crate::supervisor::{
+    merge_rows_into, Disposition, ManifestHeader, SupervisionRow, SupervisorConfig,
+};
 use crate::telemetry::TelemetrySink;
 use crate::RunPlan;
 use bear_core::config::SystemConfig;
@@ -32,6 +39,8 @@ use std::time::Instant;
 pub struct Campaign {
     /// Cycle/scale parameters every experiment builds its configs from.
     pub plan: RunPlan,
+    /// Retry/backoff/deadline policy every cell runs under.
+    pub supervisor: SupervisorConfig,
     /// Checkpoint store of the current experiment; `None` disables
     /// checkpointing.
     pub store: Option<CellStore>,
@@ -41,7 +50,19 @@ pub struct Campaign {
     pub metrics: Option<Registry>,
     /// Armed chaos plan (`BEAR_CHAOS_SEED`).
     pub chaos: Option<Arc<Chaos>>,
+    /// The daemon job this context runs, if any.
+    pub job: Option<JobTag>,
     log: Arc<Mutex<Log>>,
+}
+
+/// What a daemon job stamps onto its supervision rows in place of the
+/// batch defaults.
+#[derive(Debug, Clone)]
+pub struct JobTag {
+    /// Correlation id threading the job through telemetry and metrics.
+    pub trace: String,
+    /// How to reproduce the job.
+    pub repro: String,
 }
 
 /// The campaign's shared, append-only run log.
@@ -49,8 +70,9 @@ pub struct Campaign {
 struct Log {
     /// Experiment id stamped onto rows recorded from now on.
     experiment: String,
-    /// Where `failures.json` is persisted after every recorded row.
-    manifest_dir: Option<PathBuf>,
+    /// Where `failures.json` is persisted after every recorded row, and
+    /// the header it is written with.
+    manifest: Option<(PathBuf, ManifestHeader)>,
     /// Every supervision event, in recording order.
     rows: Vec<SupervisionRow>,
     /// Heartbeat counters; `None` keeps the runner silent.
@@ -98,15 +120,18 @@ impl Log {
 }
 
 impl Campaign {
-    /// A bare campaign under `plan`: no store, sink, registry or chaos,
-    /// an empty log, no heartbeat and no persisted manifest.
+    /// A bare campaign under `plan` and the default supervision policy:
+    /// no store, sink, registry or chaos, an empty log, no heartbeat and
+    /// no persisted manifest.
     pub fn new(plan: RunPlan) -> Campaign {
         Campaign {
             plan,
+            supervisor: SupervisorConfig::default(),
             store: None,
             telemetry: None,
             metrics: None,
             chaos: None,
+            job: None,
             log: Arc::default(),
         }
     }
@@ -122,10 +147,10 @@ impl Campaign {
         self
     }
 
-    /// Persists `DIR/failures.json` after every recorded row, so recovery
-    /// history survives a process killed mid-experiment.
-    pub fn with_manifest_dir(self, dir: Option<&Path>) -> Campaign {
-        self.log().manifest_dir = dir.map(Path::to_path_buf);
+    /// Persists `DIR/failures.json` under `header` after every recorded
+    /// row, so recovery history survives a process killed mid-experiment.
+    pub fn with_manifest_dir(self, dir: Option<&Path>, header: ManifestHeader) -> Campaign {
+        self.log().manifest = dir.map(|d| (d.to_path_buf(), header));
         self
     }
 
@@ -156,17 +181,15 @@ impl Campaign {
                 row.experiment = log.experiment.clone();
             }
             log.rows.push(row);
-            log.manifest_dir.clone().map(|dir| (dir, log.rows.clone()))
+            log.manifest
+                .clone()
+                .map(|(dir, header)| (dir, header, log.rows.clone()))
         };
-        if let Some((dir, rows)) = persist {
-            if let Err(e) = merge_rows_into(&dir, rows, self.chaos_seed()) {
+        if let Some((dir, header, rows)) = persist {
+            if let Err(e) = merge_rows_into(&dir, rows, header) {
                 eprintln!("[warning: failed to persist failures.json: {e}]");
             }
         }
-    }
-
-    fn chaos_seed(&self) -> Option<u64> {
-        self.chaos.as_ref().map(|c| c.seed())
     }
 
     /// Every supervision event recorded so far, in recording order.
@@ -196,15 +219,15 @@ impl Campaign {
         v
     }
 
-    /// Writes `DIR/failures.json` from the log, merged with whatever a
-    /// previous incarnation of this campaign persisted there (see
-    /// [`merge_rows_into`] for the schema). Returns its path.
+    /// Writes `DIR/failures.json` from the log under `header`, merged
+    /// with whatever a previous incarnation of this campaign persisted
+    /// there (see [`merge_rows_into`] for the schema). Returns its path.
     ///
     /// # Errors
     ///
     /// Propagates the underlying filesystem error.
-    pub fn write_manifest(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        merge_rows_into(dir, self.rows(), self.chaos_seed())
+    pub fn write_manifest(&self, dir: &Path, header: ManifestHeader) -> std::io::Result<PathBuf> {
+        merge_rows_into(dir, self.rows(), header)
     }
 
     /// A text report of the recovery counters (retries, heals,

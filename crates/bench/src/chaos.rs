@@ -32,8 +32,8 @@
 
 use crate::report::Json;
 use crate::supervisor::{Disposition, SupervisionRow};
-use crate::{checkpoint, config_for, Campaign, RunPlan};
-use bear_core::config::{BearFeatures, DesignKind, SystemConfig};
+use crate::Campaign;
+use bear_core::config::SystemConfig;
 use bear_sim::error::SimError;
 use bear_sim::faultinject::{ChaosFault, ChaosKind, ChaosPlan};
 use bear_workloads::Workload;
@@ -297,34 +297,6 @@ fn campaign_env(cmd: &mut Command) {
         .env_remove("BEAR_CELL_DEADLINE_MS");
 }
 
-/// The smoke grid's pinned plan (must match [`campaign_env`]).
-fn smoke_plan() -> RunPlan {
-    RunPlan {
-        warmup: 30_000,
-        measure: 80_000,
-        scale_shift: 12,
-    }
-}
-
-/// Cell identity keys of the chaos smoke grid: fig07 (Alloy baseline ×
-/// BAB) over the quick suite, under the pinned plan [`drive`] uses. The
-/// seed-coverage test checks [`SMOKE_SEED`] against exactly these keys.
-pub fn smoke_grid_keys() -> Vec<u64> {
-    let plan = smoke_plan();
-    let cfgs = [
-        config_for(DesignKind::Alloy, BearFeatures::none(), &plan),
-        config_for(DesignKind::Alloy, BearFeatures::bab(), &plan),
-    ];
-    let mut suite: Vec<Workload> = bear_workloads::rate_workloads();
-    suite.truncate(4);
-    let mut mixes = bear_workloads::mix_workloads();
-    mixes.truncate(2);
-    suite.extend(mixes);
-    cfgs.iter()
-        .flat_map(|c| suite.iter().map(|w| checkpoint::cell_hash(c, w)))
-        .collect()
-}
-
 /// Runs the campaign binary once; returns `Ok(secs)` on clean exit,
 /// `Err(secs)` when it died (a fired kill point).
 fn run_campaign(cfg: &DriveConfig, out: &Path, chaos: bool) -> Result<f64, f64> {
@@ -570,6 +542,37 @@ fn compare_reports(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{checkpoint, config_for, RunPlan};
+    use bear_core::config::{BearFeatures, DesignKind};
+
+    /// The smoke grid's pinned plan (must match [`campaign_env`]).
+    fn smoke_plan() -> RunPlan {
+        RunPlan {
+            warmup: 30_000,
+            measure: 80_000,
+            scale_shift: 12,
+        }
+    }
+
+    /// Cell identity keys of the chaos smoke grid: fig07 (Alloy baseline ×
+    /// BAB) over the quick suite, under the pinned plan [`drive`] uses. The
+    /// seed-coverage test checks [`SMOKE_SEED`] against exactly these keys.
+    fn smoke_grid_keys() -> Vec<u64> {
+        let plan = smoke_plan();
+        let cfgs = [
+            config_for(DesignKind::Alloy, BearFeatures::none(), &plan),
+            config_for(DesignKind::Alloy, BearFeatures::bab(), &plan),
+        ];
+        let mut suite: Vec<Workload> = bear_workloads::rate_workloads();
+        suite.truncate(4);
+        let mut mixes = bear_workloads::mix_workloads();
+        mixes.truncate(2);
+        suite.extend(mixes);
+        cfgs.iter()
+            .flat_map(|c| suite.iter().map(|w| checkpoint::cell_hash(c, w)))
+            .collect()
+    }
+
     use std::collections::BTreeSet;
 
     /// What the smoke seed must draw on the smoke grid for the chaos

@@ -132,29 +132,19 @@ impl CellStore {
     }
 
     /// Persists a finished cell with the crash-safe protocol described in
-    /// the module docs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error; callers treat
-    /// checkpointing as best-effort and keep the in-memory result.
-    pub fn store(
-        &self,
-        cfg: &SystemConfig,
-        workload: &Workload,
-        stats: &RunStats,
-    ) -> std::io::Result<()> {
-        self.store_with_fault(cfg, workload, stats, None)
-    }
-
-    /// [`CellStore::store`] with an optional chaos fault applied at the
+    /// the module docs, with an optional chaos fault applied at the
     /// weakest points of the protocol: [`ChaosKind::CheckpointIo`] fails
     /// at the data file's fsync (nothing is committed — the classic
     /// full-disk / dying-device failure), and
     /// [`ChaosKind::TornCheckpoint`] truncates the data file *after* the
     /// commit marker landed (the committed-looking artifact a crashed
     /// filesystem can leave). Any other kind is a plain store.
-    pub(crate) fn store_with_fault(
+    ///
+    /// # Errors
+    ///
+    /// Propagates the underlying filesystem error; callers treat
+    /// checkpointing as best-effort and keep the in-memory result.
+    pub(crate) fn store(
         &self,
         cfg: &SystemConfig,
         workload: &Workload,
@@ -303,7 +293,7 @@ pub(crate) fn store_cell(
         .chaos
         .as_ref()
         .and_then(|c| c.plan.checkpoint_fault(cell_hash(cfg, workload)));
-    let result = store.store_with_fault(cfg, workload, stats, fault);
+    let result = store.store(cfg, workload, stats, fault);
     if let Some(kind) = fault {
         let detail = if result.is_ok() {
             "data file truncated after commit; resume re-runs the cell"
@@ -360,7 +350,9 @@ mod tests {
         let (cfg, workload, stats) = sample();
         let store = CellStore::new(&dir, "figXX");
         assert!(store.load(&cfg, &workload).is_none(), "empty store misses");
-        store.store(&cfg, &workload, &stats).expect("store cell");
+        store
+            .store(&cfg, &workload, &stats, None)
+            .expect("store cell");
         assert_eq!(store.load(&cfg, &workload), Some(stats));
         fs::remove_dir_all(&dir).ok();
     }
@@ -370,7 +362,9 @@ mod tests {
         let dir = tmp_dir("corrupt");
         let (cfg, workload, stats) = sample();
         let store = CellStore::new(&dir, "figXX");
-        store.store(&cfg, &workload, &stats).expect("store cell");
+        store
+            .store(&cfg, &workload, &stats, None)
+            .expect("store cell");
         let (json_path, done_path) = store.paths(&cfg, &workload);
 
         // Truncated (crash mid-write would have hit the tmp file, but
@@ -379,7 +373,9 @@ mod tests {
         assert!(store.load(&cfg, &workload).is_none());
 
         // Restore, then drop the commit marker.
-        store.store(&cfg, &workload, &stats).expect("re-store");
+        store
+            .store(&cfg, &workload, &stats, None)
+            .expect("re-store");
         fs::remove_file(&done_path).expect("remove marker");
         assert!(store.load(&cfg, &workload).is_none());
         fs::remove_dir_all(&dir).ok();
@@ -390,7 +386,9 @@ mod tests {
         let dir = tmp_dir("stale");
         let (cfg, workload, stats) = sample();
         let store = CellStore::new(&dir, "figXX");
-        store.store(&cfg, &workload, &stats).expect("store cell");
+        store
+            .store(&cfg, &workload, &stats, None)
+            .expect("store cell");
         let mut changed = cfg.clone();
         changed.measure_cycles += 1;
         assert!(
@@ -410,7 +408,9 @@ mod tests {
         let dir = tmp_dir("torn");
         let (cfg, workload, stats) = sample();
         let store = CellStore::new(&dir, "figXX");
-        store.store(&cfg, &workload, &stats).expect("store cell");
+        store
+            .store(&cfg, &workload, &stats, None)
+            .expect("store cell");
         let (json_path, _) = store.paths(&cfg, &workload);
         let full = fs::read(&json_path).expect("read committed bytes");
         for keep in (0..full.len()).step_by(7).chain([full.len() - 1]) {
@@ -433,7 +433,9 @@ mod tests {
         let dir = tmp_dir("bitflip");
         let (cfg, workload, stats) = sample();
         let store = CellStore::new(&dir, "figXX");
-        store.store(&cfg, &workload, &stats).expect("store cell");
+        store
+            .store(&cfg, &workload, &stats, None)
+            .expect("store cell");
         let (json_path, _) = store.paths(&cfg, &workload);
         let mut bytes = fs::read(&json_path).expect("read committed bytes");
         let mid = bytes.len() / 2;
@@ -455,7 +457,7 @@ mod tests {
 
         // checkpoint-io: the store fails, nothing is committed.
         let err = store
-            .store_with_fault(&cfg, &workload, &stats, Some(ChaosKind::CheckpointIo))
+            .store(&cfg, &workload, &stats, Some(ChaosKind::CheckpointIo))
             .expect_err("injected fsync failure must error");
         assert!(err.to_string().contains("checkpoint-io"));
         assert!(store.load(&cfg, &workload).is_none());
@@ -464,7 +466,7 @@ mod tests {
         // torn-checkpoint: committed-looking but truncated — rejected by
         // the digest, so resume re-runs the cell.
         store
-            .store_with_fault(&cfg, &workload, &stats, Some(ChaosKind::TornCheckpoint))
+            .store(&cfg, &workload, &stats, Some(ChaosKind::TornCheckpoint))
             .expect("torn store commits before tearing");
         assert!(
             store.committed_path(&cfg, &workload).is_some(),
@@ -476,7 +478,9 @@ mod tests {
         );
 
         // A clean re-store heals the cell.
-        store.store(&cfg, &workload, &stats).expect("re-store");
+        store
+            .store(&cfg, &workload, &stats, None)
+            .expect("re-store");
         assert_eq!(store.load(&cfg, &workload), Some(stats));
         fs::remove_dir_all(&dir).ok();
     }

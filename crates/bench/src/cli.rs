@@ -24,6 +24,7 @@
 //! with and without `--out` (experiment logs are diffed verbatim).
 
 use crate::report::Report;
+use crate::supervisor::SupervisorConfig;
 use crate::telemetry::TelemetrySink;
 use crate::{Campaign, RunPlan};
 use bear_core::config::ScalePreset;
@@ -98,7 +99,7 @@ impl CampaignArgs {
     ///
     /// Panics when `--telemetry` was given without `--out` — the samples
     /// need a directory to land in.
-    pub fn telemetry_sink(&self) -> Option<TelemetrySink> {
+    fn telemetry_sink(&self) -> Option<TelemetrySink> {
         if !self.telemetry {
             return None;
         }
@@ -109,14 +110,16 @@ impl CampaignArgs {
     }
 
     /// The campaign these arguments describe: the `--scale` plan (with
-    /// the environment knobs on top), the `--telemetry` sink, and a fresh
-    /// metrics registry when `--metrics-out` is given.
+    /// the environment knobs on top), the supervision policy from the
+    /// environment, the `--telemetry` sink, and a fresh metrics registry
+    /// when `--metrics-out` is given.
     ///
     /// # Panics
     ///
     /// As [`CampaignArgs::telemetry_sink`].
     pub fn campaign(&self) -> Campaign {
         let mut campaign = Campaign::new(RunPlan::from_env_with(self.scale.unwrap_or_default()));
+        campaign.supervisor = SupervisorConfig::from_env();
         campaign.telemetry = self.telemetry_sink();
         campaign.metrics = self.metrics_out.is_some().then(Registry::new);
         campaign

@@ -6,12 +6,16 @@
 //! submissions over a socket, runs them on a worker pool, streams
 //! telemetry back live, and — because it is resident — must stay healthy
 //! under every failure a batch run could simply die from. This module is
-//! that service, built entirely from the substrate the earlier PRs
-//! proved: jobs journal through the fsync'd [`CellStore`] commit
-//! protocol (PR 2), every attempt runs under the
-//! [`supervisor`](crate::supervisor) retry/backoff/deadline/quarantine
-//! state machine (PR 6), and per-job telemetry rides the PR 4 sampler
-//! with a new live streaming sink.
+//! that service, built from the campaign substrate: jobs journal through
+//! the fsync'd [`CellStore`] commit protocol, and each job is one cell of
+//! a daemon [`Campaign`] (experiment `"daemon"`, the result cache as its
+//! store, `failures.json` in the out directory), run by
+//! [`run_cell`](crate::supervisor::run_cell) like any campaign cell. A
+//! job's clone of that campaign carries its deadline, its
+//! [`JobTag`](crate::campaign::JobTag) (trace id and repro text for its
+//! supervision rows) and, when asked for, a live
+//! [`TelemetrySink`] that streams each sample window down the client's
+//! socket.
 //!
 //! # Protocol
 //!
@@ -92,13 +96,14 @@
 //! acknowledgment. All of them heal completely; none may change a single
 //! report byte.
 
+use crate::campaign::JobTag;
 use crate::checkpoint::{self, CellStore};
 use crate::report::{stats_to_json, Json};
-use crate::supervisor::{self, SupervisionRow, SupervisorConfig};
-use crate::{config_for, RunPlan};
+use crate::supervisor::{self, ManifestHeader, SupervisorConfig};
+use crate::telemetry::TelemetrySink;
+use crate::{config_for, Campaign, RunPlan};
 use bear_core::config::{BearFeatures, DesignKind, SystemConfig};
 use bear_core::metrics::RunStats;
-use bear_core::system::System;
 use bear_sim::faultinject::{ChaosPlan, DaemonChaosKind};
 use bear_telemetry::{live_channel, Registry};
 use bear_workloads::Workload;
@@ -113,7 +118,7 @@ use std::time::{Duration, Instant};
 /// Longest accepted request line (bytes, newline included). Anything
 /// longer is shed with a typed `oversized` error and the connection is
 /// closed — a malicious or broken client cannot balloon daemon memory.
-pub const MAX_LINE: usize = 64 * 1024;
+const MAX_LINE: usize = 64 * 1024;
 
 /// Every design label the protocol accepts, in catalogue order.
 const DESIGNS: [DesignKind; 8] = [
@@ -176,7 +181,8 @@ pub struct JobSpec {
 impl JobSpec {
     /// The canonical single-line rendering of this spec — what the
     /// journal stores and what the job's identity hashes over. Parsing
-    /// it back through [`parse_request`] reproduces the spec exactly.
+    /// it back through the daemon's request parser reproduces the spec
+    /// exactly.
     pub fn canonical_line(&self) -> String {
         Json::Obj(vec![
             ("op".into(), Json::Str("submit".into())),
@@ -226,7 +232,7 @@ impl JobSpec {
     }
 
     /// The system configuration this job runs.
-    pub fn system_config(&self) -> SystemConfig {
+    fn system_config(&self) -> SystemConfig {
         let plan = RunPlan {
             warmup: self.warmup,
             measure: self.measure,
@@ -247,7 +253,7 @@ impl JobSpec {
 
 /// One parsed protocol request.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
+enum Request {
     /// Submit a job.
     Submit(Box<JobSpec>),
     /// Cancel a job by id.
@@ -266,7 +272,7 @@ pub enum Request {
 
 /// A typed protocol rejection: machine-readable kind plus human detail.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProtoError {
+struct ProtoError {
     /// Stable error class: `"protocol"`, `"oversized"`, `"bad-job"`.
     pub kind: &'static str,
     /// What exactly was wrong.
@@ -309,7 +315,7 @@ impl ProtoError {
 /// (not JSON, not an object, unknown/missing `op`, ill-typed field), or
 /// `"bad-job"` (well-formed submit whose values are out of range or name
 /// unknown designs/workloads).
-pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
+fn parse_request(line: &str) -> Result<Request, ProtoError> {
     if line.len() > MAX_LINE {
         return Err(ProtoError {
             kind: "oversized",
@@ -609,11 +615,6 @@ impl DaemonConfig {
         }
         self
     }
-
-    /// Seed of the armed daemon chaos plan, recorded in `failures.json`.
-    fn chaos_seed(&self) -> Option<u64> {
-        self.chaos.as_ref().map(|plan| plan.seed)
-    }
 }
 
 /// Where a job is in its lifecycle.
@@ -702,9 +703,6 @@ struct State {
     workers_alive: usize,
     finalized: bool,
     counters: Counters,
-    /// Supervision rows recorded by this incarnation (already merged
-    /// into `failures.json` incrementally; kept for the drain flush).
-    rows: Vec<SupervisionRow>,
     /// EWMA of observed job wall time, feeding the overload retry-after
     /// hint.
     mean_job_ms: f64,
@@ -714,7 +712,11 @@ struct Shared {
     cfg: DaemonConfig,
     addr: String,
     journal: CellStore,
-    results: CellStore,
+    /// The daemon's campaign context (experiment `"daemon"`): the result
+    /// cache as its store, `failures.json` in `out`, and the daemon's
+    /// supervision policy. Each job runs on a clone of it.
+    campaign: Campaign,
+    manifest: ManifestHeader,
     state: Mutex<State>,
     /// Signals workers: queue or drain state changed.
     work: Condvar,
@@ -867,15 +869,31 @@ impl Daemon {
             workers_alive: cfg.workers,
             finalized: false,
             counters: Counters::default(),
-            rows: Vec::new(),
             mean_job_ms: 0.0,
         };
         resume_journal(&journal, &results, &mut st);
 
+        // Daemon chaos is service-level: jobs run with no injected
+        // faults, but the manifest records the daemon's seed.
+        let manifest = ManifestHeader {
+            chaos_seed: cfg.chaos.as_ref().map(|plan| plan.seed),
+            max_retries: cfg.supervisor.max_retries,
+        };
+        let mut campaign = Campaign::new(RunPlan {
+            warmup: 0,
+            measure: 0,
+            scale_shift: 0,
+        })
+        .with_manifest_dir(Some(&cfg.out), manifest)
+        .experiment("daemon", None);
+        campaign.store = Some(results);
+        campaign.supervisor = cfg.supervisor;
+
         let shared = Arc::new(Shared {
             addr: addr.clone(),
             journal,
-            results,
+            campaign,
+            manifest,
             state: Mutex::new(st),
             work: Condvar::new(),
             settled: Condvar::new(),
@@ -1458,116 +1476,57 @@ fn run_job(shared: &Arc<Shared>, idx: usize, id: &str) {
         }
     }
 
-    let cfg = spec.system_config();
-    let workload = spec.workload();
-    let key = checkpoint::cell_hash(&cfg, &workload);
-    let scfg = SupervisorConfig {
-        deadline_ms: spec.deadline_ms.or(shared.cfg.supervisor.deadline_ms),
-        ..shared.cfg.supervisor
-    };
-    let config_label = cfg.design.label().to_string();
-    let repro = format!(
-        "beard job {} ({}; resubmit the same canonical line)",
-        spec.id,
-        spec.stem()
-    );
-
+    // The job runs as one campaign cell under its own deadline and tag.
     // Live telemetry: a per-job sink whose samples a forwarder thread
     // streams down the submitting connection as each window closes. Each
     // line carries the job's trace id, and the attributed byte deltas
     // accumulate into per-job gauges — the "decomposition so far" a
     // metrics scrape sees while the job is still running.
+    let cfg = spec.system_config();
+    let workload = spec.workload();
     let trace = spec.trace_id();
-    let (live, forwarder) = if spec.telemetry && reply.is_some() {
-        let (sink, rx) = live_channel();
-        let fwd_reply = reply.clone().expect("checked above");
-        let fwd_id = spec.id.clone();
-        let fwd_trace = trace.clone();
-        let fwd_reg = shared.registry.clone();
-        let handle = std::thread::spawn(move || {
-            let mut attr = [0u64; 8];
-            for sample in rx {
-                for (total, delta) in attr.iter_mut().zip(sample.attributed_bytes_by_class) {
-                    *total += delta;
+    let mut job = shared.campaign.clone();
+    job.supervisor.deadline_ms = spec.deadline_ms.or(job.supervisor.deadline_ms);
+    job.job = Some(JobTag {
+        trace: trace.clone(),
+        repro: format!(
+            "beard job {} ({}; resubmit the same canonical line)",
+            spec.id,
+            spec.stem()
+        ),
+    });
+    let forwarder = match reply.clone().filter(|_| spec.telemetry) {
+        Some(fwd_reply) => {
+            let (sink, rx) = live_channel();
+            job.telemetry = Some(TelemetrySink::live(spec.sample_window, sink));
+            let fwd_id = spec.id.clone();
+            let fwd_reg = shared.registry.clone();
+            Some(std::thread::spawn(move || {
+                let mut attr = [0u64; 8];
+                for sample in rx {
+                    for (total, delta) in attr.iter_mut().zip(sample.attributed_bytes_by_class) {
+                        *total += delta;
+                    }
+                    record_job_decomposition(&fwd_reg, &fwd_id, &attr, None);
+                    if let Ok(sample_json) = Json::parse(&sample.to_json_line()) {
+                        let line = Json::Obj(vec![
+                            ("type".into(), Json::Str("telemetry".into())),
+                            ("id".into(), Json::Str(fwd_id.clone())),
+                            ("trace".into(), Json::Str(trace.clone())),
+                            ("sample".into(), sample_json),
+                        ])
+                        .to_string();
+                        fwd_reply.send_line(&line);
+                    }
                 }
-                record_job_decomposition(&fwd_reg, &fwd_id, &attr, None);
-                if let Ok(sample_json) = Json::parse(&sample.to_json_line()) {
-                    let line = Json::Obj(vec![
-                        ("type".into(), Json::Str("telemetry".into())),
-                        ("id".into(), Json::Str(fwd_id.clone())),
-                        ("trace".into(), Json::Str(fwd_trace.clone())),
-                        ("sample".into(), sample_json),
-                    ])
-                    .to_string();
-                    fwd_reply.send_line(&line);
-                }
-            }
-        });
-        (Some(sink), Some(handle))
-    } else {
-        (None, None)
-    };
-
-    let attempt = {
-        let results = shared.results.clone();
-        let cfg = cfg.clone();
-        let workload = workload.clone();
-        let live = live.clone();
-        let spec = spec.clone();
-        move |_n: u32| {
-            if let Some(cached) = results.load(&cfg, &workload) {
-                return Ok(cached);
-            }
-            let mut sys = System::try_build(&cfg, &workload)?;
-            if spec.telemetry {
-                sys.set_telemetry(bear_telemetry::TelemetryConfig::sampling(
-                    spec.sample_window,
-                ));
-                if let Some(sink) = &live {
-                    sys.set_telemetry_live(sink.clone());
-                }
-            }
-            let mut stats = sys.run_monitored(cfg.warmup_cycles, cfg.measure_cycles)?;
-            stats.workload = workload.name.clone();
-            if let Err(e) = results.store(&cfg, &workload, &stats) {
-                eprintln!(
-                    "[daemon: failed to cache result for {}: {e}]",
-                    workload.name
-                );
-            }
-            Ok(stats)
+            }))
         }
+        None => None,
     };
-    // Daemon chaos is service-level: attempts run without injected faults.
-    let (outcome, row) = supervisor::supervise_with(
-        &scfg,
-        None,
-        key,
-        &config_label,
-        &spec.workload,
-        &repro,
-        attempt,
-    );
-    drop(live);
+    let outcome = supervisor::run_cell(&job, &cfg, &workload);
+    drop(job); // closes the live sink, ending the forwarder
     if let Some(h) = forwarder {
         h.join().ok();
-    }
-
-    if let Some(mut row) = row {
-        row.experiment = "daemon".into();
-        row.trace = Some(trace.clone());
-        row.checkpoint = shared
-            .results
-            .committed_path(&cfg, &workload)
-            .map(|p| p.display().to_string());
-        let mut st = shared.state.lock().expect("daemon state poisoned");
-        st.rows.push(row.clone());
-        drop(st);
-        if let Err(e) =
-            supervisor::merge_rows_into(&shared.cfg.out, vec![row], shared.cfg.chaos_seed())
-        {
-            eprintln!("[daemon: failed to persist failures.json: {e}]");
-        }
     }
 
     // Observability: job wall time and, for completed jobs, the final
@@ -1605,7 +1564,7 @@ fn run_job(shared: &Arc<Shared>, idx: usize, id: &str) {
             Err(e) => JobStatus::Failed {
                 kind: e.kind().to_string(),
                 error: e.to_string(),
-                attempts: scfg.max_retries as usize + 1,
+                attempts: shared.cfg.supervisor.max_retries as usize + 1,
             },
         }
     };
@@ -1783,7 +1742,6 @@ fn handle_drain(shared: &Arc<Shared>, fast: bool, reply: &ReplyHandle) {
             None
         } else {
             st.finalized = true;
-            let rows = std::mem::take(&mut st.rows);
             let report = write_report(&shared.cfg.out, &st.jobs);
             let pending = st
                 .jobs
@@ -1792,8 +1750,9 @@ fn handle_drain(shared: &Arc<Shared>, fast: bool, reply: &ReplyHandle) {
                 .count();
             let counters = st.counters;
             drop(st);
-            if let Err(e) =
-                supervisor::merge_rows_into(&shared.cfg.out, rows, shared.cfg.chaos_seed())
+            if let Err(e) = shared
+                .campaign
+                .write_manifest(&shared.cfg.out, shared.manifest)
             {
                 eprintln!("[daemon: failed to flush failures.json: {e}]");
             }
@@ -2032,7 +1991,6 @@ mod tests {
             workers_alive: 0,
             finalized: false,
             counters: Counters::default(),
-            rows: Vec::new(),
             mean_job_ms: 0.0,
         }
     }
@@ -2414,6 +2372,77 @@ mod tests {
         let rows = report.get("rows").and_then(Json::as_arr).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get("id").and_then(Json::as_str), Some("e2e-run"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A job whose every attempt outlives its deadline goes through the
+    /// campaign cell path like any other: it settles `failed` after the
+    /// whole retry budget, and `failures.json` holds exactly one
+    /// quarantined daemon row for it, before and after the drain flush.
+    #[test]
+    fn timed_out_job_quarantines_one_daemon_row() {
+        let dir = std::env::temp_dir().join(format!("beard-quarantine-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut cfg = DaemonConfig::new(&dir);
+        cfg.workers = 1;
+        cfg.supervisor = SupervisorConfig {
+            max_retries: 2,
+            backoff_base_ms: 1,
+            deadline_ms: None,
+            jitter_seed: 7,
+        };
+        let daemon = Daemon::start(cfg, "127.0.0.1:0").expect("daemon start");
+        let mut c = Client::connect(daemon.addr()).expect("connect");
+        c.set_timeout(Some(Duration::from_secs(60))).unwrap();
+        // Long enough that no attempt meets a 1 ms deadline (and no
+        // detached attempt caches its result before the retries run out),
+        // short enough that the detached attempts finish soon after:
+        // about half a second in either build profile.
+        let mut job = spec("slow", "alice");
+        job.measure = if cfg!(debug_assertions) {
+            200_000
+        } else {
+            2_000_000
+        };
+        job.deadline_ms = Some(1);
+        c.send(&job.canonical_line()).unwrap();
+        recv_type(&mut c, "accepted");
+        let failed = recv_type(&mut c, "failed");
+        assert_eq!(failed.get("kind").and_then(Json::as_str), Some("timeout"));
+        assert_eq!(failed.get("attempts").and_then(Json::as_u64), Some(3));
+
+        let quarantined = || {
+            let text = std::fs::read_to_string(dir.join("failures.json")).expect("manifest");
+            let doc = Json::parse(&text).expect("manifest parses");
+            doc.get("quarantined")
+                .and_then(Json::as_arr)
+                .unwrap()
+                .to_vec()
+        };
+        let before = quarantined();
+        c.request("{\"op\":\"drain\"}").unwrap();
+        daemon.wait();
+        let rows = quarantined();
+        assert_eq!(rows, before, "the drain flush adds no duplicate");
+        assert_eq!(rows.len(), 1, "{rows:?}");
+        let field = |k: &str| rows[0].get(k).and_then(Json::as_str).map(str::to_string);
+        assert_eq!(field("experiment").as_deref(), Some("daemon"));
+        assert_eq!(field("trace"), Some(job.trace_id()));
+        assert_eq!(field("kind").as_deref(), Some("timeout"));
+        assert_eq!(rows[0].get("attempts").and_then(Json::as_u64), Some(3));
+        let repro = field("repro").unwrap();
+        assert!(repro.starts_with("beard job slow ("), "{repro}");
+
+        // Let the detached attempts finish before removing their output.
+        let results = CellStore::at(&dir.join("daemon").join("results"));
+        let t0 = Instant::now();
+        while results
+            .load(&job.system_config(), &job.workload())
+            .is_none()
+            && t0.elapsed() < Duration::from_secs(30)
+        {
+            std::thread::sleep(Duration::from_millis(20));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -9,10 +9,11 @@
 //! machine-readable [`report`]s, and the dependency-free [`microbench`]
 //! harness.
 //!
-//! A campaign's run state — plan, checkpoint store, telemetry sink,
-//! metrics registry, chaos plan, and its log of supervision rows — is one
-//! explicit [`Campaign`] context passed down to every cell; the crate
-//! keeps no process-global run state.
+//! A campaign's run state — plan, supervision policy, checkpoint store,
+//! telemetry sink, metrics registry, chaos plan, and its log of
+//! supervision rows — is one explicit [`Campaign`] context passed down to
+//! every cell, campaign grid or daemon job; the crate keeps no
+//! process-global run state.
 //!
 //! Environment knobs (all optional):
 //! - `BEAR_QUICK=1` — shrink the suite (first 4 rate + 2 mixes) and halve
@@ -117,7 +118,7 @@ pub fn suite_rate() -> Vec<Workload> {
 }
 
 /// The mix suite (possibly truncated in quick mode).
-pub fn suite_mix() -> Vec<Workload> {
+fn suite_mix() -> Vec<Workload> {
     let mut v = mix_workloads();
     if quick_mode() {
         v.truncate(2);
@@ -179,7 +180,8 @@ pub fn run_one(cfg: &SystemConfig, workload: &Workload) -> RunStats {
 /// campaigns resumable.
 ///
 /// With a telemetry sink, each freshly simulated cell is armed for
-/// windowed sampling and its time series written next to the reports.
+/// windowed sampling and its time series written next to the reports
+/// (or, for a daemon job's live sink, streamed as each window closes).
 /// Cached cells skip both arming and writing, so a resumed campaign
 /// never duplicates or tears a cell's sample file.
 ///
@@ -202,7 +204,7 @@ pub fn try_run_one(
     }
     let mut sys = System::try_build(cfg, workload)?;
     if let Some(sink) = &campaign.telemetry {
-        sys.set_telemetry(sink.config());
+        sink.arm(&mut sys);
     }
     let mut stats = sys.run_monitored(cfg.warmup_cycles, cfg.measure_cycles)?;
     stats.workload = workload.name.clone();
@@ -268,11 +270,6 @@ pub fn print_row(label: &str, cells: &[String]) {
 /// Formats a float with 3 decimals.
 pub fn f3(v: f64) -> String {
     format!("{v:.3}")
-}
-
-/// Formats a float with 1 decimal.
-pub fn f1(v: f64) -> String {
-    format!("{v:.1}")
 }
 
 #[cfg(test)]
@@ -373,7 +370,6 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(f3(1.23456), "1.235");
-        assert_eq!(f1(1.26), "1.3");
         assert!((gmean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
     }
 }

@@ -71,7 +71,7 @@ pub struct BenchResult {
 
 impl BenchResult {
     /// Throughput in elements per second at the median time.
-    pub fn elements_per_sec(&self) -> f64 {
+    fn elements_per_sec(&self) -> f64 {
         if self.median_ns <= 0.0 {
             0.0
         } else {

@@ -13,7 +13,7 @@
 //!
 //! A cell that fails — panics, stalls against the watchdog, or rejects its
 //! configuration — must not take the rest of the grid down with it.
-//! [`try_parallel_map`] catches panics per cell and converts them into
+//! `try_parallel_map` catches panics per cell and converts them into
 //! typed [`SimError`]s. One level up, [`run_suite`] and [`run_matrix`]
 //! run every cell through the [`supervisor`](crate::supervisor) — retry
 //! with backoff for transient failures, wall-clock deadlines, quarantine
@@ -74,7 +74,7 @@ pub fn workers() -> usize {
 ///
 /// A panic inside `f` propagates and poisons the whole map; grid code
 /// should prefer [`try_parallel_map`], which isolates it to one cell.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
+fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -109,7 +109,7 @@ where
 /// [`parallel_map`] with per-cell panic isolation: a panic inside `f`
 /// becomes `Err(SimError::Panicked)` for that cell while every other cell
 /// runs to completion. Results stay in input order.
-pub fn try_parallel_map<T, R, F>(items: &[T], f: F) -> Vec<RunOutcome<R>>
+fn try_parallel_map<T, R, F>(items: &[T], f: F) -> Vec<RunOutcome<R>>
 where
     T: Sync,
     R: Send,

@@ -1,17 +1,17 @@
 //! Campaign supervision: deadlines, retry with deterministic backoff,
 //! and quarantine of cells that exhaust their retries.
 //!
-//! PR 2's fault isolation records a failed cell once and abandons it.
-//! For hour-scale campaigns (gigascale runs, the future campaign daemon)
-//! that is not enough: a worker poisoned by a transient environmental
-//! fault — a panic, a wedged host, a full disk — should be *retried*
-//! before the cell is written off, and a cell that keeps failing should
-//! be *quarantined* with enough context to reproduce it, without taking
-//! the campaign down.
+//! Recording a failed cell once and abandoning it is not enough for
+//! hour-scale campaigns (gigascale runs, the `beard` daemon): a worker
+//! poisoned by a transient environmental fault — a panic, a wedged host,
+//! a full disk — should be *retried* before the cell is written off, and
+//! a cell that keeps failing should be *quarantined* with enough context
+//! to reproduce it, without taking the campaign down.
 //!
-//! The supervisor wraps every grid cell (see
-//! [`run_cell`], called by [`crate::runner`]'s parallel map) in a retry
-//! loop:
+//! The supervisor wraps every cell — a campaign grid's (via
+//! [`crate::runner`]'s parallel map) and a daemon job alike — in
+//! [`run_cell`]'s retry loop, under the [`SupervisorConfig`] its
+//! [`Campaign`] carries (each binary reads it from the environment once):
 //!
 //! 1. Each attempt may run under a wall-clock **deadline**
 //!    (`BEAR_CELL_DEADLINE_MS`); an attempt that outlives it is declared
@@ -49,7 +49,8 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::Duration;
 
-/// Retry/deadline policy for one campaign.
+/// Retry/deadline policy for one campaign, carried by its
+/// [`Campaign`] context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorConfig {
     /// Maximum retries after the first attempt (`BEAR_MAX_RETRIES`,
@@ -80,6 +81,8 @@ impl Default for SupervisorConfig {
 impl SupervisorConfig {
     /// The campaign policy, honoring the environment knobs
     /// (`BEAR_MAX_RETRIES`, `BEAR_RETRY_BASE_MS`, `BEAR_CELL_DEADLINE_MS`).
+    /// Read once, where a binary builds its campaign or daemon
+    /// configuration.
     ///
     /// # Panics
     ///
@@ -307,13 +310,21 @@ impl Drop for ManifestLock {
     }
 }
 
+/// The `failures.json` header: the policy its writer ran under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ManifestHeader {
+    /// Seed of the chaos plan armed for the writer, if any.
+    pub chaos_seed: Option<u64>,
+    /// The retry budget in force ([`SupervisorConfig::max_retries`]).
+    pub max_retries: u32,
+}
+
 /// Writes the machine-readable recovery manifest `DIR/failures.json`
 /// (atomically: temp file, fsync, rename) from `new_rows` **merged with
 /// the manifest already in `DIR`** — a killed-and-resumed campaign keeps
 /// its full recovery history (identical rows recur deterministically
 /// across incarnations and collapse in the dedup). Returns its path.
-/// `chaos_seed` is the seed of the chaos plan armed for the writer, if
-/// any. The schema:
+/// `header` becomes the `"campaign"` object. The schema:
 ///
 /// ```json
 /// {
@@ -330,9 +341,8 @@ impl Drop for ManifestLock {
 /// The merge runs under the manifest's advisory lock: existing rows are
 /// re-read *inside* the critical section, so two concurrent writer
 /// processes both land their rows instead of last-writer-wins dropping
-/// one side's. This is the write path for everything that persists
-/// supervision history — the campaign manifest
-/// ([`Campaign::write_manifest`]) and the daemon's per-job recovery rows.
+/// one side's. Every persisted supervision row goes through here, via
+/// [`Campaign`]'s log.
 ///
 /// # Errors
 ///
@@ -340,7 +350,7 @@ impl Drop for ManifestLock {
 pub fn merge_rows_into(
     dir: &Path,
     new_rows: Vec<SupervisionRow>,
-    chaos_seed: Option<u64>,
+    header: ManifestHeader,
 ) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let _lock = ManifestLock::acquire(dir)?;
@@ -348,7 +358,6 @@ pub fn merge_rows_into(
     rows.extend(new_rows);
     sort_rows(&mut rows);
     rows.dedup();
-    let scfg = SupervisorConfig::from_env();
     let section = |d: Disposition| {
         Json::Arr(
             rows.iter()
@@ -363,9 +372,9 @@ pub fn merge_rows_into(
             Json::Obj(vec![
                 (
                     "chaos_seed".into(),
-                    chaos_seed.map_or(Json::Null, Json::uint),
+                    header.chaos_seed.map_or(Json::Null, Json::uint),
                 ),
-                ("max_retries".into(), Json::uint(scfg.max_retries as u64)),
+                ("max_retries".into(), Json::uint(header.max_retries as u64)),
             ]),
         ),
         ("quarantined".into(), section(Disposition::Quarantined)),
@@ -391,7 +400,7 @@ pub fn merge_rows_into(
 /// seeded jitter derived from (jitter seed, cell key, retry number) so
 /// the schedule is reproducible but never synchronized across cells.
 /// Capped at 10 s.
-pub fn backoff_ms(scfg: &SupervisorConfig, key: u64, retry_no: u32) -> u64 {
+fn backoff_ms(scfg: &SupervisorConfig, key: u64, retry_no: u32) -> u64 {
     let base = scfg.backoff_base_ms;
     let exp = base.saturating_mul(1u64 << (retry_no.saturating_sub(1)).min(16));
     let jitter =
@@ -450,7 +459,7 @@ where
 /// noteworthy happened (`None` for a clean first-attempt success).
 /// Recording the row is the caller's job so this stays a pure,
 /// unit-testable state machine.
-pub fn supervise_with<R, F>(
+fn supervise_with<R, F>(
     scfg: &SupervisorConfig,
     chaos_plan: Option<&ChaosPlan>,
     key: u64,
@@ -545,21 +554,28 @@ where
     }
 }
 
-/// The supervised cell runner used by [`crate::runner::run_suite`] /
-/// [`crate::runner::run_matrix`]: wraps [`try_run_one`] in the retry /
-/// deadline / quarantine state machine under the campaign's chaos plan
+/// The one supervised cell runner — campaign grids
+/// ([`crate::runner::run_suite`] / [`crate::runner::run_matrix`]) and
+/// daemon jobs alike: wraps [`try_run_one`] in the retry / deadline /
+/// quarantine state machine under the campaign's policy and chaos plan,
 /// and records any recovery event in the campaign log — a quarantined
-/// row is what degrades the cell to a placeholder in the report.
+/// row is what degrades the cell to a placeholder in the report. A
+/// daemon job's [`JobTag`](crate::campaign::JobTag) supplies the row's
+/// trace id and repro text.
 pub fn run_cell(
     campaign: &Campaign,
     cfg: &SystemConfig,
     workload: &Workload,
 ) -> RunOutcome<RunStats> {
-    let scfg = SupervisorConfig::from_env();
     let key = checkpoint::cell_hash(cfg, workload);
-    let stem = checkpoint::cell_stem(cfg, workload);
     let config_label = cfg.design.label().to_string();
-    let repro = format!("cell {stem} (BEAR_WORKERS=1, same plan/env)");
+    let repro = match &campaign.job {
+        Some(job) => job.repro.clone(),
+        None => format!(
+            "cell {} (BEAR_WORKERS=1, same plan/env)",
+            checkpoint::cell_stem(cfg, workload)
+        ),
+    };
     let attempt = {
         let campaign = campaign.clone();
         let cfg = cfg.clone();
@@ -568,7 +584,7 @@ pub fn run_cell(
     };
     let chaos = campaign.chaos.as_deref();
     let (outcome, row) = supervise_with(
-        &scfg,
+        &campaign.supervisor,
         chaos.map(|c| &c.plan),
         key,
         &config_label,
@@ -577,6 +593,7 @@ pub fn run_cell(
         attempt,
     );
     if let Some(mut row) = row {
+        row.trace = campaign.job.as_ref().map(|job| job.trace.clone());
         row.checkpoint = campaign
             .store
             .as_ref()
@@ -595,6 +612,13 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
+
+    fn header() -> ManifestHeader {
+        ManifestHeader {
+            chaos_seed: None,
+            max_retries: 2,
+        }
+    }
 
     fn quiet() -> SupervisorConfig {
         SupervisorConfig {
@@ -729,7 +753,7 @@ mod tests {
                         repro: String::new(),
                         trace: None,
                     };
-                    merge_rows_into(&dir, vec![row], None).expect("merge");
+                    merge_rows_into(&dir, vec![row], header()).expect("merge");
                 })
             })
             .collect();
@@ -769,7 +793,7 @@ mod tests {
             .is_ok();
         if backdated {
             let t0 = std::time::Instant::now();
-            merge_rows_into(&dir, Vec::new(), None).expect("merge past stale lock");
+            merge_rows_into(&dir, Vec::new(), header()).expect("merge past stale lock");
             assert!(
                 t0.elapsed() < Duration::from_secs(5),
                 "a stale lock must be broken promptly"

@@ -1,11 +1,12 @@
-//! Campaign-side telemetry sink: per-cell JSONL time series on disk.
+//! Harness-side telemetry sink: where a cell's windowed samples land.
 //!
 //! The simulator produces telemetry (see `bear_core::telemetry`); this
-//! module decides where a campaign's samples land. A campaign collects
-//! them when its [`Campaign`](crate::Campaign) context carries a
-//! [`TelemetrySink`] (`--telemetry`): `try_run_one` then arms every
-//! freshly simulated cell with [`TelemetryConfig::sampling`] and writes
-//! its windowed samples to
+//! module decides where a cell's samples go. A cell collects them when
+//! its [`Campaign`](crate::Campaign) context carries a [`TelemetrySink`]:
+//! `try_run_one` then arms every freshly simulated cell with
+//! [`TelemetryConfig::sampling`]. A *live* sink (a `beard` daemon job)
+//! streams each window to a [`LiveSink`] as it closes; a file sink (a
+//! campaign's `--telemetry`) writes them when the cell finishes to
 //!
 //! ```text
 //! DIR/telemetry/<cell_stem>.jsonl     one JSON object per sample window
@@ -31,73 +32,69 @@
 use crate::checkpoint::cell_stem;
 use bear_core::config::SystemConfig;
 use bear_core::system::System;
-use bear_telemetry::{Sample, TelemetryConfig, TelemetryOptions};
+use bear_telemetry::{LiveSink, Sample, TelemetryConfig, DEFAULT_SAMPLE_WINDOW};
 use bear_workloads::Workload;
 use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Destination and options for campaign telemetry collection.
+/// Destination and options for a cell's telemetry (see the module docs).
 #[derive(Debug, Clone)]
 pub struct TelemetrySink {
-    dir: PathBuf,
-    opts: TelemetryOptions,
+    sample_window: u64,
+    dest: Dest,
+}
+
+#[derive(Debug, Clone)]
+enum Dest {
+    /// JSONL files in this directory.
+    Files(PathBuf),
+    Live(LiveSink),
 }
 
 impl TelemetrySink {
     /// Sink writing sampling-only telemetry under `OUT_DIR/telemetry/`
     /// with the given window (`None` → the default window).
     pub fn new(out_dir: &Path, sample_window: Option<u64>) -> TelemetrySink {
-        let mut opts = TelemetryOptions::default();
-        if let Some(w) = sample_window {
-            opts.sample_window = w;
-        }
         TelemetrySink {
-            dir: out_dir.join("telemetry"),
-            opts,
+            sample_window: sample_window.unwrap_or(DEFAULT_SAMPLE_WINDOW),
+            dest: Dest::Files(out_dir.join("telemetry")),
         }
     }
 
-    /// The telemetry configuration cells should be armed with.
-    pub fn config(&self) -> TelemetryConfig {
-        TelemetryConfig::On(self.opts.clone())
-    }
-
-    /// Writes one cell's samples as JSONL, atomically (tmp → rename).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error; callers treat
-    /// telemetry persistence as best-effort.
-    pub fn write(
-        &self,
-        cfg: &SystemConfig,
-        workload: &Workload,
-        samples: &[Sample],
-    ) -> std::io::Result<PathBuf> {
-        fs::create_dir_all(&self.dir)?;
-        let path = self.dir.join(format!("{}.jsonl", cell_stem(cfg, workload)));
-        let tmp = path.with_extension("jsonl.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            for s in samples {
-                f.write_all(s.to_json_line().as_bytes())?;
-                f.write_all(b"\n")?;
-            }
-            f.sync_all()?;
+    /// Sink streaming sampling-only telemetry to `live`, one window at a
+    /// time.
+    pub fn live(sample_window: u64, live: LiveSink) -> TelemetrySink {
+        TelemetrySink {
+            sample_window,
+            dest: Dest::Live(live),
         }
-        fs::rename(&tmp, &path)?;
-        Ok(path)
     }
 
-    /// Drains a finished cell's telemetry into this sink. Write errors
-    /// degrade to a warning — telemetry must never fail a finished
-    /// simulation.
+    /// The telemetry configuration cells are armed with.
+    pub(crate) fn config(&self) -> TelemetryConfig {
+        TelemetryConfig::sampling(self.sample_window)
+    }
+
+    /// Arms a freshly built cell's system for this sink.
+    pub(crate) fn arm(&self, sys: &mut System) {
+        sys.set_telemetry(self.config());
+        if let Dest::Live(live) = &self.dest {
+            sys.set_telemetry_live(live.clone());
+        }
+    }
+
+    /// Drains a finished cell's telemetry into a file sink (a live sink
+    /// already streamed it). Write errors degrade to a warning —
+    /// telemetry must never fail a finished simulation.
     pub(crate) fn write_cell(&self, cfg: &SystemConfig, workload: &Workload, sys: &mut System) {
+        let Dest::Files(dir) = &self.dest else {
+            return;
+        };
         let Some(report) = sys.take_telemetry() else {
             return;
         };
-        if let Err(e) = self.write(cfg, workload, &report.samples) {
+        if let Err(e) = write_samples(dir, cfg, workload, &report.samples) {
             eprintln!(
                 "[warning: failed to write telemetry for {} × {}: {e}]",
                 cfg.design.label(),
@@ -105,6 +102,34 @@ impl TelemetrySink {
             );
         }
     }
+}
+
+/// Writes one cell's samples as JSONL to `DIR/<cell_stem>.jsonl`,
+/// atomically (tmp → rename); `DIR` is a file sink's `OUT/telemetry/`.
+///
+/// # Errors
+///
+/// Propagates the underlying filesystem error; callers treat telemetry
+/// persistence as best-effort.
+pub fn write_samples(
+    dir: &Path,
+    cfg: &SystemConfig,
+    workload: &Workload,
+    samples: &[Sample],
+) -> std::io::Result<PathBuf> {
+    fs::create_dir_all(dir)?;
+    let path = dir.join(format!("{}.jsonl", cell_stem(cfg, workload)));
+    let tmp = path.with_extension("jsonl.tmp");
+    {
+        let mut f = File::create(&tmp)?;
+        for s in samples {
+            f.write_all(s.to_json_line().as_bytes())?;
+            f.write_all(b"\n")?;
+        }
+        f.sync_all()?;
+    }
+    fs::rename(&tmp, &path)?;
+    Ok(path)
 }
 
 #[cfg(test)]
@@ -132,8 +157,7 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let sink = TelemetrySink::new(&dir, Some(100));
-        let path = sink.write(&cfg, &workload, &samples).expect("write jsonl");
+        let path = write_samples(&dir, &cfg, &workload, &samples).expect("write jsonl");
         let text = fs::read_to_string(&path).expect("read back");
         assert_eq!(text.lines().count(), 2);
         for line in text.lines() {

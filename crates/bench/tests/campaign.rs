@@ -5,6 +5,7 @@
 use bear_bench::checkpoint::CellStore;
 use bear_bench::report::Json;
 use bear_bench::runner::run_matrix;
+use bear_bench::supervisor::{run_cell, ManifestHeader};
 use bear_bench::telemetry::TelemetrySink;
 use bear_bench::{config_for, Campaign, RunPlan};
 use bear_core::config::{BearFeatures, DesignKind, SystemConfig};
@@ -134,5 +135,46 @@ fn campaign_driver_honors_scale() {
     // The quick budget (400K warmup + 300K measured cycles), doubled.
     assert_eq!(field("warmup"), 800_000);
     assert_eq!(field("measure"), 600_000);
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn failures_manifest_records_the_policy_in_force() {
+    let plan = RunPlan {
+        warmup: 1_000,
+        measure: 1_000,
+        scale_shift: 12,
+    };
+    let mut broken = config_for(DesignKind::Alloy, BearFeatures::full(), &plan);
+    broken.cache_dram.sched_window = 0;
+    let workload = bear_workloads::rate_workloads().remove(0);
+    let dir = tmp("policy");
+    let mut campaign = Campaign::new(plan);
+    campaign.supervisor.max_retries = 0;
+    let header = ManifestHeader {
+        chaos_seed: None,
+        max_retries: campaign.supervisor.max_retries,
+    };
+    let campaign = campaign
+        .with_manifest_dir(Some(&dir), header)
+        .experiment("policy", None);
+    let err = run_cell(&campaign, &broken, &workload).expect_err("config error");
+    assert_eq!(err.kind(), "config");
+
+    let text = fs::read_to_string(dir.join("failures.json")).expect("manifest");
+    let doc = Json::parse(&text).expect("manifest parses");
+    let head = doc.get("campaign").expect("campaign header");
+    assert_eq!(
+        head.get("max_retries").and_then(Json::as_u64),
+        Some(0),
+        "the header records the campaign's policy, not the environment's"
+    );
+    assert_eq!(head.get("chaos_seed"), Some(&Json::Null));
+    let quarantined = doc.get("quarantined").and_then(Json::as_arr).unwrap();
+    assert_eq!(quarantined.len(), 1);
+    assert_eq!(
+        quarantined[0].get("experiment").and_then(Json::as_str),
+        Some("policy")
+    );
     fs::remove_dir_all(&dir).ok();
 }

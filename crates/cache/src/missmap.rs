@@ -31,7 +31,7 @@ impl MissMap {
     /// # Panics
     ///
     /// Panics if the segment does not hold a whole number of ≤64 lines.
-    pub fn with_shape(line_bytes: u64, segment_bytes: u64) -> Self {
+    fn with_shape(line_bytes: u64, segment_bytes: u64) -> Self {
         assert!(line_bytes > 0 && segment_bytes.is_multiple_of(line_bytes));
         let lines_per_segment = (segment_bytes / line_bytes) as u32;
         assert!(
@@ -86,11 +86,6 @@ impl MissMap {
     pub fn is_empty(&self) -> bool {
         self.segments.is_empty()
     }
-
-    /// Number of live segments (storage diagnostics).
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
 }
 
 #[cfg(test)]
@@ -116,10 +111,10 @@ mod tests {
         for i in 0..64 {
             m.insert(i * 64);
         }
-        assert_eq!(m.segment_count(), 1);
+        assert_eq!(m.segments.len(), 1);
         assert_eq!(m.len(), 64);
         m.insert(64 * 64);
-        assert_eq!(m.segment_count(), 2);
+        assert_eq!(m.segments.len(), 2);
     }
 
     #[test]
@@ -128,9 +123,9 @@ mod tests {
         m.insert(0);
         m.insert(64);
         m.remove(0);
-        assert_eq!(m.segment_count(), 1);
+        assert_eq!(m.segments.len(), 1);
         m.remove(64);
-        assert_eq!(m.segment_count(), 0);
+        assert_eq!(m.segments.len(), 0);
     }
 
     #[test]
@@ -145,7 +140,7 @@ mod tests {
         let mut m = MissMap::with_shape(64, 2048);
         m.insert(0);
         m.insert(2048);
-        assert_eq!(m.segment_count(), 2);
+        assert_eq!(m.segments.len(), 2);
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub struct SectorTagStore {
     ways: u32,
     sector_bytes: u64,
     block_bytes: u64,
-    blocks_per_sector: u32,
     sectors: Vec<Sector>,
     replacer: Replacer,
     /// Block-level hits.
@@ -94,7 +93,6 @@ impl SectorTagStore {
             ways,
             sector_bytes,
             block_bytes,
-            blocks_per_sector,
             sectors: vec![
                 Sector {
                     valid: false,
@@ -115,11 +113,6 @@ impl SectorTagStore {
     /// Number of sets.
     pub fn sets(&self) -> u64 {
         self.sets
-    }
-
-    /// Blocks per sector.
-    pub fn blocks_per_sector(&self) -> u32 {
-        self.blocks_per_sector
     }
 
     fn decompose(&self, addr: u64) -> (u64, u64, u32) {
@@ -254,7 +247,7 @@ mod tests {
     fn shape() {
         let s = store();
         assert_eq!(s.sets(), 4);
-        assert_eq!(s.blocks_per_sector(), 8);
+        assert_eq!(s.sector_bytes / s.block_bytes, 8, "blocks per sector");
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl<M: Clone + Default> SetAssocCache<M> {
     }
 
     /// Creates an empty cache with an explicit replacement RNG seed.
-    pub fn with_seed(geom: CacheGeometry, policy: ReplacementPolicy, seed: u64) -> Self {
+    fn with_seed(geom: CacheGeometry, policy: ReplacementPolicy, seed: u64) -> Self {
         let n = (geom.sets() * geom.ways as u64) as usize;
         SetAssocCache {
             geom,
@@ -277,17 +277,6 @@ impl<M: Clone + Default> SetAssocCache<M> {
         }
     }
 
-    /// Marks `addr` clean (after its writeback has been accepted downstream).
-    pub fn mark_clean(&mut self, addr: u64) -> bool {
-        match self.find(addr) {
-            Some(i) => {
-                self.lines[i].dirty = false;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Number of valid lines (O(n); diagnostics only).
     pub fn occupancy(&self) -> u64 {
         self.lines.iter().filter(|l| l.valid).count() as u64
@@ -420,17 +409,12 @@ mod tests {
     }
 
     #[test]
-    fn update_meta_and_mark_clean() {
+    fn update_meta_edits_resident_lines_only() {
         let mut c = small();
         c.fill(addr(2, 2), true, 1);
         assert!(c.update_meta(addr(2, 2), |m| *m = 42));
         assert_eq!(c.peek(addr(2, 2)).copied(), Some(42));
-        assert!(c.mark_clean(addr(2, 2)));
-        c.fill(addr(2, 1), false, 0);
-        let v = c.fill(addr(2, 5), false, 0).unwrap();
-        assert!(!v.dirty, "mark_clean must clear dirty state");
         assert!(!c.update_meta(0xFFFF_0000, |_| {}));
-        assert!(!c.mark_clean(0xFFFF_0000));
     }
 
     #[test]

@@ -278,13 +278,8 @@ impl DeviceHarness {
         self.cache_retry.len() + self.mem_retry.len()
     }
 
-    /// Bytes submitted to the cache device since the last stats reset.
-    pub fn expected_cache_bytes(&self) -> u64 {
-        self.expected_cache_bytes
-    }
-
     /// Bytes sitting in the cache-device retry queue.
-    pub fn cache_retry_bytes(&self) -> u64 {
+    fn cache_retry_bytes(&self) -> u64 {
         let beat_bytes = self.cache.config().topology.beat_bytes;
         self.cache_retry.iter().map(|r| r.beats * beat_bytes).sum()
     }
@@ -352,11 +347,6 @@ impl DeviceHarness {
     /// Perturbs the expected-bytes counter (fault injection only).
     pub fn corrupt_expected_bytes(&mut self) {
         self.expected_cache_bytes ^= 0x40;
-    }
-
-    /// Perturbs the attribution ledger (fault injection only).
-    pub fn corrupt_ledger(&mut self) {
-        self.ledger.corrupt();
     }
 
     /// Byte-conservation invariant: every byte submitted on the cache bus
@@ -614,7 +604,7 @@ mod tests {
             BloatCategory::Hit.class(),
             Cycle(0),
         );
-        h.corrupt_ledger();
+        h.ledger.corrupt();
         let mut sink = InvariantSink::new(CheckMode::Record);
         h.check_attribution(Cycle(0), &mut sink);
         assert_eq!(sink.violations().len(), 1);

@@ -15,9 +15,9 @@ use bear_cache::{CacheGeometry, ReplacementPolicy, SetAssocCache};
 
 /// Per-line L3 metadata.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct L3Meta {
+struct L3Meta {
     /// DRAM-Cache Presence bit (Section 5.2).
-    pub dcp: bool,
+    dcp: bool,
 }
 
 /// Outcome of an L3 demand access.
@@ -126,12 +126,6 @@ impl L3Cache {
     /// Demand hit rate.
     pub fn hit_rate(&self) -> f64 {
         self.cache.stats.hit_rate()
-    }
-
-    /// Total lines the L3 can hold (Table 5 sizes the DCP overhead from
-    /// this: one bit per line).
-    pub fn line_capacity(&self) -> u64 {
-        self.cache.geometry().lines()
     }
 
     /// Demand misses observed.
@@ -261,7 +255,7 @@ mod tests {
     #[test]
     fn stats_and_capacity() {
         let mut c = l3();
-        assert_eq!(c.line_capacity(), 16);
+        assert_eq!(c.cache.geometry().lines(), 16);
         c.access(1, false);
         c.fill(1, false, false);
         c.access(1, false);

@@ -4,7 +4,7 @@
 //! baseline Alloy family with the BEAR techniques ([`alloy`]), the Loh-Hill
 //! and Mostly-Clean row-associative designs ([`loh_hill`]), the
 //! Tags-in-SRAM and Sector Cache comparison points ([`sram_tags`]), and the
-//! no-DRAM-cache pass-through ([`no_cache`]). [`placement`] maps cache sets
+//! no-DRAM-cache pass-through (`no_cache`). [`placement`] maps cache sets
 //! onto DRAM rows/banks/channels. The organization-independent transaction
 //! skeleton lives in [`engine`], and the composable BEAR techniques in
 //! [`stack`]; controllers implement only placement, tag state, and hit/miss
@@ -13,7 +13,7 @@
 pub mod alloy;
 pub mod engine;
 pub mod loh_hill;
-pub mod no_cache;
+mod no_cache;
 pub mod placement;
 pub mod sram_tags;
 pub mod stack;

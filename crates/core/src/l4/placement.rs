@@ -40,11 +40,6 @@ impl SetPlacement {
         Self::new(topology, 28)
     }
 
-    /// Number of sets sharing a row.
-    pub fn sets_per_row(&self) -> u64 {
-        self.sets_per_row
-    }
-
     /// Whether `set` and `set + 1` share a DRAM row (the NTC neighbor
     /// condition).
     pub fn has_neighbor(&self, set: u64, total_sets: u64) -> bool {
@@ -148,7 +143,7 @@ mod tests {
     #[test]
     fn custom_sets_per_row() {
         let p = SetPlacement::new(DramConfig::stacked_cache_8x().topology, 32);
-        assert_eq!(p.sets_per_row(), 32);
+        assert_eq!(p.sets_per_row, 32);
         assert_eq!(p.locate(31), p.locate(0));
         assert!(!p.has_neighbor(31, 1 << 20));
     }

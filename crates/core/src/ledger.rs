@@ -19,13 +19,14 @@
 //! everything *derived* from it (window samples, metrics registries)
 //! stays behind the telemetry double gate.
 
-use crate::traffic::{BloatCategory, MemTraffic};
+use crate::traffic::BloatCategory;
 use bear_dram::request::TrafficClass;
 
 /// Per-class byte attribution across both DRAM devices.
 ///
 /// Cache-device classes occupy indices 0..8 ([`BloatCategory`]),
-/// memory-device classes 8..12 ([`MemTraffic`]); the spare tail of the
+/// memory-device classes 8..12
+/// ([`MemTraffic`](crate::traffic::MemTraffic)); the spare tail of the
 /// [`TrafficClass::COUNT`]-wide array stays zero.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AttributionLedger {
@@ -61,19 +62,6 @@ impl AttributionLedger {
         out
     }
 
-    /// Bytes attributed to cache-device classes.
-    pub fn cache_total(&self) -> u64 {
-        self.cache_bytes().iter().sum()
-    }
-
-    /// Bytes attributed to memory-device classes.
-    pub fn mem_total(&self) -> u64 {
-        MemTraffic::ALL
-            .iter()
-            .map(|m| self.bytes_in_class(m.class()))
-            .sum()
-    }
-
     /// All attributed bytes, both devices.
     pub fn total(&self) -> u64 {
         self.bytes.iter().sum()
@@ -95,6 +83,7 @@ impl AttributionLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traffic::MemTraffic;
 
     #[test]
     fn charges_accumulate_per_class() {
@@ -103,8 +92,8 @@ mod tests {
         l.charge(BloatCategory::Hit.class(), 64);
         l.charge(MemTraffic::DemandRead.class(), 64);
         assert_eq!(l.bytes_in_class(BloatCategory::Hit.class()), 128);
-        assert_eq!(l.cache_total(), 128);
-        assert_eq!(l.mem_total(), 64);
+        assert_eq!(l.cache_bytes().iter().sum::<u64>(), 128);
+        assert_eq!(l.bytes_in_class(MemTraffic::DemandRead.class()), 64);
         assert_eq!(l.total(), 192);
     }
 

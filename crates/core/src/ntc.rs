@@ -72,11 +72,6 @@ impl NeighboringTagCache {
         }
     }
 
-    /// Number of banks.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
     /// Records the (tag, dirty) state of `set` as observed on a TAD
     /// transfer. `occupied == false` records an invalid/empty set.
     ///
@@ -133,14 +128,6 @@ impl NeighboringTagCache {
             Some(o) => self.record(bank, set, Some(o.tag), o.dirty),
             None => self.record(bank, set, None, false),
         }
-    }
-
-    /// Forgets any entry for `set` (used when presence can no longer be
-    /// guaranteed).
-    pub fn invalidate_set(&mut self, bank: usize, set: u64) {
-        let nbanks = self.banks.len();
-        let entries = &mut self.banks[bank % nbanks];
-        entries.retain(|e| e.set != set);
     }
 
     /// Answers a presence query for (`set`, `tag`), updating statistics.
@@ -267,14 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_set_removes_guarantee() {
-        let mut ntc = NeighboringTagCache::new(2, 4);
-        ntc.record(1, 7, Some(4), false);
-        ntc.invalidate_set(1, 7);
-        assert_eq!(ntc.lookup(1, 7, 4), NtcAnswer::Unknown);
-    }
-
-    #[test]
     fn banks_are_independent() {
         let mut ntc = NeighboringTagCache::new(2, 4);
         ntc.record(0, 7, Some(4), false);
@@ -288,7 +267,7 @@ mod tests {
         let ntc = NeighboringTagCache::new(64, 8);
         let b = ntc.storage_bytes();
         assert!((2500..=3500).contains(&b), "storage {b}");
-        assert_eq!(ntc.bank_count(), 64);
+        assert_eq!(ntc.banks.len(), 64);
     }
 
     #[test]

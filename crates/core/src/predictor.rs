@@ -72,11 +72,6 @@ impl MapIPredictor {
         }
     }
 
-    /// Default shape: 8 cores × 256 entries (MAP-I).
-    pub fn paper_default() -> Self {
-        Self::new(8, 256)
-    }
-
     /// The predictor organization in force.
     pub fn kind(&self) -> PredictorKind {
         self.kind
@@ -120,31 +115,26 @@ impl MapIPredictor {
         }
     }
 
-    /// Fraction of trained outcomes that were predicted correctly.
-    pub fn accuracy(&self) -> f64 {
-        let total = self.correct + self.wrong;
-        if total == 0 {
-            1.0
-        } else {
-            self.correct as f64 / total as f64
-        }
-    }
-
     /// Resets accuracy accounting (not the learned counters).
     pub fn reset_stats(&mut self) {
         self.correct = 0;
         self.wrong = 0;
-    }
-
-    /// Storage cost in bits (for Table 5-style accounting).
-    pub fn storage_bits(&self) -> u64 {
-        (self.tables.len() * self.entries_per_core) as u64 * 3
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fraction of trained outcomes that were predicted correctly.
+    fn accuracy(p: &MapIPredictor) -> f64 {
+        let total = p.correct + p.wrong;
+        if total == 0 {
+            1.0
+        } else {
+            p.correct as f64 / total as f64
+        }
+    }
 
     #[test]
     fn starts_predicting_hit() {
@@ -201,7 +191,7 @@ mod tests {
             p.train(0, 0xB000, false);
             let _ = (pred_a, pred_b);
         }
-        assert!(p.accuracy() > 0.95, "accuracy {}", p.accuracy());
+        assert!(accuracy(&p) > 0.95, "accuracy {}", accuracy(&p));
     }
 
     #[test]
@@ -210,13 +200,14 @@ mod tests {
         p.train(0, 1, true);
         p.reset_stats();
         assert_eq!(p.correct + p.wrong, 0);
-        assert_eq!(p.accuracy(), 1.0);
+        assert_eq!(accuracy(&p), 1.0);
     }
 
     #[test]
     fn storage_cost_matches_shape() {
-        let p = MapIPredictor::paper_default();
-        assert_eq!(p.storage_bits(), 8 * 256 * 3);
+        // MAP-I: 8 cores × 256 three-bit counters.
+        let p = MapIPredictor::new(8, 256);
+        assert_eq!(p.tables.len() * p.entries_per_core * 3, 8 * 256 * 3);
     }
 
     #[test]
@@ -229,7 +220,7 @@ mod tests {
     fn mapg_shares_one_counter_per_core() {
         let mut p = MapIPredictor::with_kind(1, 256, PredictorKind::MapG);
         assert_eq!(p.kind(), PredictorKind::MapG);
-        assert_eq!(p.storage_bits(), 3);
+        assert_eq!(p.tables.len() * p.entries_per_core, 1);
         // Training one PC flips the prediction for every PC.
         for _ in 0..8 {
             p.train(0, 0xAAAA, false);
@@ -252,10 +243,10 @@ mod tests {
             }
         }
         assert!(
-            map_i.accuracy() > map_g.accuracy() + 0.2,
+            accuracy(&map_i) > accuracy(&map_g) + 0.2,
             "MAP-I {} should clearly beat MAP-G {}",
-            map_i.accuracy(),
-            map_g.accuracy()
+            accuracy(&map_i),
+            accuracy(&map_g)
         );
     }
 }

@@ -40,7 +40,7 @@ fn span_advance_matches_polled_loop_for_every_design() {
 
 #[test]
 fn salp_subarrays_preserve_span_equivalence() {
-    // Multi-subarray banks (SALP) give every bank per-subarray open-row
+    // Multi-subarray banks (MASA) give every bank per-subarray open-row
     // and timing state; the busy hints and span horizons must stay exact.
     // verify.sh reruns this file under BEAR_GATE_DIAG=1, which re-executes
     // every elided tick and asserts it was a no-op — with these knobs
@@ -50,7 +50,7 @@ fn salp_subarrays_preserve_span_equivalence() {
     cfg.mem_dram.topology.subarrays_per_bank = 2;
     let polled = run(&cfg, false, "mcf");
     let spanned = run(&cfg, true, "mcf");
-    assert_eq!(polled, spanned, "SALP: span loop diverged from polling");
+    assert_eq!(polled, spanned, "MASA: span loop diverged from polling");
 }
 
 #[test]

@@ -129,12 +129,6 @@ impl Core {
         }
     }
 
-    /// Number of memory accesses (loads and stores) currently occupying
-    /// outstanding slots.
-    pub fn outstanding_loads(&self) -> usize {
-        self.outstanding.len()
-    }
-
     /// Marks a previously issued load complete.
     ///
     /// Unknown tokens are ignored (the load may belong to a drained phase).
@@ -360,7 +354,7 @@ mod tests {
             }
         }
         assert_eq!(reqs, 2, "third load must wait for an MSHR");
-        assert_eq!(core.outstanding_loads(), 2);
+        assert_eq!(core.outstanding.len(), 2);
     }
 
     #[test]
@@ -413,7 +407,7 @@ mod tests {
         }
         // Slot-limited: only 2 stores in flight, third waits for a slot.
         assert_eq!(issued.len(), 2);
-        assert_eq!(core.outstanding_loads(), 2);
+        assert_eq!(core.outstanding.len(), 2);
         // Incomplete stores never gate retirement via the ROB: with both
         // slots held by stores the computed ROB limit is unbounded.
         for t in issued {
@@ -464,12 +458,12 @@ mod tests {
         );
         let (a, _) = drive_one(&mut core, 100);
         let (b, _) = drive_one(&mut core, 100);
-        assert_eq!(core.outstanding_loads(), 2);
+        assert_eq!(core.outstanding.len(), 2);
         core.complete_load(b.token);
         // Younger finished first: window still holds both (head incomplete).
-        assert_eq!(core.outstanding_loads(), 2);
+        assert_eq!(core.outstanding.len(), 2);
         core.complete_load(a.token);
-        assert_eq!(core.outstanding_loads(), 0);
+        assert_eq!(core.outstanding.len(), 0);
     }
 
     #[test]
@@ -480,7 +474,7 @@ mod tests {
             CoreConfig::default(),
         );
         core.complete_load(LoadToken(999));
-        assert_eq!(core.outstanding_loads(), 0);
+        assert_eq!(core.outstanding.len(), 0);
     }
 
     /// Clone-free state snapshot for skip-vs-tick equivalence checks.

@@ -35,7 +35,7 @@
 //! assert_eq!(req.core, 0);
 //! ```
 
-pub mod core_model;
+mod core_model;
 pub mod metrics;
 
 pub use core_model::{Core, CoreConfig, CoreRequest, LoadToken};

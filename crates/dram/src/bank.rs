@@ -5,13 +5,16 @@
 //! an open-page policy: a row stays open after an access until a conflicting
 //! request forces a precharge.
 //!
-//! Banks may be split into SALP-style *subarrays* (rows striped by
+//! Banks may be split into *subarrays* (rows striped by
 //! `row % subarrays`): each subarray keeps its own open row and its own
 //! ACT/PRE/CAS timing windows, so activates and precharges of distinct
-//! subarrays overlap. Data transfers still serialize on the channel's
-//! shared bus (modeled in [`crate::channel::Channel`]), which is the
-//! dominant SALP constraint. With one subarray the bank degenerates to the
-//! conventional single-row-buffer model, bit for bit.
+//! subarrays overlap and a CAS may hit the open row of any of them. With
+//! several rows activated at once this is the MASA variant of
+//! subarray-level parallelism (Kim et al., ISCA 2012), not SALP-1 or
+//! SALP-2. Data transfers still serialize on the channel's shared bus
+//! (modeled in [`crate::channel::Channel`]), which is the dominant
+//! constraint. With one subarray the bank degenerates to the conventional
+//! single-row-buffer model, bit for bit.
 
 use crate::config::DramTimings;
 use bear_sim::time::Cycle;
@@ -71,7 +74,7 @@ impl Bank {
         Self::with_subarrays(1)
     }
 
-    /// Creates a closed, idle bank split into `subarrays` SALP subarrays.
+    /// Creates a closed, idle bank split into `subarrays` MASA subarrays.
     ///
     /// # Panics
     ///
@@ -97,17 +100,6 @@ impl Bank {
         } else {
             (row % n) as usize
         }
-    }
-
-    /// Currently open row in the subarray serving `row`, if any.
-    pub fn open_row_for(&self, row: u64) -> Option<u64> {
-        self.subarrays[self.sub_of(row)].open_row
-    }
-
-    /// Currently open row of the first subarray (exact for single-subarray
-    /// banks; see [`Bank::open_row_for`] for SALP banks).
-    pub fn open_row(&self) -> Option<u64> {
-        self.subarrays[0].open_row
     }
 
     /// Determines the next command required to service `row`, and the
@@ -205,18 +197,23 @@ mod tests {
         DramTimings::table1()
     }
 
+    /// The open row of the subarray serving `row`, if any.
+    fn open_row_for(b: &Bank, row: u64) -> Option<u64> {
+        b.subarrays[b.sub_of(row)].open_row
+    }
+
     #[test]
     fn closed_bank_wants_act() {
         let b = Bank::new();
         assert_eq!(b.next_action(5), BankAction::Act(Cycle::ZERO));
-        assert_eq!(b.open_row(), None);
+        assert_eq!(open_row_for(&b, 0), None);
     }
 
     #[test]
     fn act_then_cas_respects_trcd_tcas() {
         let mut b = Bank::new();
         b.activate(5, Cycle(100), &t());
-        assert_eq!(b.open_row(), Some(5));
+        assert_eq!(open_row_for(&b, 0), Some(5));
         match b.next_action(5) {
             BankAction::Cas(ready) => assert_eq!(ready, Cycle(136)), // +tRCD
             other => panic!("expected CAS, got {other:?}"),
@@ -241,7 +238,7 @@ mod tests {
         b.activate(1, Cycle(0), &t());
         b.cas(1, Cycle(36), 4, &t());
         b.precharge(1, Cycle(144), &t());
-        assert_eq!(b.open_row(), None);
+        assert_eq!(open_row_for(&b, 0), None);
         match b.next_action(2) {
             BankAction::Act(ready) => assert_eq!(ready, Cycle(180)), // +tRP
             other => panic!("expected ACT, got {other:?}"),
@@ -284,8 +281,8 @@ mod tests {
             other => panic!("expected independent ACT, got {other:?}"),
         }
         b.activate(1, Cycle(1), &t());
-        assert_eq!(b.open_row_for(0), Some(0));
-        assert_eq!(b.open_row_for(1), Some(1));
+        assert_eq!(open_row_for(&b, 0), Some(0));
+        assert_eq!(open_row_for(&b, 1), Some(1));
         // Both rows are CAS-ready after their own tRCD windows.
         assert_eq!(b.next_action(0), BankAction::Cas(Cycle(36)));
         assert_eq!(b.next_action(1), BankAction::Cas(Cycle(37)));
@@ -309,8 +306,8 @@ mod tests {
         b.activate(1, Cycle(0), &t());
         b.cas(0, Cycle(36), 4, &t());
         b.precharge(0, Cycle(144), &t());
-        assert_eq!(b.open_row_for(0), None);
-        assert_eq!(b.open_row_for(1), Some(1), "sibling subarray unaffected");
+        assert_eq!(open_row_for(&b, 0), None);
+        assert_eq!(open_row_for(&b, 1), Some(1), "sibling subarray unaffected");
         assert_eq!(b.precharges, 1);
     }
 
@@ -334,8 +331,8 @@ mod tests {
         b.activate(0, Cycle(0), &t());
         b.activate(1, Cycle(0), &t());
         b.refresh_until(Cycle(500));
-        assert_eq!(b.open_row_for(0), None);
-        assert_eq!(b.open_row_for(1), None);
+        assert_eq!(open_row_for(&b, 0), None);
+        assert_eq!(open_row_for(&b, 1), None);
         assert_eq!(b.next_action(0), BankAction::Act(Cycle(500)));
         assert_eq!(b.next_action(1), BankAction::Act(Cycle(500)));
     }

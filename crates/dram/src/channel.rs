@@ -402,7 +402,7 @@ impl Channel {
             Some(BankAction::Act(ready) | BankAction::Pre(ready)) => ready,
             _ => Cycle::NEVER,
         };
-        if front_t < ready_cas_min {
+        if front_t.max(now) < ready_cas_min {
             cas_issue.min(front_t)
         } else {
             cas_issue
@@ -875,6 +875,46 @@ mod tests {
         assert_eq!(ch.next_busy_cycle(Cycle(1)), Cycle(trcd));
         ch.tick(Cycle(trcd), &mut done); // CAS issues right on the hint
         assert_eq!(ch.pending(), 1, "transfer should be in flight");
+    }
+
+    #[test]
+    fn next_busy_cycle_waits_out_a_bus_blocked_row_hit() {
+        // A long burst occupies the bus; behind it sit a front request
+        // whose ACT window is long past and a row hit whose CAS is ready.
+        // Pass 1 finds the ready CAS, sees the bus busy and returns, so
+        // pass 2 never issues the front's ACT: nothing can happen until
+        // the row hit's data fits on the bus.
+        let t = cfg().timings;
+        let mut ch = Channel::new(cfg());
+        let mut done = Vec::new();
+        ch.try_enqueue(DramRequest::read(
+            1,
+            loc(0, 1),
+            40,
+            TrafficClass(0),
+            Cycle(0),
+        ))
+        .unwrap();
+        ch.tick(Cycle(0), &mut done); // ACT bank 0
+        ch.tick(Cycle(t.t_rcd), &mut done); // CAS: the long burst
+        let now = Cycle(t.t_rcd + 4);
+        for (id, bank) in [(2, 1), (3, 0)] {
+            ch.try_enqueue(DramRequest::read(id, loc(bank, 1), 5, TrafficClass(0), now))
+                .unwrap();
+        }
+        let bus_free = Cycle(ch.bus_free_at.0 - t.t_cas);
+        assert!(bus_free > now + 1, "the bus must still be busy");
+        assert_eq!(ch.next_busy_cycle(now), bus_free);
+        // Polling every cycle in between changes nothing; the hinted
+        // cycle issues the row hit's CAS.
+        let acts = |ch: &Channel| ch.banks.iter().map(|b| b.activations).sum::<u64>();
+        let before = acts(&ch);
+        for c in now.0..bus_free.0 {
+            ch.tick(Cycle(c), &mut done);
+        }
+        assert_eq!((acts(&ch), ch.read_queue.len()), (before, 2));
+        ch.tick(bus_free, &mut done);
+        assert_eq!(ch.read_queue.len(), 1, "the row hit issues on the hint");
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! bandwidth, not latency*.
 
 use bear_sim::error::SimError;
-use bear_sim::time::DerivedClock;
 
 /// DRAM core timing parameters in CPU cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,13 +84,13 @@ pub struct DramTopology {
     /// The 64-bit, 800 MHz DDR DIMM bus moves 8 B per beat every 2 CPU
     /// cycles: `beat_cpu_cycles = 2`.
     pub beat_cpu_cycles: u64,
-    /// Subarrays per bank (SALP). Rows are striped across subarrays
+    /// Subarrays per bank (MASA). Rows are striped across subarrays
     /// (`subarray = row % subarrays_per_bank`); each subarray keeps its own
     /// open row and ACT/PRE timing windows, so activates and precharges of
     /// distinct subarrays overlap while CAS data transfers still serialize
     /// on the shared channel bus. `1` models a conventional bank (one row
     /// buffer, full intra-bank serialization) and is bit-identical to the
-    /// pre-SALP model.
+    /// model before subarrays.
     pub subarrays_per_bank: u32,
 }
 
@@ -104,16 +103,6 @@ impl DramTopology {
     /// Banks within one channel.
     pub fn banks_per_channel(&self) -> u32 {
         self.ranks_per_channel * self.banks_per_rank
-    }
-
-    /// Peak data bandwidth in bytes per CPU cycle, across all channels.
-    pub fn peak_bytes_per_cycle(&self) -> f64 {
-        self.channels as f64 * self.beat_bytes as f64 / self.beat_cpu_cycles as f64
-    }
-
-    /// CPU cycles a transfer of `bytes` occupies on one channel's data bus.
-    pub fn transfer_cycles(&self, bytes: u64) -> u64 {
-        self.beats_for(bytes) * self.beat_cpu_cycles
     }
 
     /// Number of bus beats needed to move `bytes` (rounded up).
@@ -244,11 +233,6 @@ impl Default for DramConfig {
     }
 }
 
-/// Clock domain helper: the bus clock implied by `beat_cpu_cycles`.
-pub fn bus_clock(topology: &DramTopology) -> DerivedClock {
-    DerivedClock::new(topology.beat_cpu_cycles)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,9 +245,11 @@ mod tests {
 
     #[test]
     fn stacked_is_8x_commodity_bandwidth() {
-        let cache = DramConfig::stacked_cache_8x();
-        let mem = DramConfig::commodity_memory();
-        let ratio = cache.topology.peak_bytes_per_cycle() / mem.topology.peak_bytes_per_cycle();
+        // Peak bytes per CPU cycle across all channels.
+        let peak =
+            |t: DramTopology| t.channels as f64 * t.beat_bytes as f64 / t.beat_cpu_cycles as f64;
+        let ratio = peak(DramConfig::stacked_cache_8x().topology)
+            / peak(DramConfig::commodity_memory().topology);
         assert!((ratio - 8.0).abs() < 1e-9, "ratio was {ratio}");
     }
 
@@ -272,11 +258,20 @@ mod tests {
         let cache = DramConfig::stacked_cache_8x().topology;
         // 80-byte TAD = 5 beats = 5 CPU cycles on the stacked bus.
         assert_eq!(cache.beats_for(80), 5);
-        assert_eq!(cache.transfer_cycles(80), 5);
+        assert_eq!(cache.beats_for(80) * cache.beat_cpu_cycles, 5);
         let mem = DramConfig::commodity_memory().topology;
         // 64-byte line = 8 beats = 16 CPU cycles on the DIMM bus.
         assert_eq!(mem.beats_for(64), 8);
-        assert_eq!(mem.transfer_cycles(64), 16);
+        assert_eq!(mem.beats_for(64) * mem.beat_cpu_cycles, 16);
+    }
+
+    #[test]
+    fn bus_clock_matches_beat_rate() {
+        let t = DramConfig::commodity_memory().topology;
+        assert_eq!(
+            t.beat_cpu_cycles, 2,
+            "the DIMM bus runs at half the CPU clock"
+        );
     }
 
     #[test]
@@ -345,11 +340,5 @@ mod tests {
             ..base
         };
         assert!(bad_queue.validate().is_err());
-    }
-
-    #[test]
-    fn bus_clock_matches_beat_rate() {
-        let t = DramConfig::commodity_memory().topology;
-        assert_eq!(bus_clock(&t).divisor(), 2);
     }
 }

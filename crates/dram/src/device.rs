@@ -63,7 +63,7 @@ impl DramDevice {
     /// Whether `loc` names a channel/rank/bank that exists in this device's
     /// topology. Requests with out-of-range locations are rejected by
     /// [`DramDevice::try_enqueue`].
-    pub fn location_in_range(&self, loc: &DramLocation) -> bool {
+    fn location_in_range(&self, loc: &DramLocation) -> bool {
         let t = &self.cfg.topology;
         loc.channel < t.channels && loc.rank < t.ranks_per_channel && loc.bank < t.banks_per_rank
     }

@@ -280,7 +280,7 @@ pub fn run_campaign(cases: &[FuzzCase], out_dir: Option<&Path>) -> CampaignRepor
 /// Shrinks one diverging trace and writes its repro file, embedding the
 /// last events observed before the (minimized) divergence as the repro's
 /// `context:` section.
-pub fn shrink_divergence(
+fn shrink_divergence(
     case: &FuzzCase,
     events: &[TraceEvent],
     original: DivergenceContext,

@@ -102,7 +102,7 @@ impl ShadowL4 {
 /// the bypass coin is not replicated (the oracle checks bypass
 /// *legality*, not individual coin flips).
 #[derive(Debug)]
-pub struct ShadowBab {
+struct ShadowBab {
     sample_shift: u32,
     /// `[baseline misses, baseline accesses, PB misses, PB accesses]`.
     counters: [u16; 4],
@@ -113,7 +113,7 @@ pub struct ShadowBab {
 
 /// Dueling group of a set (mirror of the cycle model's taxonomy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShadowGroup {
+enum ShadowGroup {
     /// Always-fill monitor.
     BaselineMonitor,
     /// Always-PB monitor.

@@ -50,9 +50,6 @@ use std::ops::Range;
 /// Per-case seed stride (golden-ratio increment, the Weyl constant).
 const CASE_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Default number of cases for [`check`] when `BEAR_PROP_CASES` is unset.
-pub const DEFAULT_CASES: u64 = 256;
-
 /// Hard cap on property replays spent shrinking one failure.
 const MAX_SHRINK_REPLAYS: u64 = 4096;
 
@@ -173,8 +170,8 @@ pub type PropResult = Result<(), String>;
 /// Runs `prop` against `cases` random inputs (overridable via
 /// `BEAR_PROP_CASES`), shrinking and panicking on the first failure.
 ///
-/// This is the porcelain entry point; see [`check_seeded`] to pin the base
-/// seed explicitly.
+/// The base seed comes from `BEAR_PROP_SEED` (default `0xBEA22015`), so
+/// a reported failing seed replays as case 0.
 ///
 /// # Panics
 ///
@@ -210,7 +207,7 @@ pub fn check(cases: u64, prop: impl FnMut(&mut Source) -> PropResult) {
 /// # Panics
 ///
 /// Panics with the minimized counterexample when the property fails.
-pub fn check_seeded(base_seed: u64, cases: u64, mut prop: impl FnMut(&mut Source) -> PropResult) {
+fn check_seeded(base_seed: u64, cases: u64, mut prop: impl FnMut(&mut Source) -> PropResult) {
     for case in 0..cases {
         let case_seed = base_seed.wrapping_add(case.wrapping_mul(CASE_STRIDE));
         let mut src = Source::record(case_seed);

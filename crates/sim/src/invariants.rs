@@ -21,8 +21,6 @@
 //! assert_eq!(sink.violations()[0].name, "byte-conservation");
 //! ```
 
-use crate::error::SimError;
-
 /// One observed invariant violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
@@ -32,16 +30,6 @@ pub struct Violation {
     pub cycle: u64,
     /// What the checker observed (expected vs. actual).
     pub detail: String,
-}
-
-impl Violation {
-    /// Converts to a typed error for report rows.
-    pub fn to_error(&self) -> SimError {
-        SimError::invariant(
-            self.name,
-            format!("at cycle {}: {}", self.cycle, self.detail),
-        )
-    }
 }
 
 /// Policy applied when an invariant check fails.
@@ -64,7 +52,7 @@ impl CheckMode {
     /// `oracle-checks` cargo feature forces [`CheckMode::Panic`] regardless
     /// of profile, so release-mode fuzz/oracle campaigns keep the
     /// corruption detectors armed at full simulation speed.
-    pub fn default_for_build() -> Self {
+    fn default_for_build() -> Self {
         if cfg!(debug_assertions) || cfg!(feature = "oracle-checks") {
             CheckMode::Panic
         } else {
@@ -171,9 +159,6 @@ mod tests {
         let taken = sink.take();
         assert_eq!(taken[1].name, "b");
         assert!(sink.violations().is_empty());
-        let err = taken[0].to_error();
-        assert_eq!(err.kind(), "invariant");
-        assert!(format!("{err}").contains("cycle 1"));
     }
 
     #[test]

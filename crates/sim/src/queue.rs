@@ -93,11 +93,6 @@ impl<T> BoundedQueue<T> {
         self.capacity
     }
 
-    /// Remaining free slots.
-    pub fn free_slots(&self) -> usize {
-        self.capacity - self.items.len()
-    }
-
     /// Iterates over queued elements from oldest to newest.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter()
@@ -140,11 +135,9 @@ mod tests {
     fn occupancy_reporting() {
         let mut q = BoundedQueue::new(3);
         assert!(q.is_empty());
-        assert_eq!(q.free_slots(), 3);
         q.try_push(1).unwrap();
         assert_eq!(q.len(), 1);
         assert_eq!(q.capacity(), 3);
-        assert_eq!(q.free_slots(), 2);
         assert_eq!(q.front(), Some(&1));
     }
 

@@ -106,11 +106,6 @@ impl SimRng {
         }
         n
     }
-
-    /// Derives an independent child generator (for per-core streams).
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.next_u64())
-    }
 }
 
 impl Default for SimRng {
@@ -193,14 +188,6 @@ mod tests {
         let mut r = SimRng::new(3);
         assert_eq!(r.geometric(0.5), 1);
         assert_eq!(r.geometric(1.0), 1);
-    }
-
-    #[test]
-    fn fork_produces_independent_streams() {
-        let mut parent = SimRng::new(10);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

@@ -173,7 +173,7 @@ impl Histogram {
 
     /// Upper bound (exclusive) of bucket `i`; the last bucket returns
     /// `u64::MAX`.
-    pub fn bucket_bound(&self, i: usize) -> u64 {
+    fn bucket_bound(&self, i: usize) -> u64 {
         if i + 1 >= self.buckets.len() {
             u64::MAX
         } else {

@@ -47,14 +47,6 @@ impl SelfProfiler {
         });
     }
 
-    /// Records an instantaneous occurrence of `name`: a pure event-count
-    /// bump that adds zero time. The campaign supervisor uses this for
-    /// discrete recovery events (retries, healed cells, quarantines)
-    /// where the *count* is the signal and duration is meaningless.
-    pub fn bump(&mut self, name: &'static str) {
-        self.record(name, 0);
-    }
-
     /// Times `f` under `name`.
     pub fn time<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> R {
         let t0 = Instant::now();
@@ -83,7 +75,7 @@ impl SelfProfiler {
     }
 
     /// Total recorded nanoseconds across all phases.
-    pub fn total_ns(&self) -> u64 {
+    fn total_ns(&self) -> u64 {
         self.entries.iter().map(|e| e.total_ns).sum()
     }
 
@@ -164,16 +156,6 @@ mod tests {
         assert_eq!(p.rows().count(), 1);
         let (name, _ns, count) = p.rows().next().unwrap();
         assert_eq!((name, count), ("work", 1));
-    }
-
-    #[test]
-    fn bump_counts_events_without_time() {
-        let mut p = SelfProfiler::new();
-        p.bump("supervisor.retry");
-        p.bump("supervisor.retry");
-        assert_eq!(p.total_ns(), 0, "bumps add no time");
-        let rows: Vec<_> = p.rows().collect();
-        assert_eq!(rows, vec![("supervisor.retry", 0, 2)]);
     }
 
     #[test]

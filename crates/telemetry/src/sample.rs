@@ -126,14 +126,6 @@ impl Sample {
         ratio(self.dirty_lines, self.capacity_lines)
     }
 
-    /// MAP-I accuracy within the window.
-    pub fn map_i_accuracy(&self) -> f64 {
-        ratio(
-            self.predictor_correct,
-            self.predictor_correct + self.predictor_wrong,
-        )
-    }
-
     /// Total DRAM-cache bus bytes in the window.
     pub fn cache_bytes(&self) -> u64 {
         self.cache_bytes_by_class.iter().sum()
@@ -274,7 +266,6 @@ mod tests {
         let s = Sample::default();
         assert_eq!(s.read_hit_rate(), 0.0);
         assert_eq!(s.occupancy(), 0.0);
-        assert_eq!(s.map_i_accuracy(), 0.0);
     }
 
     #[test]
@@ -295,6 +286,5 @@ mod tests {
         assert_eq!(s.l3_hit_rate(), 0.25);
         assert_eq!(s.occupancy(), 0.5);
         assert_eq!(s.dirty_fraction(), 0.25);
-        assert_eq!(s.map_i_accuracy(), 0.9);
     }
 }

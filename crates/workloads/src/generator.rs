@@ -108,11 +108,6 @@ impl TraceGenerator {
         }
     }
 
-    /// The short-term reuse probability this generator targets.
-    pub fn reuse_prob(&self) -> f64 {
-        self.reuse_prob
-    }
-
     fn remember(&mut self, line: u64) {
         if self.recent.len() < RECENT_RING {
             self.recent.push(line);
@@ -125,16 +120,6 @@ impl TraceGenerator {
     /// The profile driving this generator.
     pub fn profile(&self) -> &BenchmarkProfile {
         &self.profile
-    }
-
-    /// Scaled footprint in lines.
-    pub fn footprint_lines(&self) -> u64 {
-        self.footprint_lines
-    }
-
-    /// Hot-region size in lines.
-    pub fn hot_lines(&self) -> u64 {
-        self.hot_lines
     }
 
     fn start_run(&mut self) {
@@ -228,7 +213,7 @@ mod tests {
     #[test]
     fn addresses_stay_in_scaled_footprint() {
         let mut g = generator("sphinx3", 3);
-        let bound = g.footprint_lines() * 64;
+        let bound = g.footprint_lines * 64;
         for _ in 0..10_000 {
             let e = g.next_event();
             assert!(e.addr < bound);
@@ -312,7 +297,7 @@ mod tests {
     fn hot_region_receives_its_share() {
         let mut g = generator("GemsFDTD", 21);
         let hot_prob = g.profile().hot_prob;
-        let hot_bound = g.hot_lines() * 64;
+        let hot_bound = g.hot_lines * 64;
         let n = 50_000;
         let hot = (0..n).filter(|_| g.next_event().addr < hot_bound).count();
         let frac = hot as f64 / n as f64;

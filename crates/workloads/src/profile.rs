@@ -277,22 +277,6 @@ impl BenchmarkProfile {
     pub fn inst_per_access(&self) -> f64 {
         1000.0 / self.apki
     }
-
-    /// All High-intensity profiles.
-    pub fn high_intensity() -> impl Iterator<Item = BenchmarkProfile> {
-        TABLE2
-            .iter()
-            .filter(|p| p.class == IntensityClass::High)
-            .copied()
-    }
-
-    /// All Medium-intensity profiles.
-    pub fn medium_intensity() -> impl Iterator<Item = BenchmarkProfile> {
-        TABLE2
-            .iter()
-            .filter(|p| p.class == IntensityClass::Medium)
-            .copied()
-    }
 }
 
 #[cfg(test)]
@@ -302,8 +286,9 @@ mod tests {
     #[test]
     fn sixteen_profiles_with_table2_grouping() {
         assert_eq!(TABLE2.len(), 16);
-        assert_eq!(BenchmarkProfile::high_intensity().count(), 8);
-        assert_eq!(BenchmarkProfile::medium_intensity().count(), 8);
+        let count = |c| TABLE2.iter().filter(|p| p.class == c).count();
+        assert_eq!(count(IntensityClass::High), 8);
+        assert_eq!(count(IntensityClass::Medium), 8);
     }
 
     #[test]

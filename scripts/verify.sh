@@ -14,6 +14,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo test"
 cargo test -q --workspace --offline
 
+echo "==> frozen benchmark package builds and passes its tests"
+# benchmark/ is a package of its own that drives the simulator crates
+# and bear-bench through their public API; the workspace test run above
+# does not compile it, so a removed public item could break it silently.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> fault-injection smoke (debug build = invariant checks armed)"
 # Every injected corruption class must be caught by its invariant, and a
 # healthy run must pass the watchdog with zero violations.
@@ -111,7 +117,7 @@ echo "==> metrics smoke (live beard registry scrape + exposition parse)"
 # the daemon's own status counters; telemetry lines carry trace ids.
 cargo test -q -p bear-bench --offline --test metrics
 
-echo "==> SALP elision audit (BEAR_GATE_DIAG=1, multi-subarray banks)"
+echo "==> MASA elision audit (BEAR_GATE_DIAG=1, multi-subarray banks)"
 # The gate-diagnostic mode re-executes every elided tick and asserts it
 # was a no-op. Running the span-equivalence suite under it audits the
 # subarray-aware busy hints (per-subarray open rows and timing state)
@@ -144,4 +150,4 @@ if [ -n "${FLOOR:-}" ]; then
   }' >&2
 fi
 
-echo "OK: fmt, clippy, tests, fault injection, resume, chaos smoke, fuzz smoke, daemon smoke, telemetry smoke, ledger property, metrics smoke, elision audit, and the run-loop speedup record all passed offline."
+echo "OK: fmt, clippy, tests, benchmark build, fault injection, resume, chaos smoke, fuzz smoke, daemon smoke, telemetry smoke, ledger property, metrics smoke, elision audit, and the run-loop speedup record all passed offline."
