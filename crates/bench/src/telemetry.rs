@@ -26,8 +26,8 @@
 //! an ignorable `.tmp`, never a half sample.
 //!
 //! Without a sink (the default), cells run with
-//! [`TelemetryConfig::Off`] and are byte-identical to a build without the
-//! feature — the `telemetry_off_is_free` guard test pins this.
+//! [`TelemetryConfig::Off`] and their reports are byte-identical to an
+//! unarmed run's — the `telemetry_off_is_free` guard test pins this.
 
 use crate::checkpoint::cell_stem;
 use bear_core::config::SystemConfig;

@@ -50,7 +50,6 @@ pub mod ntc;
 pub mod overhead;
 pub mod predictor;
 pub mod system;
-#[cfg(feature = "telemetry")]
 pub mod telemetry;
 pub mod traffic;
 

@@ -28,7 +28,6 @@ const PAGE_BITS: u64 = 52;
 
 /// Per-channel capacity of the DRAM-cache transfer log while telemetry
 /// tracing is armed (newest records win; trace export is windowed anyway).
-#[cfg(feature = "telemetry")]
 const TRANSFER_LOG_CAPACITY: usize = 1 << 16;
 
 /// Virtual-to-physical translation: a deterministic page-granular
@@ -78,7 +77,6 @@ enum Step {
 
 impl Step {
     /// Self-profiler row the step's host time is charged to.
-    #[cfg(feature = "telemetry")]
     fn label(self) -> &'static str {
         match self {
             Step::Tick => "tick",
@@ -153,9 +151,8 @@ pub struct System {
     span_cycles: u64,
     /// Core ticks executed live since construction (diagnostic).
     core_ticks: u64,
-    /// Telemetry state while armed (`None` costs one pointer check per
-    /// tick and loop step; absent entirely without the `telemetry` feature).
-    #[cfg(feature = "telemetry")]
+    /// Telemetry state while armed (`None` when disarmed, which costs one
+    /// pointer check per tick and loop step).
     telemetry: Option<Box<crate::telemetry::TelemetryState>>,
 }
 
@@ -254,7 +251,6 @@ impl System {
             live_ticks: 0,
             span_cycles: 0,
             core_ticks: 0,
-            #[cfg(feature = "telemetry")]
             telemetry: None,
             cfg: cfg.clone(),
         };
@@ -293,6 +289,11 @@ impl System {
     /// panic in debug builds, off in release builds.
     pub fn set_check_mode(&mut self, mode: CheckMode) {
         self.sink = InvariantSink::new(mode);
+    }
+
+    /// The active invariant-check policy.
+    pub fn check_mode(&self) -> CheckMode {
+        self.sink.mode()
     }
 
     /// Schedules deterministic state corruptions (fault-injection testing).
@@ -581,7 +582,8 @@ impl System {
         self.l4.as_ref()
     }
 
-    /// Arms or disarms telemetry (feature `telemetry`).
+    /// Arms or disarms telemetry (disarmed by default:
+    /// [`bear_telemetry::TelemetryConfig::Off`]).
     ///
     /// Arming with tracing also arms oracle observation (the event stream
     /// feeds the telemetry ring buffer, which drains it every tick) and
@@ -590,7 +592,6 @@ impl System {
     /// simulator maintains anyway and never feeds anything back, so armed
     /// and disarmed runs retire identical instruction streams and report
     /// identical statistics (a bench guard test pins this).
-    #[cfg(feature = "telemetry")]
     pub fn set_telemetry(&mut self, cfg: bear_telemetry::TelemetryConfig) {
         if self.telemetry.take().is_some_and(|t| t.trace_armed()) {
             self.disarm_trace();
@@ -609,7 +610,6 @@ impl System {
 
     /// Disarms what trace-armed telemetry armed (observation and the
     /// transfer log), returning the transfer records captured so far.
-    #[cfg(feature = "telemetry")]
     fn disarm_trace(&mut self) -> Vec<bear_dram::channel::TransferRecord> {
         self.set_observe(false);
         let cache = &mut self.l4.harness_mut().cache;
@@ -622,7 +622,6 @@ impl System {
     /// in addition to collecting it for the end-of-run report. No-op
     /// unless telemetry is armed ([`System::set_telemetry`] first) —
     /// live streaming is a *view* on sampling, not a second sampler.
-    #[cfg(feature = "telemetry")]
     pub fn set_telemetry_live(&mut self, sink: bear_telemetry::LiveSink) {
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.set_live(sink);
@@ -631,7 +630,6 @@ impl System {
 
     /// Hands out everything armed telemetry collected, disarming it.
     /// `None` when telemetry was never armed.
-    #[cfg(feature = "telemetry")]
     pub fn take_telemetry(&mut self) -> Option<crate::telemetry::TelemetryReport> {
         let state = self.telemetry.take()?;
         let transfers = if state.trace_armed() {
@@ -644,7 +642,6 @@ impl System {
 
     /// Cycles left in the open sample window (`u64::MAX` when none is
     /// open): the run loop stops there as on any next-event boundary.
-    #[cfg(feature = "telemetry")]
     fn telemetry_window_left(&self) -> u64 {
         let end = self.telemetry.as_ref().and_then(|t| t.next_window_end());
         end.map_or(u64::MAX, |end| end - self.clock.0)
@@ -653,7 +650,6 @@ impl System {
     /// Loop-boundary telemetry hook after every run-loop step: charges
     /// the step to the self-profiler and closes the sample window whose
     /// end the clock reached (charged to `"telemetry"`).
-    #[cfg(feature = "telemetry")]
     fn telemetry_after_step(&mut self, step: Step, lap: &mut Option<std::time::Instant>) {
         let Some(t) = self.telemetry.as_deref_mut() else {
             return;
@@ -669,7 +665,6 @@ impl System {
 
     /// Starts sample windowing at the warmup→measure boundary (counters
     /// were just reset, so the base snapshot is zero).
-    #[cfg(feature = "telemetry")]
     fn telemetry_begin_measure(&mut self) {
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.begin_measure(self.clock.0, &self.cores, &self.l3, self.l4.as_ref());
@@ -677,7 +672,6 @@ impl System {
     }
 
     /// Flushes the final (partial) sample window at measure end.
-    #[cfg(feature = "telemetry")]
     fn telemetry_end_measure(&mut self) {
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.end_measure(self.clock.0, &self.cores, &self.l3, self.l4.as_ref());
@@ -952,7 +946,6 @@ impl System {
         }
 
         self.clock += 1;
-        #[cfg(feature = "telemetry")]
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.after_tick(self.clock.0, &mut self.events);
         }
@@ -983,7 +976,6 @@ impl System {
         let mut last_insts: u64 = self.cores.iter().map(|c| c.retired_insts()).sum();
         let mut last_progress = self.clock;
         let end = self.clock + cycles;
-        #[cfg(feature = "telemetry")]
         let mut lap = self.telemetry.as_ref().and_then(|t| t.start_lap());
         while self.clock < end {
             // Fast-forward provably idle cycles, stopping exactly on check
@@ -991,12 +983,10 @@ impl System {
             // watchdog and telemetry observe the same clock values (and
             // states) as per-cycle polling would.
             let to_boundary = CHECK_STRIDE - (self.clock.0 % CHECK_STRIDE);
-            let limit = (end - self.clock).min(to_boundary);
-            #[cfg(feature = "telemetry")]
-            let limit = limit.min(self.telemetry_window_left());
-            #[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
+            let limit = (end - self.clock)
+                .min(to_boundary)
+                .min(self.telemetry_window_left());
             let step = self.step(limit);
-            #[cfg(feature = "telemetry")]
             self.telemetry_after_step(step, &mut lap);
             if self.clock.0.is_multiple_of(CHECK_STRIDE) {
                 self.run_invariant_checks();
@@ -1044,12 +1034,10 @@ impl System {
     pub fn run_monitored(&mut self, warmup: u64, measure: u64) -> Result<RunStats, SimError> {
         self.run_phase(warmup)?;
         self.reset_stats();
-        #[cfg(feature = "telemetry")]
         self.telemetry_begin_measure();
         let inst_base: Vec<u64> = self.cores.iter().map(|c| c.retired_insts()).collect();
         let start = self.clock;
         self.run_phase(measure)?;
-        #[cfg(feature = "telemetry")]
         self.telemetry_end_measure();
         let elapsed = self.clock - start;
         let insts_per_core: Vec<u64> = self
@@ -1464,7 +1452,6 @@ mod tests {
     /// warmup→measure boundary, the last partial window is flushed, and
     /// counters reset between windows so per-window sums equal the
     /// end-of-run aggregates.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_windows_align_flush_and_sum_to_totals() {
         use bear_telemetry::TelemetryConfig;
@@ -1517,7 +1504,6 @@ mod tests {
 
     /// Telemetry must be invisible to the simulation: stats with sampling,
     /// tracing, and profiling all armed are identical to a disarmed run.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_off_and_on_report_identical_stats() {
         use bear_telemetry::TelemetryConfig;
@@ -1552,7 +1538,6 @@ mod tests {
     /// sync points, so each sample reads caught-up cores. Window lengths
     /// include non-divisors of the invariant-check stride, so window ends
     /// are stops of their own.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_armed_event_loop_matches_polling() {
         use bear_telemetry::{TelemetryConfig, TelemetryOptions};
@@ -1600,7 +1585,6 @@ mod tests {
     /// Re-arming over a trace-armed state tears the old state down first:
     /// a sampling-only re-arm leaves neither observation nor the
     /// transfer log running, so no events pile up undrained.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn rearming_telemetry_disarms_tracing() {
         use bear_telemetry::TelemetryConfig;

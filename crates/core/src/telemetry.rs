@@ -1,14 +1,13 @@
-//! Simulator-side telemetry state (feature `telemetry`).
+//! Simulator-side telemetry state.
 //!
 //! The dependency-free shapes — [`Sample`], ring buffer, Chrome trace
 //! builder, self-profiler — live in `bear-telemetry`; this module owns
-//! the glue that fills them from live simulator state. It is compiled
-//! only with the `telemetry` cargo feature, and even then costs nothing
-//! unless a run arms it via
-//! [`crate::system::System::set_telemetry`]. Armed, it rides the same
-//! event-driven loop: each live tick drains its events into the ring, and
-//! sample-window ends are next-event stops at which the run loop closes
-//! the window, on exactly the cycles per-cycle polling would.
+//! the glue that fills them from live simulator state. It costs nothing
+//! unless a run arms it via [`crate::system::System::set_telemetry`].
+//! Armed, it rides the same event-driven loop: each live tick drains its
+//! events into the ring, and sample-window ends are next-event stops at
+//! which the run loop closes the window, on exactly the cycles per-cycle
+//! polling would.
 //!
 //! Sampling model: at the warmup→measure boundary a cumulative
 //! [`CounterSnapshot`] is taken as the base; every `sample_window`

@@ -168,6 +168,25 @@ pub fn run_trace(case: &FuzzCase, events: &[TraceEvent]) -> Result<LockstepRepor
     run_trace_traced(case, events).map_err(|ctx| ctx.error)
 }
 
+/// Builds the case's system over `events`. Clean cases arm the invariant
+/// sink in every build profile, so release campaigns check byte
+/// conservation too; a fault-seeded case disarms it, because the injected
+/// corruption must be caught by the oracle, not by the model's own checks.
+fn build_system(case: &FuzzCase, events: &[TraceEvent]) -> Result<System, SimError> {
+    let cfg = quick_config(case.design, case.features);
+    let src: Box<dyn TraceSource> =
+        Box::new(ScriptedTrace::new(case.pattern.label(), events.to_vec()));
+    let mut sys = System::build_with_sources(&cfg, vec![src])?;
+    match case.fault {
+        Some((kind, at_cycle)) => {
+            sys.set_fault_plan(FaultPlan::single(kind, at_cycle));
+            sys.set_check_mode(CheckMode::Off);
+        }
+        None => sys.set_check_mode(CheckMode::Panic),
+    }
+    Ok(sys)
+}
+
 /// [`run_trace`], but a divergence carries the recent-event history the
 /// repro file embeds as its `context:` section.
 ///
@@ -178,20 +197,7 @@ pub fn run_trace_traced(
     case: &FuzzCase,
     events: &[TraceEvent],
 ) -> Result<LockstepReport, Box<DivergenceContext>> {
-    let build = || -> Result<System, SimError> {
-        let cfg = quick_config(case.design, case.features);
-        let src: Box<dyn TraceSource> =
-            Box::new(ScriptedTrace::new(case.pattern.label(), events.to_vec()));
-        let mut sys = System::build_with_sources(&cfg, vec![src])?;
-        if let Some((kind, at_cycle)) = case.fault {
-            sys.set_fault_plan(FaultPlan::single(kind, at_cycle));
-            // The injected corruption must be caught by the oracle, not by
-            // the model's own internal checks.
-            sys.set_check_mode(CheckMode::Off);
-        }
-        Ok(sys)
-    };
-    let mut sys = build().map_err(|error| {
+    let mut sys = build_system(case, events).map_err(|error| {
         Box::new(DivergenceContext {
             error,
             recent_events: Vec::new(),
@@ -339,6 +345,25 @@ mod tests {
             7,
         );
         assert_eq!(trace_for(&case), trace_for(&case));
+    }
+
+    /// Release builds default the sink to `Off`; the fuzz harness must
+    /// arm it on clean cases itself (run this with `--release` to see it
+    /// bite) and leave it off where a fault is injected.
+    #[test]
+    fn clean_cases_arm_invariant_checks_in_every_profile() {
+        let case = FuzzCase::new(
+            DesignKind::Alloy,
+            FeatureSet::Full,
+            AdversarialPattern::SetConflictStorm,
+            7,
+        );
+        let events = trace_for(&case);
+        let sys = build_system(&case, &events).expect("valid case");
+        assert_eq!(sys.check_mode(), CheckMode::Panic);
+        let faulted = case.with_fault(FaultKind::TagFlip, 2_000);
+        let sys = build_system(&faulted, &events).expect("valid case");
+        assert_eq!(sys.check_mode(), CheckMode::Off);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //!   [`metrics`](crate::metrics) module docs).
 //!
 //! Everything here is inert unless armed: the simulator gates its hooks
-//! behind both a `telemetry` cargo feature and a runtime
-//! [`TelemetryConfig::Off`] default, so disabled runs pay nothing.
+//! behind a runtime [`TelemetryConfig::Off`] default, so disabled runs
+//! pay one pointer check per tick.
 
 pub mod metrics;
 mod profile;

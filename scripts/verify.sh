@@ -46,17 +46,18 @@ cargo build -q --release -p bear-bench --bin chaos --bin all_experiments --offli
 rm -rf "$CHAOS_SMOKE_DIR"
 test -s BENCH_chaos.json
 
-echo "==> oracle-checks feature build (release fuzz runs arm the invariants)"
-# The feature must forward down the stack: building the oracle crate with
-# it enables InvariantSink panics even in release.
-cargo test -q -p bear-oracle --offline --features oracle-checks --lib
+echo "==> release fuzz path arms the invariant checks"
+# Release builds default the invariant sink to Off; the fuzz harness must
+# arm CheckMode::Panic on clean cases itself. Only a release build can
+# tell, since debug builds default to Panic anyway.
+cargo test -q -p bear-oracle --offline --release --lib -- \
+  clean_cases_arm_invariant_checks_in_every_profile
 
 echo "==> fuzz smoke (differential oracle, fixed seeds, bounded)"
 # A release-mode sweep of the design x feature x pattern matrix under the
 # shadow oracle: any divergence fails the build. Fixed seeds and bounded
 # cycles keep this step deterministic and under a minute.
-cargo build -q --release -p bear-bench --bin fuzz --offline \
-  --features bear-oracle/oracle-checks
+cargo build -q --release -p bear-bench --bin fuzz --offline
 ./target/release/fuzz --seeds 190,61453 --cycles 25000
 # Self-test: an injected tag corruption must make the sweep fail.
 if ./target/release/fuzz --seeds 190 --cycles 10000 --fault tag-flip@2000 \
@@ -82,11 +83,6 @@ echo "==> daemon chaos proof (conn drops, worker kills, kill -9 between journal 
 # mid-job, the daemon killed between journaling and acking) must produce
 # a report byte-identical to a fault-free run after resume.
 cargo test -q -p bear-bench --offline --test daemon
-
-echo "==> telemetry-off compile check (bear-core without the feature)"
-# The telemetry hooks are gated behind a cargo feature; the core crate
-# must keep building with the feature off (no stray references).
-cargo check -q -p bear-core --offline
 
 echo "==> telemetry off-mode guard test (byte-identical reports)"
 # Arming the campaign telemetry sink must not change a single byte of a
@@ -150,4 +146,4 @@ if [ -n "${FLOOR:-}" ]; then
   }' >&2
 fi
 
-echo "OK: fmt, clippy, tests, benchmark build, fault injection, resume, chaos smoke, fuzz smoke, daemon smoke, telemetry smoke, ledger property, metrics smoke, elision audit, and the run-loop speedup record all passed offline."
+echo "OK: fmt, clippy, tests, benchmark build, fault injection, resume, chaos smoke, release invariant arming, fuzz smoke, daemon smoke, telemetry smoke, ledger property, metrics smoke, elision audit, and the run-loop speedup record all passed offline."
