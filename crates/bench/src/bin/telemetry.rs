@@ -1,7 +1,6 @@
 //! Demonstrates the full observability stack on one cell: windowed
 //! time-series sampling (JSONL), Chrome trace export of the `ObsEvent`
-//! ring and DRAM transfer log, and the host self-profiler — then
-//! measures that telemetry costs nothing when off.
+//! ring and DRAM transfer log, and the host self-profiler.
 //!
 //! ```text
 //! cargo run --release -p bear-bench --bin telemetry -- --out results
@@ -17,14 +16,19 @@
 //!
 //! Flags: `--out DIR` (default: a temp directory), `--sample-window N`.
 //! Honors `BEAR_WARMUP` / `BEAR_CYCLES` / `BEAR_SCALE` (with much smaller
-//! demo defaults than the campaign binaries) and `BEAR_BENCH_QUICK` for
-//! the overhead check.
+//! demo defaults than the campaign binaries).
 //!
 //! The binary validates its own outputs — every JSONL line and the trace
 //! document must re-parse, window sums must equal the run's end-of-run
 //! aggregates, and the fully armed cell must still elide cycles (arming
 //! telemetry must not force per-cycle polling) — so it doubles as a
 //! smoke test for `scripts/verify.sh`.
+//!
+//! Disarmed telemetry costs one `None` branch per live tick and per loop
+//! step. That cost has not been measured since the build lost its
+//! telemetry-free variant: a disarmed system and one that never touched
+//! telemetry run the same code, so timing one against the other measures
+//! only host noise.
 
 use bear_bench::cli;
 use bear_bench::report::Json;
@@ -38,7 +42,6 @@ use bear_dram::request::TrafficClass;
 use bear_telemetry::{ChromeTrace, TelemetryConfig, TelemetryOptions};
 use bear_workloads::Workload;
 use std::path::Path;
-use std::time::Instant;
 
 fn demo_plan() -> RunPlan {
     let mut plan = RunPlan::from_env();
@@ -162,58 +165,6 @@ fn check_window_sums(stats: &bear_core::metrics::RunStats, report: &TelemetryRep
     );
 }
 
-/// Measures that a disarmed system (explicit `TelemetryConfig::Off`) runs
-/// within `limit` of one that never touched telemetry, interleaving the
-/// two arms and comparing fastest-of-N to reject scheduler noise. One
-/// clean round proves the disarmed path carries no intrinsic cost, so a
-/// failed round is re-measured (up to three rounds) before it counts —
-/// a transient load spike on a small host must not fail the gauntlet.
-fn check_off_overhead(cfg: &SystemConfig, workload: &Workload, limit: f64) {
-    const ROUNDS: usize = 3;
-    for round in 1..=ROUNDS {
-        let ratio = measure_off_overhead(cfg, workload);
-        println!("overhead when off: {ratio:.4}x (round {round}/{ROUNDS})");
-        if ratio < limit {
-            return;
-        }
-    }
-    panic!(
-        "disarmed telemetry must cost <{:.0}% in at least one of {ROUNDS} rounds",
-        (limit - 1.0) * 100.0,
-    );
-}
-
-/// One fastest-of-N interleaved measurement of the disarmed/untouched
-/// wall-clock ratio (see [`check_off_overhead`]).
-fn measure_off_overhead(cfg: &SystemConfig, workload: &Workload) -> f64 {
-    let mut small = cfg.clone();
-    small.warmup_cycles = 20_000;
-    // Long enough that a 1% delta clears the host's timer/scheduler noise
-    // floor — the event-driven loop made short cells too fast to resolve.
-    small.measure_cycles = 400_000;
-    let quick = std::env::var("BEAR_BENCH_QUICK").is_ok_and(|v| v != "0");
-    let samples = if quick { 5 } else { 9 };
-    let run = |disarm: bool| {
-        let mut sys = System::try_build(&small, workload).expect("build overhead cell");
-        if disarm {
-            sys.set_telemetry(TelemetryConfig::Off);
-        }
-        let t0 = Instant::now();
-        sys.run_monitored(small.warmup_cycles, small.measure_cycles)
-            .expect("run overhead cell");
-        t0.elapsed().as_secs_f64()
-    };
-    run(false); // warm caches before timing
-    let (mut base, mut off) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..samples {
-        base = base.min(run(false));
-        off = off.min(run(true));
-    }
-    let ratio = off / base;
-    println!("  untouched {base:.4}s, disarmed {off:.4}s");
-    ratio
-}
-
 fn write(path: &Path, content: &str) {
     std::fs::write(path, content).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     println!("wrote {}", path.display());
@@ -313,7 +264,5 @@ fn main() {
     profile_text.push_str(&campaign.report("campaign (all cells)", 8));
     write(&out.join("self_profile.txt"), &profile_text);
 
-    // 3. Telemetry must be free when off.
-    check_off_overhead(&cfg, &workloads[0], 1.01);
     println!("telemetry demo OK");
 }

@@ -71,8 +71,8 @@ fn grid() -> Vec<Cell> {
 /// Runs one cell in the given mode, returning (best wall ns, stats,
 /// skip share, span share). The shares are of all simulated cycles.
 /// Wall time covers the monitored run only (not system construction);
-/// best-of-N suppresses scheduler noise the way the microbench harness
-/// median does, without tripling an already simulation-bound budget.
+/// best-of-N suppresses scheduler noise without the many samples a
+/// median would need on an already simulation-bound budget.
 fn time_cell(
     cfg: &bear_core::config::SystemConfig,
     workload: &Workload,

@@ -6,8 +6,7 @@
 //! (see DESIGN.md §4 for the index). This library holds the shared
 //! machinery: configuration presets, suite selection, normalized-speedup
 //! computation, plain-text table formatting, the parallel grid [`runner`],
-//! machine-readable [`report`]s, and the dependency-free [`microbench`]
-//! harness.
+//! and machine-readable [`report`]s.
 //!
 //! A campaign's run state — plan, supervision policy, checkpoint store,
 //! telemetry sink, metrics registry, chaos plan, and its log of
@@ -43,7 +42,6 @@ pub mod cli;
 pub mod daemon;
 pub mod experiments;
 pub mod metrics;
-pub mod microbench;
 pub mod report;
 pub mod runner;
 pub mod supervisor;

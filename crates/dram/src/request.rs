@@ -111,10 +111,11 @@ impl DramRequest {
 /// [`DramRequest`] structs. The flat bank index is precomputed at push
 /// time so the scan does no arithmetic at all.
 ///
-/// Semantics match [`bear_sim::queue::BoundedQueue`]: FIFO order, a hard
-/// capacity bound with the rejected element handed back, and
-/// order-preserving removal at an arbitrary index (FR-FCFS picks row hits
-/// out of order).
+/// It behaves as a capped FIFO: pushes past the capacity hand the
+/// rejected request back unchanged, and removal at an arbitrary index
+/// preserves the order of the rest (FR-FCFS picks row hits out of order).
+/// `tests/proptests.rs` checks this against a `VecDeque` model, with the
+/// scan columns kept aligned under out-of-order removal.
 #[derive(Debug, Clone)]
 pub struct RequestQueue {
     cap: usize,

@@ -5,12 +5,12 @@
 //! This crate provides the low-level building blocks shared by every other
 //! crate in the workspace:
 //!
-//! - [`time`]: the global cycle clock ([`time::Cycle`]) and derived-clock
-//!   dividers for buses running slower than the CPU clock.
-//! - [`stats`]: counters, running means, histograms, and byte accounting.
+//! - [`time`]: the global cycle clock ([`time::Cycle`]); all DRAM timing
+//!   is kept in CPU cycles.
+//! - [`stats`]: running means for latency averages and the geometric mean
+//!   the paper reports.
 //! - [`rng`]: a small deterministic pseudo-random number generator so that
 //!   every simulation is exactly reproducible from its seed.
-//! - [`queue`]: bounded FIFO queues used between pipeline stages.
 //! - [`check`]: a dependency-free property-testing engine (generation via
 //!   [`rng::SimRng`], shrink-by-bisection) used by every crate's
 //!   `tests/proptests.rs`.
@@ -32,13 +32,11 @@ pub mod check;
 pub mod error;
 pub mod faultinject;
 pub mod invariants;
-pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use error::{RunOutcome, SimError};
-pub use queue::BoundedQueue;
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, RunningMean};
-pub use time::{Cycle, DerivedClock};
+pub use stats::RunningMean;
+pub use time::Cycle;

@@ -1,10 +1,10 @@
 //! Global simulation time.
 //!
 //! The entire simulation runs on a single global clock measured in **CPU
-//! cycles** (the paper's processor runs at 3.2 GHz). Slower clock domains —
-//! the 1.6 GHz DDR bus of the stacked DRAM cache and the 800 MHz DDR bus of
-//! main memory — are expressed through [`DerivedClock`], which converts
-//! between CPU cycles and bus cycles.
+//! cycles** (the paper's processor runs at 3.2 GHz). The slower DDR buses
+//! of the stacked DRAM cache and of main memory get no clock domain of
+//! their own: `bear-dram` states their Table 1 timings in CPU cycles and a
+//! data-bus beat as a whole number of CPU cycles.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -93,71 +93,6 @@ impl From<u64> for Cycle {
     }
 }
 
-/// A clock domain slower than (or equal to) the CPU clock by an integer
-/// divisor.
-///
-/// DRAM command and data-bus timing is naturally expressed in bus cycles; the
-/// simulator keeps all bookkeeping in CPU cycles, so `DerivedClock` provides
-/// the conversions. For example the paper's DRAM-cache bus runs at 1.6 GHz
-/// with a 3.2 GHz CPU clock, a divisor of 2.
-///
-/// # Example
-///
-/// ```
-/// use bear_sim::time::{Cycle, DerivedClock};
-/// let bus = DerivedClock::new(2); // 1.6 GHz bus under a 3.2 GHz CPU
-/// assert_eq!(bus.to_cpu_cycles(5), 10);
-/// // The first bus edge at or after CPU cycle 3 is at CPU cycle 4.
-/// assert_eq!(bus.next_edge(Cycle(3)), Cycle(4));
-/// assert_eq!(bus.next_edge(Cycle(4)), Cycle(4));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DerivedClock {
-    divisor: u64,
-}
-
-impl DerivedClock {
-    /// Creates a clock running `divisor`× slower than the CPU clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `divisor` is zero.
-    pub fn new(divisor: u64) -> Self {
-        assert!(divisor > 0, "clock divisor must be non-zero");
-        DerivedClock { divisor }
-    }
-
-    /// The integer divisor relative to the CPU clock.
-    #[inline]
-    pub fn divisor(self) -> u64 {
-        self.divisor
-    }
-
-    /// Converts a duration in bus cycles to CPU cycles.
-    #[inline]
-    pub fn to_cpu_cycles(self, bus_cycles: u64) -> u64 {
-        bus_cycles * self.divisor
-    }
-
-    /// First CPU cycle at or after `t` that is aligned to a bus clock edge.
-    #[inline]
-    pub fn next_edge(self, t: Cycle) -> Cycle {
-        let rem = t.0 % self.divisor;
-        if rem == 0 {
-            t
-        } else {
-            Cycle(t.0 + (self.divisor - rem))
-        }
-    }
-}
-
-impl Default for DerivedClock {
-    /// A pass-through clock with divisor 1.
-    fn default() -> Self {
-        DerivedClock::new(1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,34 +123,5 @@ mod tests {
     #[cfg(debug_assertions)]
     fn cycle_sub_underflow_panics_in_debug() {
         let _ = Cycle(1) - Cycle(2);
-    }
-
-    #[test]
-    fn derived_clock_conversion() {
-        let c = DerivedClock::new(4);
-        assert_eq!(c.to_cpu_cycles(3), 12);
-        assert_eq!(c.divisor(), 4);
-    }
-
-    #[test]
-    fn derived_clock_edges() {
-        let c = DerivedClock::new(4);
-        assert_eq!(c.next_edge(Cycle(0)), Cycle(0));
-        assert_eq!(c.next_edge(Cycle(1)), Cycle(4));
-        assert_eq!(c.next_edge(Cycle(4)), Cycle(4));
-        assert_eq!(c.next_edge(Cycle(7)), Cycle(8));
-    }
-
-    #[test]
-    fn derived_clock_default_is_passthrough() {
-        let c = DerivedClock::default();
-        assert_eq!(c.to_cpu_cycles(11), 11);
-        assert_eq!(c.next_edge(Cycle(13)), Cycle(13));
-    }
-
-    #[test]
-    #[should_panic(expected = "divisor must be non-zero")]
-    fn derived_clock_zero_divisor_panics() {
-        let _ = DerivedClock::new(0);
     }
 }

@@ -2,62 +2,9 @@
 //! [`bear_sim::check`] engine (no external frameworks).
 
 use bear_sim::check::{check, Source};
-use bear_sim::queue::BoundedQueue;
+use bear_sim::prop_assert;
 use bear_sim::rng::SimRng;
-use bear_sim::stats::{geometric_mean, Histogram};
-use bear_sim::time::{Cycle, DerivedClock};
-use bear_sim::{prop_assert, prop_assert_eq};
-
-/// A bounded queue behaves exactly like a VecDeque with a length cap.
-#[test]
-fn queue_matches_model() {
-    check(256, |src: &mut Source| {
-        let cap = src.usize_in(1..16);
-        let ops = src.vec_with(1..200, |s| s.u8_in(0..3));
-        let mut q = BoundedQueue::new(cap);
-        let mut model = std::collections::VecDeque::new();
-        let mut next = 0u32;
-        for op in ops {
-            match op {
-                0 => {
-                    let accepted = q.try_push(next).is_ok();
-                    prop_assert_eq!(accepted, model.len() < cap);
-                    if accepted {
-                        model.push_back(next);
-                    }
-                    next += 1;
-                }
-                1 => prop_assert_eq!(q.pop(), model.pop_front()),
-                _ => prop_assert_eq!(q.front(), model.front()),
-            }
-            prop_assert_eq!(q.len(), model.len());
-            prop_assert_eq!(q.is_full(), model.len() == cap);
-        }
-        Ok(())
-    });
-}
-
-/// Out-of-order removal preserves the remaining order.
-#[test]
-fn queue_remove_preserves_order() {
-    check(256, |src: &mut Source| {
-        let n = src.usize_in(2..12);
-        let idx = src.usize_in(0..12);
-        let mut q = BoundedQueue::new(16);
-        for i in 0..n {
-            q.try_push(i).unwrap();
-        }
-        let removed = q.remove(idx);
-        prop_assert_eq!(removed.is_some(), idx < n);
-        let rest: Vec<_> = q.iter().copied().collect();
-        let mut expect: Vec<_> = (0..n).collect();
-        if idx < n {
-            expect.remove(idx);
-        }
-        prop_assert_eq!(rest, expect);
-        Ok(())
-    });
-}
+use bear_sim::stats::geometric_mean;
 
 /// Rng bounds are respected for any bound.
 #[test]
@@ -69,37 +16,6 @@ fn rng_next_below_in_range() {
         for _ in 0..100 {
             prop_assert!(rng.next_below(bound) < bound);
         }
-        Ok(())
-    });
-}
-
-/// Clock edge alignment: the next edge is aligned and never in the past.
-#[test]
-fn clock_edges_align() {
-    check(256, |src: &mut Source| {
-        let divisor = src.u64_in(1..64);
-        let t = src.u64_in(0..1_000_000);
-        let c = DerivedClock::new(divisor);
-        let edge = c.next_edge(Cycle(t));
-        prop_assert!(edge.raw() >= t);
-        prop_assert_eq!(edge.raw() % divisor, 0);
-        prop_assert!(edge.raw() - t < divisor);
-        Ok(())
-    });
-}
-
-/// Histogram totals equal samples recorded; percentile is monotone.
-#[test]
-fn histogram_invariants() {
-    check(256, |src: &mut Source| {
-        let values = src.vec_with(1..200, |s| s.u64_in(0..100_000));
-        let mut h = Histogram::new(16, 12);
-        for &v in &values {
-            h.record(v);
-        }
-        prop_assert_eq!(h.total(), values.len() as u64);
-        prop_assert_eq!(h.buckets().iter().sum::<u64>(), values.len() as u64);
-        prop_assert!(h.percentile(0.25) <= h.percentile(0.75));
         Ok(())
     });
 }

@@ -8,7 +8,8 @@
 //! reference streams whose statistical shape is calibrated to the published
 //! characteristics: L3 miss intensity (MPKI), memory footprint, write
 //! fraction, temporal reuse skew, and spatial run length. DESIGN.md §2
-//! documents the substitution argument.
+//! documents the substitution argument. No trace files are read: every
+//! stream is generated from its profile and seed.
 //!
 //! # Example
 //!
@@ -25,7 +26,6 @@ pub mod adversarial;
 pub mod generator;
 pub mod profile;
 pub mod suites;
-pub mod trace_file;
 
 pub use adversarial::{AdversarialPattern, ScriptedTrace};
 pub use generator::{TraceEvent, TraceGenerator, TraceSource};
@@ -33,4 +33,3 @@ pub use profile::{BenchmarkProfile, IntensityClass};
 pub use suites::{
     all_workloads, generated_mixes, mix_workloads, named_mixes, rate_workloads, Workload,
 };
-pub use trace_file::{parse_trace, TraceFile};

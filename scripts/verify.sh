@@ -2,8 +2,16 @@
 # Full offline verification: formatting, lints, the test suite, and the
 # fault-tolerance end-to-end checks (fault injection + kill-9 resume).
 # This is what CI runs; it must pass with no network access at all.
+#
+# The smoke steps write their outputs, fresh BENCH_*.json records
+# included, under one temporary directory, never over the committed
+# records at the repo root: a run leaves the tree clean, and the
+# committed records change only when a change regenerates them on purpose
+# (run the binary with `--bench-json BENCH_<name>.json` at the root).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+SMOKE_DIR="$(mktemp -d)"
+trap 'rm -rf "$SMOKE_DIR"' EXIT
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -39,12 +47,12 @@ echo "==> chaos smoke (seeded faults, retry/quarantine, byte-identical recovery)
 # fault-free and then under the pinned chaos seed (worker panics, stalls,
 # torn checkpoints, failed fsyncs, process kills); recovered cells must
 # byte-match the reference and every injected fault must be accounted
-# for. The recovery-overhead record lands in BENCH_chaos.json.
-CHAOS_SMOKE_DIR="$(mktemp -d)"
+# for. The fresh recovery-overhead record (the committed one is
+# BENCH_chaos.json) must be written.
 cargo build -q --release -p bear-bench --bin chaos --bin all_experiments --offline
-./target/release/chaos --work-dir "$CHAOS_SMOKE_DIR" --bench-json BENCH_chaos.json
-rm -rf "$CHAOS_SMOKE_DIR"
-test -s BENCH_chaos.json
+./target/release/chaos --work-dir "$SMOKE_DIR/chaos" \
+  --bench-json "$SMOKE_DIR/BENCH_chaos.json"
+test -s "$SMOKE_DIR/BENCH_chaos.json"
 
 echo "==> release fuzz path arms the invariant checks"
 # Release builds default the invariant sink to Off; the fuzz harness must
@@ -70,13 +78,12 @@ echo "==> daemon smoke (resident service: admission, fairness, overload shed, dr
 # The beard daemon runs the smoke grid end to end in-process: two clients
 # submit over the wire, one job is cancelled mid-run, the daemon drains
 # cleanly, then a zero-worker instance is overloaded to prove typed
-# backpressure with retry-after hints. Latency/shed numbers land in
-# BENCH_daemon.json.
-DAEMON_SMOKE_DIR="$(mktemp -d)"
+# backpressure with retry-after hints. The fresh latency/shed record
+# (the committed one is BENCH_daemon.json) must be written.
 cargo build -q --release -p bear-bench --bin beard --offline
-./target/release/beard --smoke --out "$DAEMON_SMOKE_DIR" --bench-json BENCH_daemon.json
-rm -rf "$DAEMON_SMOKE_DIR"
-test -s BENCH_daemon.json
+./target/release/beard --smoke --out "$SMOKE_DIR/daemon" \
+  --bench-json "$SMOKE_DIR/BENCH_daemon.json"
+test -s "$SMOKE_DIR/BENCH_daemon.json"
 
 echo "==> daemon chaos proof (conn drops, worker kills, kill -9 between journal and ack)"
 # A chaos-riddled daemon run (connection drops mid-stream, workers killed
@@ -91,15 +98,15 @@ cargo test -q -p bear-bench --offline --test telemetry
 
 echo "==> telemetry smoke (JSONL + Chrome trace + self-profile)"
 # The demo binary validates its own outputs: every JSONL line and the
-# trace document re-parse, window sums equal end-of-run aggregates, the
-# fully armed cell still elides cycles (arming never forces per-cycle
-# polling), and disarmed telemetry measures <1% overhead.
-TELEMETRY_SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$TELEMETRY_SMOKE_DIR"' EXIT
+# trace document re-parse, window sums equal end-of-run aggregates, and
+# the fully armed cell still elides cycles (arming never forces per-cycle
+# polling). Disarmed telemetry costs one `None` branch per live tick and
+# per loop step; that is not measured here (an explicitly disarmed system
+# runs the same code as one that never touched telemetry).
 cargo build -q --release -p bear-bench --bin telemetry --offline
-BEAR_BENCH_QUICK=1 ./target/release/telemetry --out "$TELEMETRY_SMOKE_DIR"
-test -s "$TELEMETRY_SMOKE_DIR/trace.json"
-test -s "$TELEMETRY_SMOKE_DIR/self_profile.txt"
+./target/release/telemetry --out "$SMOKE_DIR/telemetry"
+test -s "$SMOKE_DIR/telemetry/trace.json"
+test -s "$SMOKE_DIR/telemetry/self_profile.txt"
 
 echo "==> ledger conservation property (adversarial grid, B/BD/BDN/BEAR)"
 # Every DRAM byte the simulator moves must be attributed to exactly one
@@ -124,18 +131,19 @@ BEAR_GATE_DIAG=1 cargo test -q -p bear-core --offline --test span_equivalence
 # elides there.
 BEAR_GATE_DIAG=1 cargo test -q -p bear-bench --offline --test loop_modes
 
-echo "==> run-loop speedup record (BENCH_core.json)"
-# The event-driven-vs-polling microbench asserts bit-identical results
+echo "==> run-loop speedup record (BENCH_core.json floor)"
+# The event-driven-vs-polling comparison asserts bit-identical results
 # between run-loop modes and records per-cell wall clock + the gmean
-# speedup at the repo root.
-# The committed record's gmean is a perf-regression floor: the
-# fresh run must clear 85% of it (head-room for machine noise).
+# speedup. The committed record's gmean is a perf-regression floor: the
+# fresh run (written to a temporary file, so the floor never moves with
+# the run) must clear 85% of it (head-room for machine noise).
 cargo build -q --release -p bear-bench --bin loop_speedup --offline
 FLOOR=$(awk -F': ' '/"speedup_gmean"/ {gsub(/,/, "", $2); print $2; exit}' \
   BENCH_core.json 2>/dev/null || true)
-BEAR_QUICK=1 ./target/release/loop_speedup --bench-json BENCH_core.json
-test -s BENCH_core.json
-NEW=$(awk -F': ' '/"speedup_gmean"/ {gsub(/,/, "", $2); print $2; exit}' BENCH_core.json)
+BEAR_QUICK=1 ./target/release/loop_speedup --bench-json "$SMOKE_DIR/BENCH_core.json"
+test -s "$SMOKE_DIR/BENCH_core.json"
+NEW=$(awk -F': ' '/"speedup_gmean"/ {gsub(/,/, "", $2); print $2; exit}' \
+  "$SMOKE_DIR/BENCH_core.json")
 if [ -n "${FLOOR:-}" ]; then
   awk -v new="$NEW" -v floor="$FLOOR" 'BEGIN {
     if (new + 0 < 0.85 * floor) {
