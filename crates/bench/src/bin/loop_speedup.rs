@@ -1,17 +1,20 @@
 //! Measures the wall-clock speedup of the event-driven run loop over
 //! per-cycle polling on the campaign smoke grid, asserting bit-identical
-//! results between the modes. Pass `--out DIR` to also write a JSON report.
+//! results between the modes. Runs through the campaign driver with the
+//! standard flags (`--out DIR` also writes a JSON report).
 //!
 //! `--bench-json PATH` additionally writes a compact machine-readable
 //! benchmark summary (the repo-root `BENCH_core.json` emitted by
 //! `scripts/verify.sh`): the headline gmean speedup plus per-cell
 //! wall-clock times in both modes, derived from the report's scalars.
 
+use bear_bench::cli;
+use bear_bench::experiments::loop_speedup;
 use bear_bench::report::{Json, Report};
 use std::path::PathBuf;
 
 /// Splits `--bench-json PATH` (space or `=` form) out of the argument
-/// list, leaving the rest for the standard single-binary parser.
+/// list, leaving the rest for the standard parser.
 fn split_local_flags(args: Vec<String>) -> (Option<PathBuf>, Vec<String>) {
     let mut path = None;
     let mut rest = Vec::new();
@@ -74,14 +77,10 @@ fn bench_json(report: &Report) -> Json {
 
 fn main() {
     let (bench_path, rest) = split_local_flags(std::env::args().skip(1).collect());
-    let args = bear_bench::cli::parse_single_args(rest.into_iter());
-    let report = bear_bench::cli::run_single_with(
-        "loop_speedup",
-        args,
-        bear_bench::experiments::loop_speedup::run,
-    );
+    let args = cli::parse_args(rest.into_iter());
+    let reports = cli::run(&args, &[("loop_speedup", loop_speedup::run)]);
     if let Some(path) = bench_path {
-        let doc = bench_json(&report);
+        let doc = bench_json(&reports[0]);
         let text = format!("{}\n", doc.to_string_pretty());
         Json::parse(&text).expect("benchmark summary must re-parse");
         std::fs::write(&path, text).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));

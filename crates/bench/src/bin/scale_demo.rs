@@ -5,13 +5,14 @@
 //! finish in seconds instead of minutes: completion-horizon advances
 //! (a plain skip when no channel works inside one) and channel gating
 //! elide the overwhelmingly idle cycles a 1 GB cache's long miss
-//! latencies produce. The binary accepts the standard flags (`--out`,
-//! `--scale` — default `1` here, unlike the other binaries); scalars
-//! record wall clock, skip and span shares of all simulated cycles, and
-//! the cell's headline stats so runs are comparable across machines.
+//! latencies produce. The binary runs through the campaign driver and
+//! accepts the standard flags (`--out`, `--scale` — default `1` here,
+//! unlike the other binaries); scalars record wall clock, skip and span
+//! shares of all simulated cycles, and the cell's headline stats so runs
+//! are comparable across machines.
 
 use bear_bench::report::Report;
-use bear_bench::{config_for, Campaign};
+use bear_bench::{cli, config_for, Campaign};
 use bear_core::config::{BearFeatures, DesignKind, ScalePreset};
 use bear_core::system::System;
 use bear_workloads::{BenchmarkProfile, Workload};
@@ -61,11 +62,9 @@ fn run(campaign: &Campaign, report: &mut Report) {
 }
 
 fn main() {
-    let mut args = bear_bench::cli::parse_single_args(std::env::args().skip(1));
+    let mut args = cli::parse_args(std::env::args().skip(1));
     // This binary exists to demonstrate full scale: default to `--scale 1`
     // rather than the development default, unless the user picked one.
-    if args.scale.is_none() {
-        args.scale = Some(ScalePreset::Full);
-    }
-    bear_bench::cli::run_single_with("scale_demo", args, run);
+    args.scale.get_or_insert(ScalePreset::Full);
+    cli::run(&args, &[("scale_demo", run)]);
 }

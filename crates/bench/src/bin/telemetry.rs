@@ -171,7 +171,16 @@ fn write(path: &Path, content: &str) {
 }
 
 fn main() {
-    let args = cli::parse_single_args(std::env::args().skip(1));
+    let args = cli::parse_args(std::env::args().skip(1));
+    // The demo builds its own cells, so the campaign flags would be
+    // silently ignored: reject them.
+    assert!(
+        args.only.is_none()
+            && args.scale.is_none()
+            && args.metrics_out.is_none()
+            && !args.telemetry,
+        "the telemetry demo takes only --out DIR and --sample-window N"
+    );
     let out = args.out.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("bear_telemetry_demo_{}", std::process::id()))
     });

@@ -41,6 +41,9 @@ pub struct Campaign {
     pub plan: RunPlan,
     /// Retry/backoff/deadline policy every cell runs under.
     pub supervisor: SupervisorConfig,
+    /// Worker threads the grid [`runner`](crate::runner) fans cells out
+    /// over (`1` = the serial reference path).
+    pub workers: usize,
     /// Checkpoint store of the current experiment; `None` disables
     /// checkpointing.
     pub store: Option<CellStore>,
@@ -120,13 +123,14 @@ impl Log {
 }
 
 impl Campaign {
-    /// A bare campaign under `plan` and the default supervision policy:
-    /// no store, sink, registry or chaos, an empty log, no heartbeat and
-    /// no persisted manifest.
+    /// A bare campaign under `plan` and the default supervision policy,
+    /// one worker per available core: no store, sink, registry or chaos,
+    /// an empty log, no heartbeat and no persisted manifest.
     pub fn new(plan: RunPlan) -> Campaign {
         Campaign {
             plan,
             supervisor: SupervisorConfig::default(),
+            workers: crate::runner::available_workers(),
             store: None,
             telemetry: None,
             metrics: None,
@@ -311,6 +315,7 @@ mod tests {
             warmup: 1,
             measure: 1,
             scale_shift: 12,
+            quick: false,
         }
     }
 

@@ -551,6 +551,7 @@ mod tests {
             warmup: 30_000,
             measure: 80_000,
             scale_shift: 12,
+            quick: false,
         }
     }
 
@@ -662,6 +663,7 @@ mod tests {
             warmup: 1,
             measure: 1,
             scale_shift: 12,
+            quick: false,
         };
         assert!(Campaign::new(plan).chaos.is_none(), "chaos is opt-in");
         assert_eq!(stall_deadline_ms(None), None);

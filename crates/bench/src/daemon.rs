@@ -237,6 +237,7 @@ impl JobSpec {
             warmup: self.warmup,
             measure: self.measure,
             scale_shift: self.scale_shift,
+            quick: false,
         };
         let bear = bear_features(&self.bear).expect("validated at parse time");
         config_for(self.design, bear, &plan)
@@ -883,6 +884,7 @@ impl Daemon {
             warmup: 0,
             measure: 0,
             scale_shift: 0,
+            quick: false,
         })
         .with_manifest_dir(Some(&cfg.out), manifest)
         .experiment("daemon", None);

@@ -20,7 +20,7 @@ use bear_core::config::{BearFeatures, DesignKind, FillPolicy};
 /// Runs and prints all the ablations.
 pub fn run(campaign: &Campaign, report: &mut Report) {
     let plan = &campaign.plan;
-    let suite = suite_sensitivity();
+    let suite = suite_sensitivity(plan);
 
     // Build every config up front so the whole grid runs as one
     // parallel batch; printing below preserves the original order.

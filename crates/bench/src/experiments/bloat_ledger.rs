@@ -39,7 +39,7 @@ pub fn run(campaign: &Campaign, report: &mut Report) {
         "Attributed bandwidth decomposition, B/BD/BDN/BEAR",
         plan,
     );
-    let suite = suite_rate();
+    let suite = suite_rate(plan);
     let ladder = ladder();
     let cfgs: Vec<_> = ladder
         .iter()

@@ -10,7 +10,7 @@ use bear_core::config::{BearFeatures, DesignKind};
 pub fn run(campaign: &Campaign, report: &mut Report) {
     let plan = &campaign.plan;
     report.banner("Fig 3", "LH / Alloy / BW-Opt vs no DRAM cache", plan);
-    let suite = suite_all();
+    let suite = suite_all(plan);
     let none = BearFeatures::none();
     let designs = [DesignKind::LohHill, DesignKind::Alloy, DesignKind::BwOpt];
     let cfgs: Vec<_> = std::iter::once(DesignKind::NoCache)

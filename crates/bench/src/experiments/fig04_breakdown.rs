@@ -13,7 +13,7 @@ use bear_core::traffic::BloatCategory;
 pub fn run(campaign: &Campaign, report: &mut Report) {
     let plan = &campaign.plan;
     report.banner("Fig 4", "Alloy bloat breakdown and BW-Opt potential", plan);
-    let suite = suite_all();
+    let suite = suite_all(plan);
     let none = BearFeatures::none();
     let cfgs = [
         config_for(DesignKind::Alloy, none, plan),

@@ -10,7 +10,7 @@ use bear_core::config::{BearFeatures, DesignKind, FillPolicy};
 pub fn run(campaign: &Campaign, report: &mut Report) {
     let plan = &campaign.plan;
     report.banner("Fig 5", "Probabilistic Bypass P=50% / P=90%", plan);
-    let suite = suite_rate();
+    let suite = suite_rate(plan);
     let mut cfgs = vec![config_for(DesignKind::Alloy, BearFeatures::none(), plan)];
     for p in [0.5, 0.9] {
         let bear = BearFeatures {

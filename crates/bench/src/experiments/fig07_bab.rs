@@ -9,7 +9,7 @@ use bear_core::config::{BearFeatures, DesignKind};
 pub fn run(campaign: &Campaign, report: &mut Report) {
     let plan = &campaign.plan;
     report.banner("Fig 7", "Bandwidth-Aware Bypass speedup", plan);
-    let suite = suite_all();
+    let suite = suite_all(plan);
     let cfgs = [
         config_for(DesignKind::Alloy, BearFeatures::none(), plan),
         config_for(DesignKind::Alloy, BearFeatures::bab(), plan),

@@ -10,7 +10,7 @@ use bear_core::config::{BearFeatures, DesignKind};
 pub fn run(campaign: &Campaign, report: &mut Report) {
     let plan = &campaign.plan;
     report.banner("Fig 9", "DCP over BAB", plan);
-    let suite = suite_all();
+    let suite = suite_all(plan);
     let cfgs = [
         config_for(DesignKind::Alloy, BearFeatures::none(), plan),
         config_for(DesignKind::Alloy, BearFeatures::bab(), plan),

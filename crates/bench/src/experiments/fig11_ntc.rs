@@ -9,7 +9,7 @@ use bear_core::config::{BearFeatures, DesignKind};
 pub fn run(campaign: &Campaign, report: &mut Report) {
     let plan = &campaign.plan;
     report.banner("Fig 11", "NTC over BAB+DCP", plan);
-    let suite = suite_all();
+    let suite = suite_all(plan);
     let variants = [
         ("BAB", BearFeatures::bab()),
         ("BAB+DCP", BearFeatures::bab_dcp()),

@@ -23,7 +23,7 @@ fn merged(stats: &[(bool, &BloatBreakdown)], rate: Option<bool>) -> BloatBreakdo
 pub fn run(campaign: &Campaign, report: &mut Report) {
     let plan = &campaign.plan;
     report.banner("Fig 13", "Bloat Factor breakdown by scheme", plan);
-    let suite = suite_all();
+    let suite = suite_all(plan);
     let schemes: [(&str, DesignKind, BearFeatures); 5] = [
         ("a:Alloy", DesignKind::Alloy, BearFeatures::none()),
         ("b:BAB", DesignKind::Alloy, BearFeatures::bab()),

@@ -13,7 +13,7 @@ use bear_dram::config::DramConfig;
 pub fn run(campaign: &Campaign, report: &mut Report) {
     let plan = &campaign.plan;
     report.banner("Fig 14a", "Sensitivity to DRAM cache bandwidth", plan);
-    let suite = suite_sensitivity();
+    let suite = suite_sensitivity(plan);
 
     // Both sweeps interleave (Alloy, BEAR) config pairs; run the whole
     // grid in one parallel batch per sweep.

@@ -10,7 +10,7 @@ use bear_core::config::{BearFeatures, DesignKind};
 pub fn run(campaign: &Campaign, report: &mut Report) {
     let plan = &campaign.plan;
     report.banner("Fig 15", "Sensitivity to DRAM cache banks", plan);
-    let suite = suite_sensitivity();
+    let suite = suite_sensitivity(plan);
     let bank_points = [64u32, 128, 256, 512, 1024, 2048];
     let mut cfgs = Vec::new();
     for total_banks in bank_points {

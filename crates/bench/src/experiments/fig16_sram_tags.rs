@@ -31,7 +31,7 @@ fn aggregate(stats: &[RunStats]) -> (f64, f64, f64, f64) {
 pub fn run(campaign: &Campaign, report: &mut Report) {
     let plan = &campaign.plan;
     report.banner("Fig 16", "BEAR vs Tags-In-SRAM and Sector Cache", plan);
-    let suite = suite_all();
+    let suite = suite_all(plan);
     let variants = [
         ("AL", DesignKind::Alloy, BearFeatures::none()),
         ("BEAR", DesignKind::Alloy, BearFeatures::full()),

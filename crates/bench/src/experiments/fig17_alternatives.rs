@@ -14,7 +14,7 @@ pub fn run(campaign: &Campaign, report: &mut Report) {
         "DRAM cache implementations vs no DRAM cache",
         plan,
     );
-    let suite = suite_all();
+    let suite = suite_all(plan);
     let variants = [
         ("LH", DesignKind::LohHill, BearFeatures::none()),
         ("MC", DesignKind::MostlyClean, BearFeatures::none()),

@@ -17,7 +17,7 @@
 //! and the headline `speedup_gmean`.
 
 use crate::report::Report;
-use crate::{config_for, f3, gmean, print_row, quick_mode, Campaign};
+use crate::{config_for, f3, gmean, print_row, Campaign};
 use bear_core::config::{BearFeatures, DesignKind};
 use bear_core::metrics::RunStats;
 use bear_core::system::System;
@@ -129,7 +129,7 @@ pub fn run(campaign: &Campaign, report: &mut Report) {
         "Event-driven run loop vs per-cycle polling (wall clock)",
         plan,
     );
-    let samples = if quick_mode() { 2 } else { 3 };
+    let samples = if plan.quick { 2 } else { 3 };
     print_row(
         "cell",
         &[

@@ -30,7 +30,7 @@ fn aggregate(stats: &[RunStats]) -> (f64, f64, f64, f64) {
 pub fn run(campaign: &Campaign, report: &mut Report) {
     let plan = &campaign.plan;
     report.banner("Table 4", "DRAM cache hit-rate and latency", plan);
-    let suite = suite_all();
+    let suite = suite_all(plan);
     let variants = [
         ("Alloy", BearFeatures::none()),
         ("BEAR", BearFeatures::full()),

@@ -2,26 +2,32 @@
 
 //! Experiment harness for the BEAR reproduction.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the index). This library holds the shared
+//! Every table and figure of the paper is one step of
+//! [`experiments::CAMPAIGN`] (see DESIGN.md §4 for the index);
+//! `all_experiments --only <id>` regenerates one of them. Every
+//! report-writing binary in `src/bin/` runs its steps through the one
+//! campaign driver, [`cli::run`]. This library holds the shared
 //! machinery: configuration presets, suite selection, normalized-speedup
 //! computation, plain-text table formatting, the parallel grid [`runner`],
 //! and machine-readable [`report`]s.
 //!
-//! A campaign's run state — plan, supervision policy, checkpoint store,
-//! telemetry sink, metrics registry, chaos plan, and its log of
-//! supervision rows — is one explicit [`Campaign`] context passed down to
-//! every cell, campaign grid or daemon job; the crate keeps no
+//! A campaign's run state — plan, worker count, supervision policy,
+//! checkpoint store, telemetry sink, metrics registry, chaos plan, and its
+//! log of supervision rows — is one explicit [`Campaign`] context passed
+//! down to every cell, campaign grid or daemon job; the crate keeps no
 //! process-global run state.
 //!
-//! Environment knobs (all optional):
+//! Environment knobs (all optional), each read once when the campaign is
+//! built:
 //! - `BEAR_QUICK=1` — shrink the suite (first 4 rate + 2 mixes) and halve
-//!   the simulated windows; useful for smoke-testing every binary.
+//!   the simulated windows; useful for smoke-testing every step. Read
+//!   into [`RunPlan::quick`].
 //! - `BEAR_WARMUP` / `BEAR_CYCLES` — override warmup/measure cycles.
 //! - `BEAR_SCALE` — override the joint capacity scale shift.
 //! - `BEAR_WORKERS` — worker threads for the grid runner (`1` = serial).
+//!   Read into [`Campaign::workers`].
 //!
-//! Every experiment binary accepts `--out DIR` and then writes a
+//! Every campaign binary accepts `--out DIR` and then writes a
 //! machine-readable JSON report next to its human-readable tables (see
 //! [`report`] for the schema). `--scale {1/512,1/64,1/8,1}` selects a
 //! joint capacity/budget preset (see
@@ -59,6 +65,9 @@ pub struct RunPlan {
     pub measure: u64,
     /// Joint capacity scale shift (see DESIGN.md §2).
     pub scale_shift: u32,
+    /// Smoke-test mode (`BEAR_QUICK`): truncated suites (see
+    /// [`suite_rate`]) and, unless overridden, shorter windows.
+    pub quick: bool,
 }
 
 impl RunPlan {
@@ -72,13 +81,17 @@ impl RunPlan {
     /// the capacity shift and multiplies the cycle budget (bigger caches
     /// need longer windows to warm), then the environment knobs override
     /// whichever fields they name.
+    ///
+    /// This is the only place the crate reads `BEAR_QUICK`: everything
+    /// else asks the plan.
     pub fn from_env_with(preset: ScalePreset) -> Self {
-        let quick = quick_mode();
+        let quick = std::env::var("BEAR_QUICK").is_ok_and(|v| v != "0");
         let factor = preset.budget_factor();
         let mut plan = RunPlan {
             warmup: if quick { 400_000 } else { 1_500_000 } * factor,
             measure: if quick { 300_000 } else { 1_000_000 } * factor,
             scale_shift: preset.shift(),
+            quick,
         };
         if let Ok(v) = std::env::var("BEAR_WARMUP") {
             plan.warmup = v.parse().expect("BEAR_WARMUP must be an integer");
@@ -101,42 +114,32 @@ impl RunPlan {
     }
 }
 
-/// Whether `BEAR_QUICK` is set.
-pub fn quick_mode() -> bool {
-    std::env::var("BEAR_QUICK").is_ok_and(|v| v != "0")
-}
-
-/// The rate-mode suite (possibly truncated in quick mode).
-pub fn suite_rate() -> Vec<Workload> {
+/// The rate-mode suite (the first 4 in quick mode).
+pub fn suite_rate(plan: &RunPlan) -> Vec<Workload> {
     let mut v = rate_workloads();
-    if quick_mode() {
+    if plan.quick {
         v.truncate(4);
     }
     v
 }
 
-/// The mix suite (possibly truncated in quick mode).
-fn suite_mix() -> Vec<Workload> {
-    let mut v = mix_workloads();
-    if quick_mode() {
-        v.truncate(2);
+/// The full evaluation suite (4 rate + 2 mixes in quick mode).
+pub fn suite_all(plan: &RunPlan) -> Vec<Workload> {
+    let mut v = suite_rate(plan);
+    let mut m = mix_workloads();
+    if plan.quick {
+        m.truncate(2);
     }
-    v
-}
-
-/// The full evaluation suite.
-pub fn suite_all() -> Vec<Workload> {
-    let mut v = suite_rate();
-    v.extend(suite_mix());
+    v.extend(m);
     v
 }
 
 /// Reduced suite for multi-configuration sensitivity sweeps (the paper
 /// reports only aggregate bars for these): 16 rate + 8 named mixes.
-pub fn suite_sensitivity() -> Vec<Workload> {
-    let mut v = suite_rate();
+pub fn suite_sensitivity(plan: &RunPlan) -> Vec<Workload> {
+    let mut v = suite_rate(plan);
     let mut m = named_mixes();
-    if quick_mode() {
+    if plan.quick {
         m.truncate(2);
     }
     v.extend(m);
@@ -163,6 +166,7 @@ pub fn run_one(cfg: &SystemConfig, workload: &Workload) -> RunStats {
         warmup: cfg.warmup_cycles,
         measure: cfg.measure_cycles,
         scale_shift: cfg.scale_shift,
+        quick: false,
     });
     try_run_one(&bare, cfg, workload)
         .unwrap_or_else(|e| panic!("{} × {} failed: {e}", cfg.design.label(), workload.name))
@@ -280,6 +284,7 @@ mod tests {
             warmup: 10,
             measure: 20,
             scale_shift: 9,
+            quick: false,
         };
         let cfg = plan.configure(SystemConfig::paper_baseline(DesignKind::Alloy));
         assert_eq!(cfg.warmup_cycles, 10);
@@ -307,6 +312,7 @@ mod tests {
             warmup: 1,
             measure: 1,
             scale_shift: 9,
+            quick: false,
         };
         let bear = config_for(DesignKind::Alloy, BearFeatures::full(), &plan);
         assert!(bear.bear.ntc);

@@ -119,6 +119,7 @@ mod tests {
             warmup: 500,
             measure: 500,
             scale_shift: 12,
+            quick: false,
         };
         let cfg = plan.configure(SystemConfig::paper_baseline(DesignKind::Alloy));
         let workload = bear_workloads::rate_workloads().remove(0);

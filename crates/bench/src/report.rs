@@ -36,7 +36,7 @@
 //! included. Object keys keep insertion order, so serialized reports are
 //! byte-stable for identical results.
 
-use crate::{quick_mode, RunPlan};
+use crate::RunPlan;
 use bear_core::metrics::RunStats;
 use bear_core::traffic::BloatCategory;
 use std::io::Write as _;
@@ -472,7 +472,7 @@ impl Report {
             1u64 << plan.scale_shift,
             plan.warmup,
             plan.measure,
-            if quick_mode() { ", QUICK mode" } else { "" }
+            if plan.quick { ", QUICK mode" } else { "" }
         );
     }
 
@@ -550,7 +550,7 @@ impl Report {
                     ("warmup".into(), Json::uint(plan.warmup)),
                     ("measure".into(), Json::uint(plan.measure)),
                     ("scale_shift".into(), Json::uint(plan.scale_shift as u64)),
-                    ("quick".into(), Json::Bool(quick_mode())),
+                    ("quick".into(), Json::Bool(plan.quick)),
                 ]),
             ),
             (
@@ -789,6 +789,7 @@ mod tests {
             warmup: 10,
             measure: 20,
             scale_shift: 9,
+            quick: false,
         };
         let mut r = Report::new("figXX");
         let stats = RunStats {
@@ -901,6 +902,7 @@ mod tests {
             warmup: 1,
             measure: 1,
             scale_shift: 9,
+            quick: false,
         };
         let mut r = Report::new("figXX");
         r.add_failure(FailureRow {
@@ -924,6 +926,7 @@ mod tests {
             warmup: 1,
             measure: 1,
             scale_shift: 9,
+            quick: false,
         };
         let mut r = Report::new("figXX");
         r.add_failure(FailureRow {
@@ -945,6 +948,7 @@ mod tests {
             warmup: 1,
             measure: 1,
             scale_shift: 9,
+            quick: false,
         };
         let healthy = RunStats {
             workload: "rate:mcf".into(),
@@ -992,6 +996,7 @@ mod tests {
             warmup: 1,
             measure: 1,
             scale_shift: 9,
+            quick: false,
         };
         let dir = std::env::temp_dir().join(format!("bear_report_test_{}", std::process::id()));
         let mut r = Report::new("smoke");

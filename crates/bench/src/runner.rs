@@ -24,9 +24,10 @@
 //! merged report says exactly what broke. Every settled cell ticks the
 //! campaign's heartbeat, when it has one.
 //!
-//! The worker count comes from `BEAR_WORKERS` (default: the machine's
-//! available parallelism; malformed values warn and fall back).
-//! `BEAR_WORKERS=1` forces the serial path.
+//! The worker count is the campaign's [`Campaign::workers`]. A campaign
+//! built from command-line flags reads it once from `BEAR_WORKERS`
+//! (default: the machine's available parallelism; malformed values warn
+//! and fall back). `BEAR_WORKERS=1` forces the serial path.
 
 use crate::{supervisor, Campaign};
 use bear_core::config::SystemConfig;
@@ -43,29 +44,32 @@ fn parse_workers(value: &str) -> Option<usize> {
     value.trim().parse::<usize>().ok().map(|n| n.max(1))
 }
 
-/// Number of worker threads to use: `BEAR_WORKERS` if set (minimum 1),
-/// otherwise [`std::thread::available_parallelism`]. A malformed
+/// The machine's available parallelism (at least 1): the worker count of
+/// a campaign that names none.
+pub(crate) fn available_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// Number of worker threads a campaign should use: `BEAR_WORKERS` if set
+/// (minimum 1), otherwise [`available_workers`]. A malformed
 /// `BEAR_WORKERS` prints a warning to stderr and falls back to the
 /// default rather than aborting a campaign over a typo.
-pub fn workers() -> usize {
-    let fallback = || {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    };
+pub(crate) fn workers_from_env() -> usize {
     match std::env::var("BEAR_WORKERS") {
         Ok(v) => parse_workers(&v).unwrap_or_else(|| {
             eprintln!(
                 "[warning: ignoring malformed BEAR_WORKERS={v:?}; \
                  using available parallelism]"
             );
-            fallback()
+            available_workers()
         }),
-        Err(_) => fallback(),
+        Err(_) => available_workers(),
     }
 }
 
-/// Applies `f` to every item, using up to [`workers`] threads, and returns
+/// Applies `f` to every item, using up to `workers` threads, and returns
 /// the results **in input order** (index-deterministic, regardless of
 /// which worker finishes first).
 ///
@@ -74,13 +78,13 @@ pub fn workers() -> usize {
 ///
 /// A panic inside `f` propagates and poisons the whole map; grid code
 /// should prefer [`try_parallel_map`], which isolates it to one cell.
-fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
+fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let threads = workers().min(items.len().max(1));
+    let threads = workers.min(items.len().max(1));
     if threads <= 1 {
         return items.iter().map(f).collect();
     }
@@ -109,13 +113,13 @@ where
 /// [`parallel_map`] with per-cell panic isolation: a panic inside `f`
 /// becomes `Err(SimError::Panicked)` for that cell while every other cell
 /// runs to completion. Results stay in input order.
-fn try_parallel_map<T, R, F>(items: &[T], f: F) -> Vec<RunOutcome<R>>
+fn try_parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<RunOutcome<R>>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> RunOutcome<R> + Sync,
 {
-    parallel_map(items, |item| {
+    parallel_map(items, workers, |item| {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))).unwrap_or_else(
             |payload| {
                 let message = if let Some(s) = payload.downcast_ref::<&str>() {
@@ -174,11 +178,13 @@ fn run_ticked(
 /// [`Campaign::failures`]).
 pub fn run_suite(campaign: &Campaign, cfg: &SystemConfig, workloads: &[Workload]) -> Vec<RunStats> {
     campaign.schedule(workloads.len());
-    try_parallel_map(workloads, |w| run_ticked(campaign, cfg, w))
-        .into_iter()
-        .zip(workloads)
-        .map(|(outcome, w)| settle(cfg, w, outcome))
-        .collect()
+    try_parallel_map(workloads, campaign.workers, |w| {
+        run_ticked(campaign, cfg, w)
+    })
+    .into_iter()
+    .zip(workloads)
+    .map(|(outcome, w)| settle(cfg, w, outcome))
+    .collect()
 }
 
 /// Runs the full (config × workload) grid in parallel — all cells are
@@ -195,7 +201,7 @@ pub fn run_matrix(
         .flat_map(|c| (0..workloads.len()).map(move |w| (c, w)))
         .collect();
     campaign.schedule(cells.len());
-    let flat = try_parallel_map(&cells, |&(c, w)| {
+    let flat = try_parallel_map(&cells, campaign.workers, |&(c, w)| {
         run_ticked(campaign, &cfgs[c], &workloads[w])
     });
     let mut out: Vec<Vec<RunStats>> = Vec::with_capacity(cfgs.len());
@@ -218,15 +224,15 @@ mod tests {
     #[test]
     fn parallel_map_preserves_input_order() {
         let items: Vec<u64> = (0..100).collect();
-        let out = parallel_map(&items, |&x| x * 2);
+        let out = parallel_map(&items, 4, |&x| x * 2);
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn parallel_map_handles_empty_and_single() {
         let empty: Vec<u64> = Vec::new();
-        assert!(parallel_map(&empty, |&x: &u64| x).is_empty());
-        assert_eq!(parallel_map(&[7u64], |&x| x + 1), vec![8]);
+        assert!(parallel_map(&empty, 4, |&x: &u64| x).is_empty());
+        assert_eq!(parallel_map(&[7u64], 4, |&x| x + 1), vec![8]);
     }
 
     #[test]
@@ -243,7 +249,7 @@ mod tests {
     #[test]
     fn try_parallel_map_isolates_a_panicking_cell() {
         let items: Vec<u64> = (0..20).collect();
-        let out = try_parallel_map(&items, |&x| {
+        let out = try_parallel_map(&items, 4, |&x| {
             if x == 7 {
                 panic!("cell seven is poisoned");
             }
@@ -266,6 +272,7 @@ mod tests {
             warmup: 1_000,
             measure: 1_000,
             scale_shift: 12,
+            quick: false,
         })
     }
 

@@ -48,6 +48,7 @@ fn concurrent_campaigns_are_isolated() {
         warmup: 5_000,
         measure: 10_000,
         scale_shift: 12,
+        quick: false,
     };
     let healthy = config_for(DesignKind::Alloy, BearFeatures::full(), &plan);
     // Rejected by config validation: every cell of it is quarantined.
@@ -144,6 +145,7 @@ fn failures_manifest_records_the_policy_in_force() {
         warmup: 1_000,
         measure: 1_000,
         scale_shift: 12,
+        quick: false,
     };
     let mut broken = config_for(DesignKind::Alloy, BearFeatures::full(), &plan);
     broken.cache_dram.sched_window = 0;

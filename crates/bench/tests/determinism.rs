@@ -13,6 +13,7 @@ fn tiny_plan() -> RunPlan {
         warmup: 1_000,
         measure: 2_000,
         scale_shift: 12,
+        quick: false,
     }
 }
 
@@ -56,7 +57,10 @@ fn parallel_runner_matches_serial_reference() {
         .map(|cfg| suite.iter().map(|w| run_one(cfg, w)).collect())
         .collect();
 
-    let campaign = Campaign::new(plan);
+    // Four workers whatever the host or environment: a one-worker
+    // campaign would compare the serial path with itself.
+    let mut campaign = Campaign::new(plan);
+    campaign.workers = 4;
     let via_suite: Vec<Vec<_>> = cfgs
         .iter()
         .map(|cfg| run_suite(&campaign, cfg, &suite))

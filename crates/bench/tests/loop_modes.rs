@@ -64,6 +64,7 @@ fn fingerprint(case: &FuzzCase, event_driven: bool) -> Fingerprint {
         warmup: 0,
         measure: case.cycles,
         scale_shift: cfg.scale_shift,
+        quick: false,
     };
     let mut report = Report::new("loop_modes");
     report.add_run(case.pattern.label(), &stats, None);

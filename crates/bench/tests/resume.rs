@@ -26,6 +26,7 @@ fn in_process_resume_reloads_identical_stats() {
         warmup: 2_000,
         measure: 3_000,
         scale_shift: 12,
+        quick: false,
     };
     let cfg = config_for(DesignKind::Alloy, BearFeatures::full(), &plan);
     let workload = bear_workloads::rate_workloads().remove(0);
@@ -53,6 +54,7 @@ fn cell_torn_by_a_kill_mid_store_is_rerun_not_trusted() {
         warmup: 2_000,
         measure: 3_000,
         scale_shift: 12,
+        quick: false,
     };
     let cfg = config_for(DesignKind::Alloy, BearFeatures::full(), &plan);
     let workload = bear_workloads::rate_workloads().remove(0);

@@ -40,6 +40,7 @@ fn bare(cfg: &SystemConfig) -> Campaign {
         warmup: cfg.warmup_cycles,
         measure: cfg.measure_cycles,
         scale_shift: cfg.scale_shift,
+        quick: false,
     })
 }
 
