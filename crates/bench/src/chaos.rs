@@ -10,12 +10,11 @@
 //! Two halves:
 //!
 //! - **Injection** (in-process): when `BEAR_CHAOS_SEED` is set, the
-//!   campaign driver arms a seeded, replayable
-//!   [`ChaosPlan`](bear_sim::faultinject::ChaosPlan) into the campaign
-//!   context ([`Chaos::from_env`]). The supervisor consults it per
+//!   campaign driver arms a seeded, replayable [`ChaosPlan`] into the
+//!   campaign context ([`Chaos::from_env`]). The supervisor consults it per
 //!   attempt to inject worker panics and stalls; the checkpoint layer
 //!   consults it per store to tear files or fail fsyncs; and every
-//!   successful cell completion ([`Chaos::on_cell_complete`]) may hit a
+//!   successful cell completion (`Chaos::on_cell_complete`) may hit a
 //!   kill point that aborts the whole process. Kill points are gated by marker files under the
 //!   report directory, so a resumed campaign does not re-fire a spent
 //!   kill. All decisions key on the cell's stable identity hash — worker

@@ -100,7 +100,7 @@ impl CampaignArgs {
     ///
     /// # Panics
     ///
-    /// As [`CampaignArgs::telemetry_sink`].
+    /// Panics when `--telemetry` was given without `--out`.
     pub fn campaign(&self) -> Campaign {
         let mut campaign = Campaign::new(RunPlan::from_env_with(self.scale.unwrap_or_default()));
         campaign.workers = runner::workers_from_env();

@@ -11,11 +11,10 @@
 //! a daemon [`Campaign`] (experiment `"daemon"`, the result cache as its
 //! store, `failures.json` in the out directory), run by
 //! [`run_cell`](crate::supervisor::run_cell) like any campaign cell. A
-//! job's clone of that campaign carries its deadline, its
-//! [`JobTag`](crate::campaign::JobTag) (trace id and repro text for its
-//! supervision rows) and, when asked for, a live
-//! [`TelemetrySink`] that streams each sample window down the client's
-//! socket.
+//! job's clone of that campaign carries its deadline, its [`JobTag`]
+//! (trace id and repro text for its supervision rows) and, when asked
+//! for, a live [`TelemetrySink`] that streams each sample window down
+//! the client's socket.
 //!
 //! # Protocol
 //!
@@ -89,8 +88,7 @@
 //! ```
 //!
 //! Chaos (armed via `BEAR_CHAOS_SEED` in `beard`) draws three
-//! daemon-level fault classes per
-//! [`DaemonChaosKind`](bear_sim::faultinject::DaemonChaosKind):
+//! daemon-level fault classes per [`DaemonChaosKind`]:
 //! connection drops mid-stream, worker kills mid-job, and whole-daemon
 //! kill -9 in the worst window — between a job's journal commit and its
 //! acknowledgment. All of them heal completely; none may change a single
@@ -160,7 +158,8 @@ pub struct JobSpec {
     pub client: String,
     /// Design label (e.g. `"Alloy"`).
     pub design: DesignKind,
-    /// BEAR feature-set name (one of [`BEAR_SETS`]).
+    /// BEAR feature-set name: `none`, `bab`, `bab+dcp`, `full` or
+    /// `full+tntc`.
     pub bear: String,
     /// Workload name from the standard suites (e.g. `"rate:mcf"`).
     pub workload: String,
@@ -2374,6 +2373,35 @@ mod tests {
         let rows = report.get("rows").and_then(Json::as_arr).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get("id").and_then(Json::as_str), Some("e2e-run"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The `unix:PATH` transport end to end: binding replaces a stale
+    /// file at PATH, the daemon reports the `unix:` address, and a client
+    /// dials it, runs one job to completion and drains.
+    #[cfg(unix)]
+    #[test]
+    fn unix_socket_transport_replaces_stale_file_and_serves() {
+        let dir = std::env::temp_dir().join(format!("beard-unix-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("beard.sock");
+        std::fs::write(&sock, b"stale").unwrap();
+        let listen = format!("unix:{}", sock.display());
+        let mut cfg = DaemonConfig::new(&dir);
+        cfg.workers = 1;
+        let daemon = Daemon::start(cfg, &listen).expect("daemon start");
+        assert_eq!(daemon.addr(), listen);
+
+        let mut c = Client::connect(daemon.addr()).expect("connect");
+        c.set_timeout(Some(Duration::from_secs(60))).unwrap();
+        c.send(&spec("unix-run", "alice").canonical_line()).unwrap();
+        recv_type(&mut c, "accepted");
+        let done = recv_type(&mut c, "completed");
+        assert_eq!(done.get("id").and_then(Json::as_str), Some("unix-run"));
+        let drained = c.request("{\"op\":\"drain\"}").unwrap();
+        assert_eq!(drained.get("type").and_then(Json::as_str), Some("drained"));
+        assert_eq!(daemon.wait().counters.completed, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

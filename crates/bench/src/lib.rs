@@ -30,8 +30,7 @@
 //! Every campaign binary accepts `--out DIR` and then writes a
 //! machine-readable JSON report next to its human-readable tables (see
 //! [`report`] for the schema). `--scale {1/512,1/64,1/8,1}` selects a
-//! joint capacity/budget preset (see
-//! [`ScalePreset`](bear_core::config::ScalePreset)); the environment
+//! joint capacity/budget preset (see [`ScalePreset`]); the environment
 //! knobs above still override it field by field.
 
 use bear_core::config::{BearFeatures, DesignKind, ScalePreset, SystemConfig};

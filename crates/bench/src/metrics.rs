@@ -6,7 +6,7 @@
 //! records its bandwidth-attribution decomposition (per-category cache
 //! bytes from the ledger-backed [`BloatBreakdown`]), memory bytes, and
 //! bloat factor. The driver dumps the registry's stable JSON at campaign
-//! end via [`write`].
+//! end via [`write`](fn@write).
 //!
 //! Observability-only by construction: nothing here touches `RunStats`
 //! or the report files, so a campaign with no `--metrics-out` stays

@@ -15,9 +15,9 @@
 //! configuration — must not take the rest of the grid down with it.
 //! `try_parallel_map` catches panics per cell and converts them into
 //! typed [`SimError`]s. One level up, [`run_suite`] and [`run_matrix`]
-//! run every cell through the [`supervisor`](crate::supervisor) — retry
-//! with backoff for transient failures, wall-clock deadlines, quarantine
-//! on exhaustion — and degrade cells that stay failed to zeroed
+//! run every cell through the [`supervisor`] — retry with backoff for
+//! transient failures, wall-clock deadlines, quarantine on exhaustion —
+//! and degrade cells that stay failed to zeroed
 //! placeholder stats while the quarantined row lands in the
 //! [`Campaign`] log (read back by [`Campaign::failures`] into the
 //! experiment's report), so every other cell still completes and the
@@ -159,7 +159,7 @@ fn settle(cfg: &SystemConfig, workload: &Workload, outcome: RunOutcome<RunStats>
     }
 }
 
-/// Runs one cell under the [`supervisor`](crate::supervisor) and ticks
+/// Runs one cell under the [`supervisor`] and ticks
 /// the campaign heartbeat once it has settled, whatever the outcome.
 fn run_ticked(
     campaign: &Campaign,
@@ -173,8 +173,8 @@ fn run_ticked(
 
 /// Runs one configuration over a suite of workloads in parallel,
 /// returning per-workload stats in suite order. Every cell runs under
-/// the [`supervisor`](crate::supervisor); cells that stay failed degrade
-/// to placeholder stats and a quarantined row in the campaign log (see
+/// the [`supervisor`]; cells that stay failed degrade to placeholder
+/// stats and a quarantined row in the campaign log (see
 /// [`Campaign::failures`]).
 pub fn run_suite(campaign: &Campaign, cfg: &SystemConfig, workloads: &[Workload]) -> Vec<RunStats> {
     campaign.schedule(workloads.len());
@@ -190,8 +190,8 @@ pub fn run_suite(campaign: &Campaign, cfg: &SystemConfig, workloads: &[Workload]
 /// Runs the full (config × workload) grid in parallel — all cells are
 /// scheduled at once, so a slow workload in one config does not serialize
 /// the others. Returns `result[config_index][workload_index]`. Every
-/// cell runs under the [`supervisor`](crate::supervisor); cells that
-/// stay failed degrade to placeholder stats and a quarantined row.
+/// cell runs under the [`supervisor`]; cells that stay failed degrade
+/// to placeholder stats and a quarantined row.
 pub fn run_matrix(
     campaign: &Campaign,
     cfgs: &[SystemConfig],

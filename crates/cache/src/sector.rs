@@ -5,8 +5,11 @@
 //! 1 GB of data needs only ~6 MB of SRAM. The cost, which Figure 16 shows
 //! dominating, is that replacing a sector can force a burst of dirty-block
 //! writebacks.
+//!
+//! The store is a [`SetAssocCache`] with one line per sector: LRU runs over
+//! sectors, and each line's metadata holds its sector's block bitmasks.
 
-use crate::replacement::{ReplState, ReplacementPolicy, Replacer};
+use crate::set_assoc::{CacheGeometry, SetAssocCache};
 
 /// Result of probing a block address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,13 +22,11 @@ pub enum SectorProbe {
     SectorMiss,
 }
 
-#[derive(Debug, Clone)]
-struct Sector {
-    valid: bool,
-    tag: u64,
-    repl: ReplState,
-    valid_blocks: u64,
-    dirty_blocks: u64,
+/// Per-sector block state: bit `i` stands for block `i` of the sector.
+#[derive(Debug, Clone, Copy, Default)]
+struct Blocks {
+    valid: u64,
+    dirty: u64,
 }
 
 /// Outcome of a sector replacement: which blocks of the victim must be
@@ -43,18 +44,8 @@ pub struct SectorVictim {
 /// Set-associative sector tag store.
 #[derive(Debug, Clone)]
 pub struct SectorTagStore {
-    sets: u64,
-    ways: u32,
-    sector_bytes: u64,
     block_bytes: u64,
-    sectors: Vec<Sector>,
-    replacer: Replacer,
-    /// Block-level hits.
-    pub block_hits: u64,
-    /// Block misses within a present sector.
-    pub block_misses: u64,
-    /// Whole-sector misses.
-    pub sector_misses: u64,
+    sectors: SetAssocCache<Blocks>,
 }
 
 impl SectorTagStore {
@@ -66,104 +57,49 @@ impl SectorTagStore {
     /// Panics if sizes are zero, the sector is not a multiple of the block,
     /// more than 64 blocks per sector are requested, or the capacity is not
     /// a whole number of sets.
-    pub fn new(
-        capacity_bytes: u64,
-        ways: u32,
-        sector_bytes: u64,
-        block_bytes: u64,
-        policy: ReplacementPolicy,
-    ) -> Self {
-        assert!(capacity_bytes > 0 && ways > 0 && sector_bytes > 0 && block_bytes > 0);
+    pub fn new(capacity_bytes: u64, ways: u32, sector_bytes: u64, block_bytes: u64) -> Self {
+        assert!(sector_bytes > 0 && block_bytes > 0);
         assert!(
             sector_bytes.is_multiple_of(block_bytes),
             "sector must be a whole number of blocks"
         );
-        let blocks_per_sector = (sector_bytes / block_bytes) as u32;
         assert!(
-            blocks_per_sector <= 64,
+            sector_bytes / block_bytes <= 64,
             "bitmask supports at most 64 blocks per sector"
         );
-        assert!(
-            capacity_bytes.is_multiple_of(ways as u64 * sector_bytes),
-            "capacity must be a whole number of sets"
-        );
-        let sets = capacity_bytes / (ways as u64 * sector_bytes);
         SectorTagStore {
-            sets,
-            ways,
-            sector_bytes,
             block_bytes,
-            sectors: vec![
-                Sector {
-                    valid: false,
-                    tag: 0,
-                    repl: 0,
-                    valid_blocks: 0,
-                    dirty_blocks: 0,
-                };
-                (sets * ways as u64) as usize
-            ],
-            replacer: Replacer::new(policy, 0x5EC7),
-            block_hits: 0,
-            block_misses: 0,
-            sector_misses: 0,
+            sectors: SetAssocCache::new(CacheGeometry::new(capacity_bytes, ways, sector_bytes)),
         }
     }
 
     /// Number of sets.
     pub fn sets(&self) -> u64 {
-        self.sets
+        self.sectors.geometry().sets()
     }
 
-    fn decompose(&self, addr: u64) -> (u64, u64, u32) {
-        let block = (addr % self.sector_bytes) / self.block_bytes;
-        let sector = addr / self.sector_bytes;
-        (sector % self.sets, sector / self.sets, block as u32)
+    /// The bit of `addr`'s block within its sector's bitmasks.
+    fn block_bit(&self, addr: u64) -> u64 {
+        1 << ((addr % self.sectors.geometry().line_bytes) / self.block_bytes)
     }
 
-    fn set_range(&self, set: u64) -> std::ops::Range<usize> {
-        let start = (set * self.ways as u64) as usize;
-        start..start + self.ways as usize
-    }
-
-    fn find(&self, set: u64, tag: u64) -> Option<usize> {
-        let range = self.set_range(set);
-        self.sectors[range.clone()]
-            .iter()
-            .position(|s| s.valid && s.tag == tag)
-            .map(|i| range.start + i)
-    }
-
-    /// Probes a block address, updating statistics and recency on sector
-    /// hits.
-    pub fn probe(&mut self, addr: u64) -> SectorProbe {
-        let (set, tag, block) = self.decompose(addr);
-        match self.find(set, tag) {
-            Some(i) => {
-                self.replacer.on_hit(&mut self.sectors[i].repl);
-                if self.sectors[i].valid_blocks & (1 << block) != 0 {
-                    self.block_hits += 1;
-                    SectorProbe::BlockHit
-                } else {
-                    self.block_misses += 1;
-                    SectorProbe::BlockMiss
-                }
-            }
-            None => {
-                self.sector_misses += 1;
-                SectorProbe::SectorMiss
-            }
-        }
-    }
-
-    /// Checks presence without updating statistics.
-    pub fn peek(&self, addr: u64) -> SectorProbe {
-        let (set, tag, block) = self.decompose(addr);
-        match self.find(set, tag) {
-            Some(i) if self.sectors[i].valid_blocks & (1 << block) != 0 => SectorProbe::BlockHit,
+    fn classify(blocks: Option<&Blocks>, bit: u64) -> SectorProbe {
+        match blocks {
+            Some(b) if b.valid & bit != 0 => SectorProbe::BlockHit,
             Some(_) => SectorProbe::BlockMiss,
             None => SectorProbe::SectorMiss,
         }
+    }
+
+    /// Probes a block address, updating recency on sector hits.
+    pub fn probe(&mut self, addr: u64) -> SectorProbe {
+        let bit = self.block_bit(addr);
+        Self::classify(self.sectors.probe(addr), bit)
+    }
+
+    /// Checks presence without updating recency.
+    pub fn peek(&self, addr: u64) -> SectorProbe {
+        Self::classify(self.sectors.peek(addr), self.block_bit(addr))
     }
 
     /// Installs a block whose sector is already present.
@@ -172,61 +108,45 @@ impl SectorTagStore {
     ///
     /// Panics if the sector is absent.
     pub fn fill_block(&mut self, addr: u64, dirty: bool) {
-        let (set, tag, block) = self.decompose(addr);
-        let i = self
-            .find(set, tag)
-            .expect("fill_block requires the sector to be present");
-        self.sectors[i].valid_blocks |= 1 << block;
-        if dirty {
-            self.sectors[i].dirty_blocks |= 1 << block;
-        }
+        let bit = self.block_bit(addr);
+        let present = self.sectors.update_meta(addr, |b| {
+            b.valid |= bit;
+            if dirty {
+                b.dirty |= bit;
+            }
+        });
+        assert!(present, "fill_block requires the sector to be present");
     }
 
     /// Allocates a sector for `addr` (installing the referenced block) and
     /// returns the victim sector if one was displaced.
     pub fn fill_sector(&mut self, addr: u64, dirty: bool) -> Option<SectorVictim> {
-        let (set, tag, block) = self.decompose(addr);
-        debug_assert!(self.find(set, tag).is_none(), "sector already present");
-        let range = self.set_range(set);
-        let empty = self.sectors[range.clone()].iter().position(|s| !s.valid);
-        let (idx, victim) = match empty {
-            Some(w) => (range.start + w, None),
-            None => {
-                let mut states: Vec<ReplState> =
-                    self.sectors[range.clone()].iter().map(|s| s.repl).collect();
-                let w = self.replacer.pick_victim(&mut states);
-                for (s, st) in self.sectors[range.clone()].iter_mut().zip(states) {
-                    s.repl = st;
-                }
-                let idx = range.start + w;
-                let v = &self.sectors[idx];
-                let victim = SectorVictim {
-                    addr: (v.tag * self.sets + set) * self.sector_bytes,
-                    dirty_blocks: v.dirty_blocks.count_ones(),
-                    valid_blocks: v.valid_blocks.count_ones(),
-                };
-                (idx, Some(victim))
-            }
+        let bit = self.block_bit(addr);
+        let blocks = Blocks {
+            valid: bit,
+            dirty: if dirty { bit } else { 0 },
         };
-        let s = &mut self.sectors[idx];
-        s.valid = true;
-        s.tag = tag;
-        s.valid_blocks = 1 << block;
-        s.dirty_blocks = if dirty { 1 << block } else { 0 };
-        self.replacer.on_fill(&mut s.repl);
-        victim
+        // Dirtiness is per block, so the line's own dirty bit stays clear.
+        self.sectors
+            .fill(addr, false, blocks)
+            .map(|v| SectorVictim {
+                addr: v.addr,
+                dirty_blocks: v.meta.dirty.count_ones(),
+                valid_blocks: v.meta.valid.count_ones(),
+            })
     }
 
     /// Marks a present block dirty. Returns whether the block was present.
     pub fn mark_dirty(&mut self, addr: u64) -> bool {
-        let (set, tag, block) = self.decompose(addr);
-        match self.find(set, tag) {
-            Some(i) if self.sectors[i].valid_blocks & (1 << block) != 0 => {
-                self.sectors[i].dirty_blocks |= 1 << block;
-                true
+        let bit = self.block_bit(addr);
+        let mut marked = false;
+        self.sectors.update_meta(addr, |b| {
+            if b.valid & bit != 0 {
+                b.dirty |= bit;
+                marked = true;
             }
-            _ => false,
-        }
+        });
+        marked
     }
 }
 
@@ -236,7 +156,7 @@ mod tests {
 
     fn store() -> SectorTagStore {
         // 8 sectors of 512 B (8 blocks of 64 B), 2-way → 4 sets.
-        SectorTagStore::new(4096, 2, 512, 64, ReplacementPolicy::Lru)
+        SectorTagStore::new(4096, 2, 512, 64)
     }
 
     fn sector_addr(set: u64, tag: u64) -> u64 {
@@ -247,7 +167,9 @@ mod tests {
     fn shape() {
         let s = store();
         assert_eq!(s.sets(), 4);
-        assert_eq!(s.sector_bytes / s.block_bytes, 8, "blocks per sector");
+        // 8 blocks per sector: the last block of a sector maps to bit 7.
+        assert_eq!(s.block_bit(sector_addr(0, 1) + 7 * 64), 1 << 7);
+        assert_eq!(s.block_bit(sector_addr(0, 2)), 1);
     }
 
     #[test]
@@ -261,9 +183,6 @@ mod tests {
         assert_eq!(s.probe(a + 64), SectorProbe::BlockMiss);
         s.fill_block(a + 64, false);
         assert_eq!(s.probe(a + 64), SectorProbe::BlockHit);
-        assert_eq!(s.block_hits, 2);
-        assert_eq!(s.block_misses, 1);
-        assert_eq!(s.sector_misses, 1);
     }
 
     #[test]
@@ -274,8 +193,11 @@ mod tests {
         s.fill_sector(a, false);
         assert_eq!(s.peek(a), SectorProbe::BlockHit);
         assert_eq!(s.peek(a + 64), SectorProbe::BlockMiss);
-        assert_eq!(s.block_hits, 0);
-        assert_eq!(s.sector_misses, 0);
+        // Peeks leave recency alone: tag 1 is still the LRU sector.
+        s.fill_sector(sector_addr(0, 2), false);
+        s.peek(a);
+        let v = s.fill_sector(sector_addr(0, 3), false).unwrap();
+        assert_eq!(v.addr, a);
     }
 
     #[test]
@@ -327,13 +249,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most 64 blocks")]
     fn too_many_blocks_per_sector_panics() {
-        SectorTagStore::new(1 << 20, 2, 8192, 64, ReplacementPolicy::Lru);
+        SectorTagStore::new(1 << 20, 2, 8192, 64);
     }
 
     #[test]
     fn paper_scale_tag_store_cost() {
         // The paper's SC: 1 GB data, 4 KB sectors, 64 B blocks, 32-way.
-        let s = SectorTagStore::new(1 << 30, 32, 4096, 64, ReplacementPolicy::Lru);
+        let s = SectorTagStore::new(1 << 30, 32, 4096, 64);
         let sectors = (1u64 << 30) / 4096;
         assert_eq!(s.sets() * 32, sectors);
         // ~6 MB SRAM: 262144 sectors × ~24 B (tag + 2×64-bit masks + state).

@@ -1,11 +1,12 @@
-//! Generic set-associative cache with per-line metadata.
+//! Generic set-associative LRU cache with per-line metadata.
 //!
 //! [`SetAssocCache`] models contents and replacement only — timing belongs
-//! to the system model in `bear-core`. The metadata type parameter `M` lets
-//! the L3 carry its BEAR *DRAM Cache Presence* bit without this crate
-//! knowing anything about DRAM caches.
-
-use crate::replacement::{ReplState, ReplacementPolicy, Replacer};
+//! to the system model in `bear-core`. Every set-associative structure in
+//! the paper is LRU (the L3, the Loh-Hill rows, the TIS tags and the
+//! Sector Cache's sectors), so LRU is built in. The metadata type
+//! parameter `M` lets the L3 carry its BEAR *DRAM Cache Presence* bit, and
+//! the sector store its block bitmasks, without this crate knowing
+//! anything about DRAM caches.
 
 /// Size/shape description of a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +68,8 @@ struct Line<M> {
     valid: bool,
     tag: u64,
     dirty: bool,
-    repl: ReplState,
+    /// LRU stamp: the low 32 bits of the cache's access clock.
+    stamp: u32,
     meta: M,
 }
 
@@ -115,19 +117,15 @@ impl CacheStats {
 pub struct SetAssocCache<M> {
     geom: CacheGeometry,
     lines: Vec<Line<M>>,
-    replacer: Replacer,
+    /// Counts demand hits and fills; stamps the touched line.
+    clock: u64,
     /// Access statistics.
     pub stats: CacheStats,
 }
 
 impl<M: Clone + Default> SetAssocCache<M> {
     /// Creates an empty cache.
-    pub fn new(geom: CacheGeometry, policy: ReplacementPolicy) -> Self {
-        Self::with_seed(geom, policy, 0x5EED)
-    }
-
-    /// Creates an empty cache with an explicit replacement RNG seed.
-    fn with_seed(geom: CacheGeometry, policy: ReplacementPolicy, seed: u64) -> Self {
+    pub fn new(geom: CacheGeometry) -> Self {
         let n = (geom.sets() * geom.ways as u64) as usize;
         SetAssocCache {
             geom,
@@ -136,14 +134,21 @@ impl<M: Clone + Default> SetAssocCache<M> {
                     valid: false,
                     tag: 0,
                     dirty: false,
-                    repl: 0,
+                    stamp: 0,
                     meta: M::default(),
                 };
                 n
             ],
-            replacer: Replacer::new(policy, seed),
+            clock: 0,
             stats: CacheStats::default(),
         }
+    }
+
+    /// Advances the clock and returns the stamp for the line it touches.
+    #[inline]
+    fn next_stamp(&mut self) -> u32 {
+        self.clock += 1;
+        self.clock as u32
     }
 
     /// The geometry this cache was built with.
@@ -184,8 +189,9 @@ impl<M: Clone + Default> SetAssocCache<M> {
         match self.find(addr) {
             Some(i) => {
                 self.stats.hits += 1;
+                let stamp = self.next_stamp();
                 let line = &mut self.lines[i];
-                self.replacer.on_hit(&mut line.repl);
+                line.stamp = stamp;
                 if is_write {
                     line.dirty = true;
                 }
@@ -215,18 +221,18 @@ impl<M: Clone + Default> SetAssocCache<M> {
         let (set, tag) = self.geom.decompose(addr);
         let range = self.set_range(set);
 
-        // Prefer an invalid way.
-        let way = self.lines[range.clone()].iter().position(|l| !l.valid);
+        // The first invalid way, else the first least-recently-used one.
+        let ways = &self.lines[range.clone()];
+        let way = ways.iter().position(|l| !l.valid);
         let (idx, victim) = match way {
             Some(w) => (range.start + w, None),
             None => {
-                let mut states: Vec<ReplState> =
-                    self.lines[range.clone()].iter().map(|l| l.repl).collect();
-                let vway = self.replacer.pick_victim(&mut states);
-                for (l, s) in self.lines[range.clone()].iter_mut().zip(states) {
-                    l.repl = s;
-                }
-                let idx = range.start + vway;
+                let lru = ways
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, l)| l.stamp)
+                    .map_or(0, |(w, _)| w);
+                let idx = range.start + lru;
                 let v = &self.lines[idx];
                 let victim = Victim {
                     addr: self.geom.recompose(set, v.tag),
@@ -242,12 +248,13 @@ impl<M: Clone + Default> SetAssocCache<M> {
             }
         };
 
+        let stamp = self.next_stamp();
         let line = &mut self.lines[idx];
         line.valid = true;
         line.tag = tag;
         line.dirty = dirty;
+        line.stamp = stamp;
         line.meta = meta;
-        self.replacer.on_fill(&mut line.repl);
         victim
     }
 
@@ -303,7 +310,7 @@ mod tests {
 
     fn small() -> SetAssocCache<u8> {
         // 4 sets × 2 ways × 64 B lines.
-        SetAssocCache::new(CacheGeometry::new(512, 2, 64), ReplacementPolicy::Lru)
+        SetAssocCache::new(CacheGeometry::new(512, 2, 64))
     }
 
     fn addr(set: u64, tag: u64) -> u64 {

@@ -1,10 +1,10 @@
-//! Functional content models for tags-in-DRAM caches.
+//! Functional content model for the direct-mapped tags-in-DRAM caches.
 //!
-//! The DRAM-cache *timing* is produced by `bear-dram`; these structures
-//! model what the in-DRAM tag store would say — which line occupies each
-//! set/way and whether it is dirty. [`DirectStore`] backs the Alloy family
-//! (one TAD per set); [`AssocStore`] backs the 29-way Loh-Hill row
-//! organization.
+//! The DRAM-cache *timing* is produced by `bear-dram`; [`DirectStore`]
+//! models what the in-DRAM tag store would say — which line occupies each
+//! set and whether it is dirty — for the Alloy family (one TAD per set).
+//! The 29-way Loh-Hill rows use `bear_cache::SetAssocCache`, the one
+//! set-associative LRU store.
 
 /// Occupant of a direct-mapped set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,167 +139,6 @@ impl DirectStore {
     }
 }
 
-/// One way of an associative set.
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    valid: bool,
-    tag: u64,
-    dirty: bool,
-    lru: u32,
-}
-
-/// Result of an associative install.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AssocVictim {
-    /// Displaced line address.
-    pub line: u64,
-    /// Whether the victim was dirty.
-    pub dirty: bool,
-}
-
-/// Set-associative tag/dirty store with LRU (the Loh-Hill row organization:
-/// 29 ways per 2 KB row).
-#[derive(Debug, Clone)]
-pub struct AssocStore {
-    ways: u32,
-    sets: u64,
-    slots: Vec<Way>,
-    clock: u32,
-}
-
-impl AssocStore {
-    /// Creates an empty store.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn new(sets: u64, ways: u32) -> Self {
-        assert!(sets > 0 && ways > 0);
-        AssocStore {
-            ways,
-            sets,
-            slots: vec![Way::default(); (sets * ways as u64) as usize],
-            clock: 0,
-        }
-    }
-
-    /// Number of sets.
-    pub fn sets(&self) -> u64 {
-        self.sets
-    }
-
-    /// Associativity.
-    pub fn ways(&self) -> u32 {
-        self.ways
-    }
-
-    /// Splits a line address into (set, tag).
-    #[inline]
-    pub fn decompose(&self, line: u64) -> (u64, u64) {
-        (line % self.sets, line / self.sets)
-    }
-
-    fn range(&self, set: u64) -> std::ops::Range<usize> {
-        let s = (set * self.ways as u64) as usize;
-        s..s + self.ways as usize
-    }
-
-    fn find(&self, line: u64) -> Option<usize> {
-        let (set, tag) = self.decompose(line);
-        let r = self.range(set);
-        self.slots[r.clone()]
-            .iter()
-            .position(|w| w.valid && w.tag == tag)
-            .map(|i| r.start + i)
-    }
-
-    /// Whether `line` is present; touches LRU when `touch` is set.
-    pub fn probe(&mut self, line: u64, touch: bool) -> bool {
-        match self.find(line) {
-            Some(i) => {
-                if touch {
-                    self.clock += 1;
-                    self.slots[i].lru = self.clock;
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Presence check without LRU update.
-    pub fn contains(&self, line: u64) -> bool {
-        self.find(line).is_some()
-    }
-
-    /// Dirty state of `line` if present.
-    pub fn is_dirty(&self, line: u64) -> Option<bool> {
-        self.find(line).map(|i| self.slots[i].dirty)
-    }
-
-    /// Installs `line`, evicting LRU if the set is full.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if the line is already present.
-    pub fn install(&mut self, line: u64, dirty: bool) -> Option<AssocVictim> {
-        debug_assert!(self.find(line).is_none(), "install of present line");
-        let (set, tag) = self.decompose(line);
-        let r = self.range(set);
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(i) = self.slots[r.clone()].iter().position(|w| !w.valid) {
-            let w = &mut self.slots[r.start + i];
-            *w = Way {
-                valid: true,
-                tag,
-                dirty,
-                lru: clock,
-            };
-            return None;
-        }
-        let i = self.slots[r.clone()]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| w.lru)
-            .map(|(i, _)| r.start + i)
-            .expect("ways non-empty");
-        let victim = AssocVictim {
-            line: self.slots[i].tag * self.sets + set,
-            dirty: self.slots[i].dirty,
-        };
-        self.slots[i] = Way {
-            valid: true,
-            tag,
-            dirty,
-            lru: clock,
-        };
-        Some(victim)
-    }
-
-    /// Marks `line` dirty; returns whether it was present.
-    pub fn mark_dirty(&mut self, line: u64) -> bool {
-        match self.find(line) {
-            Some(i) => {
-                self.slots[i].dirty = true;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Removes `line`; returns whether it was present.
-    pub fn remove(&mut self, line: u64) -> bool {
-        match self.find(line) {
-            Some(i) => {
-                self.slots[i].valid = false;
-                true
-            }
-            None => false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,66 +211,5 @@ mod tests {
         let line = 0x0DEA_DBEE;
         let (set, tag) = s.decompose(line);
         assert_eq!(s.recompose(set, tag), line);
-    }
-
-    #[test]
-    fn assoc_fills_all_ways_before_evicting() {
-        let mut s = AssocStore::new(4, 3);
-        assert_eq!(s.install(0, false), None); // set 0
-        assert_eq!(s.install(4, false), None);
-        assert_eq!(s.install(8, false), None);
-        assert!(s.contains(0) && s.contains(4) && s.contains(8));
-        let v = s.install(12, false).expect("set full");
-        assert_eq!(v.line, 0);
-    }
-
-    #[test]
-    fn assoc_lru_respects_touches() {
-        let mut s = AssocStore::new(4, 2);
-        s.install(0, false);
-        s.install(4, false);
-        assert!(s.probe(0, true)); // 0 becomes MRU
-        let v = s.install(8, false).unwrap();
-        assert_eq!(v.line, 4);
-    }
-
-    #[test]
-    fn assoc_probe_without_touch_keeps_order() {
-        let mut s = AssocStore::new(4, 2);
-        s.install(0, false);
-        s.install(4, false);
-        assert!(s.probe(0, false));
-        let v = s.install(8, false).unwrap();
-        assert_eq!(v.line, 0, "untouched probe must not promote");
-    }
-
-    #[test]
-    fn assoc_dirty_propagates_to_victim() {
-        let mut s = AssocStore::new(2, 2);
-        s.install(0, false);
-        s.mark_dirty(0);
-        assert_eq!(s.is_dirty(0), Some(true));
-        s.install(2, false);
-        let v = s.install(4, false).unwrap();
-        assert!(v.dirty);
-        assert_eq!(v.line, 0);
-    }
-
-    #[test]
-    fn assoc_remove_frees_way() {
-        let mut s = AssocStore::new(2, 2);
-        s.install(0, false);
-        s.install(2, false);
-        assert!(s.remove(0));
-        assert_eq!(s.install(4, false), None, "freed way reused");
-        assert!(!s.remove(0));
-    }
-
-    #[test]
-    fn assoc_shape_accessors() {
-        let s = AssocStore::new(8, 29);
-        assert_eq!(s.sets(), 8);
-        assert_eq!(s.ways(), 29);
-        assert_eq!(s.is_dirty(0), None);
     }
 }

@@ -11,7 +11,7 @@
 //! - consulted when a dirty line is evicted: a set bit lets the writeback
 //!   skip its probe.
 
-use bear_cache::{CacheGeometry, ReplacementPolicy, SetAssocCache};
+use bear_cache::{CacheGeometry, SetAssocCache};
 
 /// Per-line L3 metadata.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,10 +61,7 @@ impl L3Cache {
     /// Creates an empty L3.
     pub fn new(capacity_bytes: u64, ways: u32) -> Self {
         L3Cache {
-            cache: SetAssocCache::new(
-                CacheGeometry::new(capacity_bytes, ways, 64),
-                ReplacementPolicy::Lru,
-            ),
+            cache: SetAssocCache::new(CacheGeometry::new(capacity_bytes, ways, 64)),
         }
     }
 

@@ -16,7 +16,6 @@
 //! bit-identical to the pre-engine controller).
 
 use crate::config::{DesignKind, SystemConfig};
-use crate::contents::AssocStore;
 use crate::events::{FillCause, ObsEvent};
 use crate::harness::{DeviceHarness, Leg};
 use crate::l4::engine::Engine;
@@ -24,7 +23,7 @@ use crate::l4::placement::SetPlacement;
 use crate::l4::stack::TechniqueStack;
 use crate::l4::{Delivery, L4Cache, L4Outputs, L4Stats};
 use crate::traffic::{BloatCategory, MemTraffic};
-use bear_cache::MissMap;
+use bear_cache::{CacheGeometry, MissMap, SetAssocCache};
 use bear_dram::request::DramLocation;
 use bear_sim::time::Cycle;
 use std::collections::{HashMap, VecDeque};
@@ -59,7 +58,9 @@ struct ReadTxn {
 /// (`DesignKind::MostlyClean`).
 #[derive(Debug)]
 pub struct LohHillController {
-    store: AssocStore,
+    /// The in-DRAM tags: one 29-way LRU set per row, addressed by byte
+    /// address (`line * 64`).
+    store: SetAssocCache<()>,
     missmap: MissMap,
     placement: SetPlacement,
     /// Shared transaction skeleton + technique stack.
@@ -86,7 +87,7 @@ impl LohHillController {
         let placement = SetPlacement::new(cfg.cache_dram.topology, 1);
         let stack = TechniqueStack::from_config(cfg, placement.total_banks());
         LohHillController {
-            store: AssocStore::new(sets.max(1), WAYS),
+            store: SetAssocCache::new(CacheGeometry::new(sets.max(1) * WAYS as u64 * 64, WAYS, 64)),
             missmap: MissMap::new(),
             placement,
             engine: Engine::new(cfg, stack),
@@ -96,9 +97,13 @@ impl LohHillController {
         }
     }
 
+    /// The row-set holding `line`.
+    fn set_of(&self, line: u64) -> u64 {
+        self.store.geometry().decompose(line * 64).0
+    }
+
     fn locate(&self, line: u64) -> DramLocation {
-        let (set, _) = self.store.decompose(line);
-        self.placement.locate(set)
+        self.placement.locate(self.set_of(line))
     }
 
     /// Fills `line` (dirty or clean): writes tag+data, reads out a dirty
@@ -114,12 +119,15 @@ impl LohHillController {
         out: &mut L4Outputs,
     ) {
         let loc = self.locate(line);
-        let victim = self.store.install(line, dirty);
+        let victim = self
+            .store
+            .fill(line * 64, dirty, ())
+            .map(|v| (v.addr / 64, v.dirty));
         self.missmap.insert(line * 64);
-        if let Some(v) = victim {
+        if let Some((vline, vdirty)) = victim {
             self.engine.emit(ObsEvent::Evicted {
-                line: v.line,
-                dirty: v.dirty,
+                line: vline,
+                dirty: vdirty,
             });
         }
         self.engine.emit(ObsEvent::Filled {
@@ -136,11 +144,11 @@ impl LohHillController {
         self.engine
             .harness
             .cache_write(t, loc, FILL_BEATS, class.class(), now);
-        if let Some(v) = victim {
+        if let Some((vline, vdirty)) = victim {
             self.engine.stats.evictions += 1;
-            self.missmap.remove(v.line * 64);
-            out.evictions.push(v.line);
-            if v.dirty {
+            self.missmap.remove(vline * 64);
+            out.evictions.push(vline);
+            if vdirty {
                 let t = self.engine.alloc_txn();
                 self.engine.harness.cache_read(
                     t,
@@ -153,7 +161,7 @@ impl LohHillController {
                 let t = self.engine.alloc_txn();
                 self.engine
                     .harness
-                    .mem_write(t, v.line, MemTraffic::VictimWrite.class(), now);
+                    .mem_write(t, vline, MemTraffic::VictimWrite.class(), now);
             }
         }
     }
@@ -222,8 +230,7 @@ impl LohHillController {
                         BloatCategory::WritebackProbe.class(),
                         now,
                     );
-                    self.store.mark_dirty(line);
-                    self.store.probe(line, true);
+                    self.store.access(line * 64, true);
                     let t = self.engine.alloc_txn();
                     self.engine.harness.cache_write(
                         t,
@@ -254,7 +261,7 @@ impl LohHillController {
                 .record((finish - txn.arrival) as f64);
             // LRU promotion written back to the in-DRAM tag state
             // (footnote 3's replacement-update bloat).
-            self.store.probe(txn.line, true);
+            self.store.access(txn.line * 64, false);
             let t = self.engine.alloc_txn();
             self.engine.harness.cache_write(
                 t,
@@ -273,7 +280,7 @@ impl LohHillController {
                 .stats
                 .miss_latency
                 .record((finish - txn.arrival) as f64);
-            let (set, _) = self.store.decompose(txn.line);
+            let set = self.set_of(txn.line);
             let fill = self.engine.stack.on_fill_decision(set);
             if fill {
                 self.do_fill(txn.line, false, BloatCategory::MissFill, finish, out);
@@ -359,7 +366,7 @@ impl L4Cache for LohHillController {
     }
 
     fn contains_line(&self, line: u64) -> Option<bool> {
-        Some(self.store.contains(line))
+        Some(self.store.contains(line * 64))
     }
 
     fn set_observe(&mut self, on: bool) {
@@ -374,6 +381,11 @@ mod tests {
 
     fn controller(design: DesignKind) -> LohHillController {
         LohHillController::new(&SystemConfig::paper_baseline(design))
+    }
+
+    /// Removes `line` from the store, returning its dirty bit if present.
+    fn take_dirty(ctrl: &mut LohHillController, line: u64) -> Option<bool> {
+        ctrl.store.invalidate(line * 64).map(|v| v.dirty)
     }
 
     fn drain(ctrl: &mut LohHillController, out: &mut L4Outputs, start: u64) -> u64 {
@@ -394,7 +406,7 @@ mod tests {
         drain(&mut ctrl, &mut out, 0);
         assert_eq!(out.deliveries.len(), 1);
         assert!(!out.deliveries[0].l4_hit);
-        assert!(ctrl.store.contains(0x40));
+        assert!(ctrl.store.contains(0x40 * 64));
         // Fill charged a tag+data write on the cache bus.
         let fill_bytes = ctrl
             .engine
@@ -455,7 +467,7 @@ mod tests {
         ctrl.submit_writeback(0x99, None, Cycle(t));
         drain(&mut ctrl, &mut out, t);
         assert_eq!(ctrl.stats().wb_hits, 1);
-        assert_eq!(ctrl.store.is_dirty(0x99), Some(true));
+        assert_eq!(take_dirty(&mut ctrl, 0x99), Some(true));
         assert!(
             ctrl.engine
                 .harness
@@ -471,8 +483,8 @@ mod tests {
         let mut out = L4Outputs::default();
         ctrl.submit_writeback(0x123, None, Cycle(0));
         drain(&mut ctrl, &mut out, 0);
-        assert!(ctrl.store.contains(0x123));
-        assert_eq!(ctrl.store.is_dirty(0x123), Some(true));
+        assert!(ctrl.store.contains(0x123 * 64));
+        assert_eq!(take_dirty(&mut ctrl, 0x123), Some(true));
         assert!(
             ctrl.engine
                 .harness
@@ -485,7 +497,7 @@ mod tests {
     #[test]
     fn dirty_victim_read_out_and_written_to_memory() {
         let mut ctrl = controller(DesignKind::MostlyClean);
-        let sets = ctrl.store.sets();
+        let sets = ctrl.store.geometry().sets();
         let mut out = L4Outputs::default();
         // Fill one set completely with dirty lines, then overflow it.
         let mut t = 0;
@@ -514,7 +526,7 @@ mod tests {
     #[test]
     fn missmap_stays_consistent_with_store() {
         let mut ctrl = controller(DesignKind::MostlyClean);
-        let sets = ctrl.store.sets();
+        let sets = ctrl.store.geometry().sets();
         let mut out = L4Outputs::default();
         let mut t = 0;
         for w in 0..=WAYS as u64 {
@@ -526,7 +538,7 @@ mod tests {
             let line = 3 + w * sets;
             assert_eq!(
                 ctrl.missmap.contains(line * 64),
-                ctrl.store.contains(line),
+                ctrl.store.contains(line * 64),
                 "line {line}"
             );
         }
@@ -548,7 +560,7 @@ mod tests {
         drain(&mut ctrl, &mut out, 0);
         assert_eq!(ctrl.stats().bypasses, 1);
         assert_eq!(ctrl.stats().fills, 0);
-        assert!(!ctrl.store.contains(0x77));
+        assert!(!ctrl.store.contains(0x77 * 64));
         assert_eq!(out.deliveries.len(), 1);
         assert!(!out.deliveries[0].in_l4);
     }

@@ -8,7 +8,10 @@
 //! onto DRAM rows/banks/channels. The organization-independent transaction
 //! skeleton lives in [`engine`], and the composable BEAR techniques in
 //! [`stack`]; controllers implement only placement, tag state, and hit/miss
-//! policy on top of those two.
+//! policy on top of those two. Tag state comes from two stores: the
+//! direct-mapped `contents::DirectStore` (Alloy) and `bear_cache`'s
+//! set-associative LRU `SetAssocCache` (Loh-Hill rows, TIS tags, and the
+//! Sector Cache's sectors through `SectorTagStore`).
 
 pub mod alloy;
 pub mod engine;

@@ -23,7 +23,7 @@ use crate::l4::placement::SetPlacement;
 use crate::l4::stack::TechniqueStack;
 use crate::l4::{Delivery, L4Cache, L4Outputs, L4Stats};
 use crate::traffic::{BloatCategory, MemTraffic};
-use bear_cache::{CacheGeometry, ReplacementPolicy, SectorProbe, SectorTagStore, SetAssocCache};
+use bear_cache::{CacheGeometry, SectorProbe, SectorTagStore, SetAssocCache};
 use bear_dram::request::DramLocation;
 use bear_sim::time::Cycle;
 use std::collections::HashMap;
@@ -76,10 +76,11 @@ impl TisController {
         TisController {
             inner: SramTagController::new(
                 cfg,
-                TagModel::Tis(SetAssocCache::new(
-                    CacheGeometry::new(cfg.l4_capacity(), 32, 64),
-                    ReplacementPolicy::Lru,
-                )),
+                TagModel::Tis(SetAssocCache::new(CacheGeometry::new(
+                    cfg.l4_capacity(),
+                    32,
+                    64,
+                ))),
             ),
         }
     }
@@ -93,13 +94,7 @@ impl SectorController {
         SectorController {
             inner: SramTagController::new(
                 cfg,
-                TagModel::Sector(SectorTagStore::new(
-                    cfg.l4_capacity(),
-                    32,
-                    4096,
-                    64,
-                    ReplacementPolicy::Lru,
-                )),
+                TagModel::Sector(SectorTagStore::new(cfg.l4_capacity(), 32, 4096, 64)),
             ),
         }
     }

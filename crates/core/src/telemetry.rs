@@ -10,7 +10,7 @@
 //! polling would.
 //!
 //! Sampling model: at the warmup→measure boundary a cumulative
-//! [`CounterSnapshot`] is taken as the base; every `sample_window`
+//! `CounterSnapshot` is taken as the base; every `sample_window`
 //! cycles the current snapshot is diffed against the base to produce
 //! one [`Sample`] of window *deltas* (plus point-in-time state: L4
 //! occupancy, BAB duel counters, bank queue depths), and the base

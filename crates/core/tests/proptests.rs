@@ -1,8 +1,9 @@
 //! Property tests for the BEAR core structures, driven by the in-tree
 //! [`bear_sim::check`] engine.
 
+use bear_cache::{CacheGeometry, SetAssocCache};
 use bear_core::bab::{BypassPolicy, SetGroup};
-use bear_core::contents::{AssocStore, DirectStore};
+use bear_core::contents::DirectStore;
 use bear_core::ntc::{NeighboringTagCache, NtcAnswer};
 use bear_sim::check::{check, Source};
 use bear_sim::{prop_assert, prop_assert_eq};
@@ -49,30 +50,32 @@ fn direct_store_matches_model() {
     });
 }
 
-/// AssocStore never exceeds its associativity and never loses a line
-/// without reporting a victim.
+/// The associative store behind the Loh-Hill organization (a
+/// `SetAssocCache`, here 8 sets × 4 ways) never exceeds its capacity and
+/// never loses a line without reporting it as a victim.
 #[test]
 fn assoc_store_conservation() {
     check(256, |src: &mut Source| {
         let lines = src.vec_with(1..200, |s| s.u64_in(0..256));
-        let mut store = AssocStore::new(8, 4);
+        let mut store: SetAssocCache<()> = SetAssocCache::new(CacheGeometry::new(8 * 4 * 64, 4, 64));
         let mut resident: Vec<u64> = Vec::new();
         for &line in &lines {
-            if store.contains(line) {
+            let addr = line * 64;
+            if store.contains(addr) {
                 continue;
             }
-            let victim = store.install(line, false);
-            if let Some(v) = victim {
-                let pos = resident.iter().position(|&l| l == v.line);
-                prop_assert!(pos.is_some(), "victim {} unknown", v.line);
+            if let Some(v) = store.fill(addr, false, ()) {
+                let pos = resident.iter().position(|&a| a == v.addr);
+                prop_assert!(pos.is_some(), "victim {:x} unknown", v.addr);
                 resident.remove(pos.unwrap());
             }
-            resident.push(line);
+            resident.push(addr);
             prop_assert!(resident.len() <= 8 * 4);
-            for &l in &resident {
-                prop_assert!(store.contains(l), "line {} lost", l);
+            for &a in &resident {
+                prop_assert!(store.contains(a), "line {:x} lost", a);
             }
         }
+        prop_assert_eq!(store.occupancy(), resident.len() as u64);
         Ok(())
     });
 }

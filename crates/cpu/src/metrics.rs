@@ -4,9 +4,9 @@
 //! aggregate instruction throughput over a fixed cycle budget); mixed
 //! workloads use weighted speedup, Equation 2. The paper reports all
 //! numbers *normalized* to the baseline Alloy Cache system; these helpers
-//! compute those normalized values from per-core IPCs of two runs.
-
-use bear_sim::stats::geometric_mean;
+//! compute those normalized values from per-core IPCs of two runs. The
+//! RATE / MIX / ALL54 aggregation over workloads is the geometric mean of
+//! these ratios (`bear_sim::stats::geometric_mean`).
 
 /// Normalized rate-mode speedup: ratio of aggregate throughput.
 ///
@@ -57,12 +57,6 @@ pub fn normalized_weighted_speedup(ipc_system: &[f64], ipc_baseline: &[f64]) -> 
     sum / n
 }
 
-/// Geometric mean over per-workload normalized speedups — the paper's
-/// RATE / MIX / ALL54 aggregation.
-pub fn gmean_speedup(speedups: &[f64]) -> f64 {
-    geometric_mean(speedups)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,12 +83,6 @@ mod tests {
         assert!((normalized_weighted_speedup(&sys, &base) - 1.5).abs() < 1e-12);
         // Rate-mode metric would barely move:
         assert!(rate_mode_speedup(&sys, &base) < 1.1);
-    }
-
-    #[test]
-    fn gmean_aggregation() {
-        let g = gmean_speedup(&[1.0, 1.21]);
-        assert!((g - 1.1).abs() < 1e-9);
     }
 
     #[test]

@@ -79,8 +79,7 @@ impl DramDevice {
     /// Attempts to enqueue; hands the request back if its channel queue is
     /// full (the caller must retry later — this is the backpressure that
     /// turns bandwidth bloat into stalls) or if its location is outside
-    /// the device topology (use [`DramDevice::location_in_range`] to tell
-    /// the two apart).
+    /// the device topology, which no retry fixes.
     pub fn try_enqueue(&mut self, req: DramRequest) -> Result<(), DramRequest> {
         if !self.location_in_range(&req.location) {
             return Err(req);

@@ -4,7 +4,7 @@
 //! design, BEAR feature set, adversarial pattern, seed, and an optional
 //! injected fault. Campaigns sweep the design × feature × pattern matrix
 //! with fixed seeds; any divergence is automatically shrunk
-//! ([`crate::shrink`]) and written out as a repro file
+//! ([`crate::shrink`](mod@crate::shrink)) and written out as a repro file
 //! ([`crate::repro`]).
 
 use crate::lockstep::{run_lockstep_traced, DivergenceContext, LockstepReport};

@@ -12,7 +12,7 @@
 //! ([`fuzz`]): seeded pattern generators aim set-conflict storms,
 //! dirty-eviction floods, duel-set thrashing, and NTC neighbor aliasing
 //! at the hierarchy; diverging traces are automatically minimized by
-//! delta debugging ([`shrink`]) and written out as self-contained repro
+//! delta debugging ([`shrink`](mod@shrink)) and written out as self-contained repro
 //! files ([`repro`]).
 //!
 //! DESIGN.md ("Oracle & divergence protocol") documents the check

@@ -5,7 +5,7 @@
 //! encoders that turn them into files, while `bear-core` / `bear-bench`
 //! own the hooks that fill them in.
 //!
-//! Three facilities:
+//! Four facilities:
 //!
 //! - [`Sample`] — one windowed time-series snapshot (every N cycles) of
 //!   hit/miss rates, per-category bus bytes, instantaneous Bloat Factor,
@@ -18,9 +18,8 @@
 //! - [`SelfProfiler`] — scoped wall-clock timers around host-side tick
 //!   phases, aggregated into a top-N "where did the campaign go" report.
 //! - [`Registry`] — labelled atomic counters/gauges/histograms with a
-//!   stable JSON dump and Prometheus-style text exposition, plus
-//!   [`Span`]s carrying a correlation [`TraceId`] (see
-//!   [`metrics`](crate::metrics) module docs).
+//!   stable JSON dump and Prometheus-style text exposition, plus the
+//!   [`TraceId`] that correlates one job's log lines (see [`metrics`]).
 //!
 //! Everything here is inert unless armed: the simulator gates its hooks
 //! behind a runtime [`TelemetryConfig::Off`] default, so disabled runs
@@ -32,7 +31,7 @@ mod ring;
 mod sample;
 mod trace;
 
-pub use metrics::{Counter, Gauge, Histogram, Registry, Span, SpanRecord, TraceId};
+pub use metrics::{Counter, Gauge, Histogram, Registry, TraceId};
 pub use profile::SelfProfiler;
 pub use ring::RingBuffer;
 pub use sample::{Sample, CACHE_BYTE_KEYS};

@@ -1,6 +1,6 @@
 //! Dependency-free metrics registry: labelled atomic counters, gauges,
-//! and fixed-bucket histograms, plus lightweight spans carrying a
-//! correlation/trace ID.
+//! and fixed-bucket histograms, plus the correlation/trace ID that ties a
+//! job's log lines together.
 //!
 //! The registry is the live side of the observability stack: handles are
 //! cheap `Arc`'d atomics that hot paths update lock-free, while the
@@ -22,7 +22,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Clone)]
@@ -456,58 +455,6 @@ impl fmt::Display for TraceId {
     }
 }
 
-/// An open span: a named interval tied to a trace ID. Wall-clock only —
-/// spans observe the *host*, never simulated time.
-#[derive(Debug)]
-pub struct Span {
-    name: String,
-    trace: TraceId,
-    start: Instant,
-}
-
-impl Span {
-    /// Opens a span now.
-    pub fn begin(name: &str, trace: TraceId) -> Span {
-        Span {
-            name: name.to_string(),
-            trace,
-            start: Instant::now(),
-        }
-    }
-
-    /// Closes the span, returning its record.
-    pub fn end(self) -> SpanRecord {
-        SpanRecord {
-            name: self.name,
-            trace: self.trace,
-            dur_us: self.start.elapsed().as_micros() as u64,
-        }
-    }
-}
-
-/// A closed span, ready for serialization.
-#[derive(Debug, Clone)]
-pub struct SpanRecord {
-    /// Span name.
-    pub name: String,
-    /// Correlation ID shared by every record of one logical operation.
-    pub trace: TraceId,
-    /// Wall-clock duration in microseconds.
-    pub dur_us: u64,
-}
-
-impl SpanRecord {
-    /// One JSONL line: `{"span":...,"trace":"<16 hex>","dur_us":N}`.
-    pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"span\":\"{}\",\"trace\":\"{}\",\"dur_us\":{}}}",
-            escape_json(&self.name),
-            self.trace,
-            self.dur_us
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,14 +556,5 @@ mod tests {
         assert_eq!(s.len(), 16);
         assert!(s.chars().all(|c| c.is_ascii_hexdigit()));
         assert_ne!(a, TraceId::from_name("fig07|Alloy|lbm"));
-    }
-
-    #[test]
-    fn span_record_line_is_balanced() {
-        let rec = Span::begin("run_cell", TraceId(0xabcd)).end();
-        let line = rec.to_json_line();
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(line.contains("\"trace\":\"000000000000abcd\""));
-        assert!(line.contains("\"span\":\"run_cell\""));
     }
 }

@@ -19,6 +19,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc (warnings are errors)"
+# Broken, private or ambiguous intra-doc links fail the build.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo test"
 cargo test -q --workspace --offline
 
@@ -26,7 +30,12 @@ echo "==> frozen benchmark package builds and passes its tests"
 # benchmark/ is a package of its own that drives the simulator crates
 # and bear-bench through their public API; the workspace test run above
 # does not compile it, so a removed public item could break it silently.
+# Cargo re-resolves the package's committed lock file when a crate's
+# dependency list changes; the step puts the committed file back, so the
+# run leaves the tree clean.
+cp benchmark/Cargo.lock "$SMOKE_DIR/benchmark.lock"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cp "$SMOKE_DIR/benchmark.lock" benchmark/Cargo.lock
 
 echo "==> fault-injection smoke (debug build = invariant checks armed)"
 # Every injected corruption class must be caught by its invariant, and a
@@ -154,4 +163,4 @@ if [ -n "${FLOOR:-}" ]; then
   }' >&2
 fi
 
-echo "OK: fmt, clippy, tests, benchmark build, fault injection, resume, chaos smoke, release invariant arming, fuzz smoke, daemon smoke, telemetry smoke, ledger property, metrics smoke, elision audit, and the run-loop speedup record all passed offline."
+echo "OK: fmt, clippy, docs, tests, benchmark build, fault injection, resume, chaos smoke, release invariant arming, fuzz smoke, daemon smoke, telemetry smoke, ledger property, metrics smoke, elision audit, and the run-loop speedup record all passed offline."

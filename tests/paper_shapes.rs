@@ -24,7 +24,7 @@ fn run(design: DesignKind, bear: BearFeatures, bench: &str) -> RunStats {
     System::build_rate(&c, bench).run(c.warmup_cycles, c.measure_cycles)
 }
 
-fn gmean_speedup(a: &[RunStats], b: &[RunStats]) -> f64 {
+fn gmean_ratio(a: &[RunStats], b: &[RunStats]) -> f64 {
     let spd: Vec<f64> = a
         .iter()
         .zip(b)
@@ -86,8 +86,8 @@ fn bwopt_bounds_bear_from_above() {
     let alloy = suite(DesignKind::Alloy, BearFeatures::none());
     let bear = suite(DesignKind::Alloy, BearFeatures::full());
     let opt = suite(DesignKind::BwOpt, BearFeatures::none());
-    let bear_gain = gmean_speedup(&bear, &alloy);
-    let opt_gain = gmean_speedup(&opt, &alloy);
+    let bear_gain = gmean_ratio(&bear, &alloy);
+    let opt_gain = gmean_ratio(&opt, &alloy);
     assert!(
         opt_gain >= bear_gain - 0.05,
         "idealized cache must bound BEAR: opt {opt_gain:.3} bear {bear_gain:.3}"
@@ -99,7 +99,7 @@ fn bwopt_bounds_bear_from_above() {
 fn mostly_clean_beats_loh_hill() {
     let lh = suite(DesignKind::LohHill, BearFeatures::none());
     let mc = suite(DesignKind::MostlyClean, BearFeatures::none());
-    let g = gmean_speedup(&mc, &lh);
+    let g = gmean_ratio(&mc, &lh);
     // MC only removes the 24-cycle MissMap latency; under a saturated
     // cache bus the two are within noise of each other (the paper has
     // them 3% apart). Guard against MC being *systematically* worse.
