@@ -3,8 +3,11 @@
 //! Each controller owns two DRAM devices (the stacked cache and commodity
 //! memory) plus retry queues that apply backpressure when a device channel
 //! queue is full — the mechanism through which bandwidth bloat becomes
-//! queuing delay. Requests carry `(transaction id, leg)` so completions can
-//! be routed back to the owning state machine.
+//! queuing delay. A request a transaction waits on carries `(transaction
+//! id, leg)` so its completion can be routed back to the owning state
+//! machine; every other request (posted writes, victim-data and
+//! way-discovery reads) carries no id, and the harness drops its
+//! completion.
 
 use crate::ledger::AttributionLedger;
 use bear_dram::config::DramConfig;
@@ -15,31 +18,20 @@ use bear_sim::invariants::InvariantSink;
 use bear_sim::time::Cycle;
 use std::collections::VecDeque;
 
-/// Which step of a transaction a DRAM request implements.
+/// Which routed step of a transaction a DRAM request implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Leg {
-    /// Tag/data probe read on the cache device.
+    /// Read on the cache device that a transaction waits on: a tag/data
+    /// probe, or the data read of a hit the tags already resolved.
     CacheProbe = 0,
     /// Demand line read on the memory device.
     MemRead = 1,
-    /// Posted write (fill/update/victim); completions are ignored.
-    PostedWrite = 2,
-    /// Data read on the cache device whose completion gates the
-    /// transaction (LH data stage, TIS/SC hit reads, victim reads).
-    CacheData = 3,
 }
 
-impl Leg {
-    fn from_bits(b: u64) -> Leg {
-        match b {
-            0 => Leg::CacheProbe,
-            1 => Leg::MemRead,
-            2 => Leg::PostedWrite,
-            _ => Leg::CacheData,
-        }
-    }
-}
+/// Request id of a request no transaction waits on (the leg bits of no
+/// [`Leg`]); its completion is dropped.
+const UNROUTED: u64 = 2;
 
 /// A routed completion: which transaction, which leg, when.
 #[derive(Debug, Clone, Copy)]
@@ -105,85 +97,77 @@ impl DeviceHarness {
         (txn << 2) | leg as u64
     }
 
-    /// Queues a read on the cache device at `location`.
+    /// Queues a read on the cache device at `location`. With `Some(txn)`
+    /// its completion is routed back to `txn` as [`Leg::CacheProbe`];
+    /// with `None` nothing waits on it.
     pub fn cache_read(
         &mut self,
-        txn: u64,
-        leg: Leg,
+        txn: Option<u64>,
         location: DramLocation,
         beats: u64,
         class: TrafficClass,
         now: Cycle,
     ) {
-        debug_assert!(matches!(leg, Leg::CacheProbe | Leg::CacheData));
-        let bytes = beats * self.cache.config().topology.beat_bytes;
-        self.expected_cache_bytes += bytes;
-        self.ledger.charge(class, bytes);
-        self.cache_retry.push_back(DramRequest::read(
-            Self::encode_id(txn, leg),
-            location,
-            beats,
-            class,
-            now,
-        ));
+        let id = txn.map_or(UNROUTED, |t| Self::encode_id(t, Leg::CacheProbe));
+        self.cache_request(DramRequest::read(id, location, beats, class, now));
     }
 
     /// Queues a posted write on the cache device.
     pub fn cache_write(
         &mut self,
-        txn: u64,
         location: DramLocation,
         beats: u64,
         class: TrafficClass,
         now: Cycle,
     ) {
-        let bytes = beats * self.cache.config().topology.beat_bytes;
-        self.expected_cache_bytes += bytes;
-        self.ledger.charge(class, bytes);
-        self.cache_retry.push_back(DramRequest::write(
-            Self::encode_id(txn, Leg::PostedWrite),
-            location,
-            beats,
-            class,
-            now,
-        ));
+        self.cache_request(DramRequest::write(UNROUTED, location, beats, class, now));
     }
 
-    /// Queues a demand line read on the memory device (address-mapped).
+    fn cache_request(&mut self, req: DramRequest) {
+        let bytes = req.beats * self.cache.config().topology.beat_bytes;
+        self.expected_cache_bytes += bytes;
+        self.ledger.charge(req.class, bytes);
+        self.cache_retry.push_back(req);
+    }
+
+    /// Queues a demand line read on the memory device (address-mapped),
+    /// routed back to `txn` as [`Leg::MemRead`].
     pub fn mem_read(&mut self, txn: u64, line_addr: u64, class: TrafficClass, now: Cycle) {
-        let loc = self.mem_mapper.map(line_addr * 64);
-        let beats = self.mem.config().topology.beats_for(64);
-        self.ledger
-            .charge(class, beats * self.mem.config().topology.beat_bytes);
-        self.mem_retry.push_back(DramRequest::read(
-            Self::encode_id(txn, Leg::MemRead),
-            loc,
-            beats,
-            class,
-            now,
-        ));
+        let id = Self::encode_id(txn, Leg::MemRead);
+        self.mem_request(id, line_addr, false, class, now);
     }
 
     /// Queues a posted 64 B write on the memory device.
-    pub fn mem_write(&mut self, txn: u64, line_addr: u64, class: TrafficClass, now: Cycle) {
-        let loc = self.mem_mapper.map(line_addr * 64);
+    pub fn mem_write(&mut self, line_addr: u64, class: TrafficClass, now: Cycle) {
+        self.mem_request(UNROUTED, line_addr, true, class, now);
+    }
+
+    fn mem_request(
+        &mut self,
+        id: u64,
+        line_addr: u64,
+        is_write: bool,
+        class: TrafficClass,
+        now: Cycle,
+    ) {
         let beats = self.mem.config().topology.beats_for(64);
         self.ledger
             .charge(class, beats * self.mem.config().topology.beat_bytes);
-        self.mem_retry.push_back(DramRequest::write(
-            Self::encode_id(txn, Leg::PostedWrite),
-            loc,
+        self.mem_retry.push_back(DramRequest {
+            id,
+            location: self.mem_mapper.map(line_addr * 64),
             beats,
+            is_write,
             class,
-            now,
-        ));
+            arrival: now,
+        });
     }
 
     /// Drains retry queues into the devices (respecting backpressure),
     /// advances both devices one cycle, and routes completions.
     ///
-    /// Posted-write completions are filtered out; only gating legs are
-    /// returned.
+    /// Only routed legs are returned; completions of requests nothing
+    /// waits on are dropped here.
     pub fn tick(&mut self, now: Cycle, out: &mut Vec<RoutedCompletion>) {
         // Issue as many queued requests as the channels will accept.
         Self::drain(&mut self.cache_retry, &mut self.cache);
@@ -198,10 +182,11 @@ impl DeviceHarness {
             self.mem.tick(now, &mut self.scratch);
         }
         for c in &self.scratch {
-            let leg = Leg::from_bits(c.request.id & 3);
-            if leg == Leg::PostedWrite {
-                continue;
-            }
+            let leg = match c.request.id & 3 {
+                0 => Leg::CacheProbe,
+                1 => Leg::MemRead,
+                _ => continue,
+            };
             out.push(RoutedCompletion {
                 txn: c.request.id >> 2,
                 leg,
@@ -435,8 +420,7 @@ mod tests {
     fn cache_read_completion_routed_with_txn_and_leg() {
         let mut h = harness();
         h.cache_read(
-            42,
-            Leg::CacheProbe,
+            Some(42),
             loc(0, 0, 1),
             5,
             BloatCategory::MissProbe.class(),
@@ -451,19 +435,26 @@ mod tests {
     #[test]
     fn posted_writes_complete_silently() {
         let mut h = harness();
-        h.cache_write(
-            7,
+        h.cache_write(loc(1, 0, 1), 5, BloatCategory::MissFill.class(), Cycle(0));
+        h.cache_read(
+            None,
             loc(1, 0, 1),
-            5,
-            BloatCategory::MissFill.class(),
+            4,
+            BloatCategory::VictimRead.class(),
             Cycle(0),
         );
+        h.mem_write(0x40, MemTraffic::VictimWrite.class(), Cycle(0));
         let mut out = Vec::new();
-        for t in 0..5_000u64 {
+        for t in 0..50_000u64 {
             h.tick(Cycle(t), &mut out);
         }
-        assert!(out.is_empty(), "posted write must not be routed");
+        assert!(out.is_empty(), "unrouted requests must not be routed");
         assert_eq!(h.cache.bytes_in_class(BloatCategory::MissFill.class()), 80);
+        assert_eq!(
+            h.cache.bytes_in_class(BloatCategory::VictimRead.class()),
+            64
+        );
+        assert_eq!(h.mem.bytes_in_class(MemTraffic::VictimWrite.class()), 64);
         assert_eq!(h.pending(), 0);
     }
 
@@ -471,7 +462,7 @@ mod tests {
     fn mem_read_and_write_are_mapped_and_counted() {
         let mut h = harness();
         h.mem_read(1, 0x1000, MemTraffic::DemandRead.class(), Cycle(0));
-        h.mem_write(2, 0x2000, MemTraffic::VictimWrite.class(), Cycle(0));
+        h.mem_write(0x2000, MemTraffic::VictimWrite.class(), Cycle(0));
         let done = run(&mut h, 1, 100_000);
         assert_eq!(done[0].leg, Leg::MemRead);
         assert_eq!(h.mem.bytes_in_class(MemTraffic::DemandRead.class()), 64);
@@ -498,8 +489,7 @@ mod tests {
         );
         for i in 0..20 {
             h.cache_read(
-                i,
-                Leg::CacheProbe,
+                Some(i),
                 loc(0, 0, i),
                 5,
                 BloatCategory::Hit.class(),
@@ -518,22 +508,15 @@ mod tests {
         let mut h = harness();
         let mut sink = InvariantSink::new(CheckMode::Record);
         h.cache_read(
-            1,
-            Leg::CacheProbe,
+            Some(1),
             loc(0, 0, 1),
             5,
             BloatCategory::MissProbe.class(),
             Cycle(0),
         );
-        h.cache_write(
-            2,
-            loc(1, 0, 2),
-            5,
-            BloatCategory::MissFill.class(),
-            Cycle(0),
-        );
+        h.cache_write(loc(1, 0, 2), 5, BloatCategory::MissFill.class(), Cycle(0));
         h.mem_read(3, 0x1000, MemTraffic::DemandRead.class(), Cycle(0));
-        h.mem_write(4, 0x2000, MemTraffic::VictimWrite.class(), Cycle(0));
+        h.mem_write(0x2000, MemTraffic::VictimWrite.class(), Cycle(0));
         let mut out = Vec::new();
         let mut t = Cycle(0);
         while h.pending() > 0 && t.0 < 1_000_000 {
@@ -561,19 +544,13 @@ mod tests {
         let mut h = harness();
         for i in 0..12 {
             h.cache_read(
-                i,
-                Leg::CacheProbe,
+                Some(i),
                 loc(0, 0, i),
                 5,
                 BloatCategory::Hit.class(),
                 Cycle(0),
             );
-            h.mem_write(
-                100 + i,
-                0x3000 + i * 64,
-                MemTraffic::Writeback.class(),
-                Cycle(0),
-            );
+            h.mem_write(0x3000 + i * 64, MemTraffic::Writeback.class(), Cycle(0));
         }
         // Advance a little so some requests are mid-flight, then reset.
         let mut out = Vec::new();
@@ -597,8 +574,7 @@ mod tests {
         use bear_sim::invariants::{CheckMode, InvariantSink};
         let mut h = harness();
         h.cache_read(
-            1,
-            Leg::CacheProbe,
+            Some(1),
             loc(0, 0, 1),
             5,
             BloatCategory::Hit.class(),
@@ -615,8 +591,7 @@ mod tests {
     fn distinct_legs_of_one_txn_distinguished() {
         let mut h = harness();
         h.cache_read(
-            9,
-            Leg::CacheProbe,
+            Some(9),
             loc(0, 0, 1),
             5,
             BloatCategory::MissProbe.class(),

@@ -18,11 +18,11 @@
 use crate::config::{DesignKind, SystemConfig};
 use crate::contents::DirectStore;
 use crate::events::{FillCause, ObsEvent};
-use crate::harness::{DeviceHarness, Leg};
+use crate::harness::Leg;
 use crate::l4::engine::{Engine, TxnTable};
 use crate::l4::placement::SetPlacement;
 use crate::l4::stack::TechniqueStack;
-use crate::l4::{ControllerProbe, Delivery, L4Cache, L4Outputs, L4Stats};
+use crate::l4::{ControllerProbe, L4Cache, L4Outputs, LINE_BEATS};
 use crate::traffic::{BloatCategory, MemTraffic};
 use bear_sim::faultinject::FaultKind;
 use bear_sim::invariants::InvariantSink;
@@ -30,8 +30,6 @@ use bear_sim::time::Cycle;
 
 /// Beats per TAD transfer (80 B on a 16 B bus).
 const TAD_BEATS: u64 = 5;
-/// Beats per bare-line transfer (64 B).
-const LINE_BEATS: u64 = 4;
 
 #[derive(Debug, Clone, Copy)]
 struct ReadTxn {
@@ -71,14 +69,10 @@ pub struct AlloyController {
     store: DirectStore,
     placement: SetPlacement,
     /// Shared transaction skeleton: devices, stats, technique stack,
-    /// txn ids, and observation staging. Public so tests and harness
-    /// tooling can reach devices and techniques directly.
-    pub engine: Engine,
+    /// eviction reporting, and observation staging.
+    engine: Engine,
     writeback_allocate: bool,
-    /// In-flight demand reads and writeback probes, arena-indexed. Ids
-    /// come from the table (deterministic slot + generation), not from
-    /// [`Engine::alloc_txn`], which remains the source for fire-and-forget
-    /// posted-write legs that are never routed back.
+    /// In-flight demand reads and writeback probes, arena-indexed.
     txns: TxnTable<Txn>,
 }
 
@@ -132,18 +126,15 @@ impl AlloyController {
         }
     }
 
-    /// Installs `line` after a demand miss, handling the victim.
-    fn do_fill(&mut self, line: u64, dirty: bool, now: Cycle, out: &mut L4Outputs) {
+    /// Installs `line`, handling the victim. A dirty victim goes straight
+    /// to memory: the probe's TAD already carried its data (and BW-Opt's
+    /// secondary transfers are free).
+    fn do_fill(&mut self, line: u64, dirty: bool, now: Cycle) {
         let (set, _) = self.store.decompose(line);
         if let Some((victim_line, victim_dirty)) = self.store.install(line, dirty) {
-            self.engine.stats.evictions += 1;
-            out.evictions.push(victim_line);
-            self.engine.emit(ObsEvent::Evicted {
-                line: victim_line,
-                dirty: victim_dirty,
-            });
+            self.engine.evict(victim_line, victim_dirty);
             if victim_dirty {
-                self.engine.victim_mem_write(victim_line, now);
+                self.engine.write_back_victim(victim_line, None, now);
             }
         }
         self.engine.emit(ObsEvent::Filled {
@@ -163,34 +154,21 @@ impl AlloyController {
     }
 
     fn finish_demand_miss(&mut self, txn_id: u64, txn: ReadTxn, now: Cycle, out: &mut L4Outputs) {
-        self.engine
-            .stats
-            .miss_latency
-            .record((now - txn.arrival) as f64);
         let (set, _) = self.store.decompose(txn.line);
-        let fill = self.engine.stack.on_fill_decision(set);
-        if fill {
-            self.engine.stats.fills += 1;
-            self.do_fill(txn.line, false, now, out);
+        if self
+            .engine
+            .fill_or_bypass(txn.line, txn.arrival, now, set, out)
+        {
+            self.do_fill(txn.line, false, now);
             if !self.is_ideal() {
-                let wtxn = self.engine.alloc_txn();
                 self.engine.harness.cache_write(
-                    wtxn,
                     self.placement.locate(set),
                     TAD_BEATS,
                     BloatCategory::MissFill.class(),
                     now,
                 );
             }
-        } else {
-            self.engine.stats.bypasses += 1;
-            self.engine.emit(ObsEvent::Bypassed { line: txn.line });
         }
-        out.deliveries.push(Delivery {
-            line: txn.line,
-            l4_hit: false,
-            in_l4: fill,
-        });
         self.txns.remove(txn_id);
     }
 
@@ -212,17 +190,7 @@ impl AlloyController {
         });
 
         if hit {
-            self.engine.stats.read_hits += 1;
-            self.engine.stats.useful_lines += 1;
-            self.engine
-                .stats
-                .hit_latency
-                .record((finish - txn.arrival) as f64);
-            out.deliveries.push(Delivery {
-                line: txn.line,
-                l4_hit: true,
-                in_l4: true,
-            });
+            self.engine.deliver_hit(txn.line, txn.arrival, finish, out);
             if txn.mem_outstanding {
                 // The parallel access was wasted; keep the txn to absorb
                 // the memory completion.
@@ -279,7 +247,7 @@ impl AlloyController {
         }
     }
 
-    fn on_wb_probe_complete(&mut self, txn_id: u64, finish: Cycle, out: &mut L4Outputs) {
+    fn on_wb_probe_complete(&mut self, txn_id: u64, finish: Cycle) {
         let Some(Txn::Wb(txn)) = self.txns.remove(txn_id) else {
             return;
         };
@@ -300,19 +268,15 @@ impl AlloyController {
             self.engine
                 .stack
                 .on_eviction(&self.placement, &self.store, set);
-            let wtxn = self.engine.alloc_txn();
             self.engine.harness.cache_write(
-                wtxn,
                 self.placement.locate(set),
                 TAD_BEATS,
                 BloatCategory::WritebackUpdate.class(),
                 finish,
             );
         } else if self.writeback_allocate {
-            self.do_fill(txn.line, true, finish, out);
-            let wtxn = self.engine.alloc_txn();
+            self.do_fill(txn.line, true, finish);
             self.engine.harness.cache_write(
-                wtxn,
                 self.placement.locate(set),
                 TAD_BEATS,
                 BloatCategory::WritebackFill.class(),
@@ -325,6 +289,14 @@ impl AlloyController {
 }
 
 impl L4Cache for AlloyController {
+    fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
+    fn engine_mut(&mut self) -> &mut Engine {
+        &mut self.engine
+    }
+
     fn submit_read(&mut self, line: u64, pc: u64, core: u32, now: Cycle) {
         self.engine.stats.read_lookups += 1;
         let (set, tag) = self.store.decompose(line);
@@ -353,8 +325,7 @@ impl L4Cache for AlloyController {
                     ntc_skip: false,
                 }));
                 self.engine.harness.cache_read(
-                    txn_id,
-                    Leg::CacheProbe,
+                    Some(txn_id),
                     self.placement.locate(set),
                     LINE_BEATS,
                     BloatCategory::Hit.class(),
@@ -416,8 +387,7 @@ impl L4Cache for AlloyController {
                 BloatCategory::MissProbe.class()
             };
             self.engine.harness.cache_read(
-                txn_id,
-                Leg::CacheProbe,
+                Some(txn_id),
                 self.placement.locate(set),
                 TAD_BEATS,
                 class,
@@ -455,21 +425,7 @@ impl L4Cache for AlloyController {
                 self.engine.stats.wb_hits += 1;
                 self.store.mark_dirty(line);
             } else if self.writeback_allocate {
-                if let Some((victim_line, victim_dirty)) = self.store.install(line, true) {
-                    self.engine.stats.evictions += 1;
-                    self.engine.emit(ObsEvent::Evicted {
-                        line: victim_line,
-                        dirty: victim_dirty,
-                    });
-                    if victim_dirty {
-                        self.engine.victim_mem_write(victim_line, now);
-                    }
-                }
-                self.engine.emit(ObsEvent::Filled {
-                    line,
-                    dirty: true,
-                    cause: FillCause::Writeback,
-                });
+                self.do_fill(line, true, now);
             } else {
                 self.engine.direct_mem_write(line, now);
             }
@@ -495,9 +451,7 @@ impl L4Cache for AlloyController {
             self.engine
                 .stack
                 .on_eviction(&self.placement, &self.store, set);
-            let t = self.engine.alloc_txn();
             self.engine.harness.cache_write(
-                t,
                 self.placement.locate(set),
                 TAD_BEATS,
                 BloatCategory::WritebackUpdate.class(),
@@ -510,17 +464,12 @@ impl L4Cache for AlloyController {
         // to learn whether the victim being replaced is dirty).
         let txn_id = self.txns.insert(Txn::Wb(WbTxn { line }));
         self.engine.harness.cache_read(
-            txn_id,
-            Leg::CacheProbe,
+            Some(txn_id),
             self.placement.locate(set),
             TAD_BEATS,
             BloatCategory::WritebackProbe.class(),
             now,
         );
-    }
-
-    fn submit_direct_mem_write(&mut self, line: u64, now: Cycle) {
-        self.engine.direct_mem_write(line, now);
     }
 
     fn tick(&mut self, now: Cycle, out: &mut L4Outputs) {
@@ -529,30 +478,13 @@ impl L4Cache for AlloyController {
             match c.leg {
                 Leg::CacheProbe => match self.txns.get(c.txn) {
                     Some(Txn::Read(_)) => self.on_probe_complete(c.txn, c.finish, out),
-                    Some(Txn::Wb(_)) => self.on_wb_probe_complete(c.txn, c.finish, out),
+                    Some(Txn::Wb(_)) => self.on_wb_probe_complete(c.txn, c.finish),
                     None => {}
                 },
                 Leg::MemRead => self.on_mem_complete(c.txn, c.finish, out),
-                Leg::CacheData | Leg::PostedWrite => {}
             }
         }
         self.engine.finish_tick(completions, out);
-    }
-
-    fn stats(&self) -> &L4Stats {
-        &self.engine.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.engine.reset_stats();
-    }
-
-    fn harness(&self) -> &DeviceHarness {
-        &self.engine.harness
-    }
-
-    fn harness_mut(&mut self) -> &mut DeviceHarness {
-        &mut self.engine.harness
     }
 
     fn telemetry_probe(&self) -> Option<ControllerProbe> {
@@ -565,12 +497,6 @@ impl L4Cache for AlloyController {
 
     fn pending_txns(&self) -> usize {
         self.txns.len()
-    }
-
-    fn controller_idle_until(&self, _now: Cycle) -> Cycle {
-        // Purely completion-driven: every read/writeback transaction is
-        // waiting on a device leg.
-        Cycle::NEVER
     }
 
     /// NTC-mirror invariant: every NTC entry must agree with the tag
@@ -605,10 +531,6 @@ impl L4Cache for AlloyController {
             // Handled at the system level (the DCP bit lives in the L3).
             FaultKind::PresenceFlip => false,
         }
-    }
-
-    fn set_observe(&mut self, on: bool) {
-        self.engine.set_observe(on);
     }
 }
 
@@ -777,6 +699,28 @@ mod tests {
         drain(&mut ctrl, &mut out, t, 100_000);
         assert_eq!(ctrl.engine.harness.cache.total_bytes(), 64);
         assert_eq!(ctrl.stats().useful_lines, 1);
+    }
+
+    #[test]
+    fn bwopt_writeback_allocate_reports_its_victim() {
+        let mut ctrl = controller(DesignKind::BwOpt, BearFeatures::none());
+        let sets = ctrl.store.sets();
+        let mut out = L4Outputs::default();
+        ctrl.submit_writeback(3, None, Cycle(0));
+        ctrl.submit_writeback(3 + sets, None, Cycle(0));
+        assert_eq!(ctrl.stats().evictions, 1);
+        let t = drain(&mut ctrl, &mut out, 0, 100_000);
+        ctrl.tick(Cycle(t), &mut out);
+        assert_eq!(out.evictions, vec![3], "the ideal path reports its victim");
+        assert!(ctrl.store.contains(3 + sets));
+        assert_eq!(ctrl.store.occupant(3).map(|o| o.dirty), Some(true));
+        assert_eq!(
+            ctrl.engine
+                .harness
+                .mem
+                .bytes_in_class(MemTraffic::VictimWrite.class()),
+            64
+        );
     }
 
     #[test]

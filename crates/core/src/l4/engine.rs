@@ -1,37 +1,33 @@
-//! Shared transaction engine for L4 controllers.
+//! The organization-independent half of every L4 controller.
 //!
-//! Every organization used to re-implement the same skeleton: a device
-//! harness, an [`L4Stats`] block, a transaction-id allocator, a reusable
-//! completion buffer for the harness tick, and the staged-event machinery
-//! for oracle observation. [`Engine`] hoists that skeleton into one place
-//! and carries the [`TechniqueStack`] with it, so a controller owns only
-//! its genuinely organization-specific core: placement, tag state, and
-//! the hit/miss policy that routes completions.
+//! [`Engine`] owns the mechanism all organizations share: both DRAM
+//! devices, the [`L4Stats`] block, the [`TechniqueStack`], the table of
+//! demand reads whose outcome the tags resolved at issue, the hit/miss
+//! accounting and delivery of demand reads, eviction reporting, and the
+//! staged observation events. A controller keeps only its organization:
+//! placement, tag state, and the policy that routes completions.
 //!
 //! Tick protocol: call [`Engine::begin_tick`] to advance the DRAM devices
-//! and take the completion list, route each completion through the
-//! organization's handlers, then [`Engine::finish_tick`] to return the
-//! buffer and flush staged observation events in decision order.
+//! and take the routed completions, handle each one, then
+//! [`Engine::finish_tick`] to return the buffer and flush the staged
+//! evictions and observation events, each in decision order.
 
 use crate::config::SystemConfig;
 use crate::events::ObsEvent;
 use crate::harness::{DeviceHarness, RoutedCompletion};
 use crate::l4::stack::TechniqueStack;
-use crate::l4::{ControllerProbe, L4Outputs, L4Stats};
-use crate::traffic::MemTraffic;
+use crate::l4::{ControllerProbe, Delivery, L4Outputs, L4Stats, LINE_BEATS};
+use crate::traffic::{BloatCategory, MemTraffic};
+use bear_dram::request::DramLocation;
 use bear_sim::time::Cycle;
 
 /// Generational arena for in-flight transaction state.
 ///
-/// Controllers used to keep their transactions in `HashMap<u64, Txn>`,
-/// which scatters the per-completion lookup across the heap and re-hashes
-/// an id that is already dense. `TxnTable` stores transactions in slot
-/// order (structure-of-arrays friendly: slots vector + generations
-/// vector), recycles slots through a free list, and folds a 30-bit
-/// generation into the id so a stale id from a recycled slot can never
-/// alias a live transaction. Ids are nonzero and fit in 62 bits, leaving
-/// the two low bits free for the harness leg encoding
-/// (`DeviceHarness::encode_id`).
+/// Transactions sit in slot order, slots are recycled through a free
+/// list, and a 30-bit generation is folded into the id so a stale id from
+/// a recycled slot can never alias a live transaction. Ids are nonzero
+/// and fit in 62 bits, leaving the two low bits free for the harness leg
+/// encoding.
 ///
 /// Allocation order is deterministic (LIFO free list), so the ids a run
 /// produces — and everything keyed on them, like completion routing —
@@ -133,6 +129,19 @@ impl<T> TxnTable<T> {
     }
 }
 
+/// A demand read whose outcome the tags resolved at issue (Loh-Hill,
+/// TIS/SC, no cache). It waits on one routed leg: the cache data read of
+/// a hit, or the memory read of a miss.
+#[derive(Debug, Clone, Copy)]
+pub struct ReadTxn {
+    /// Line address.
+    pub line: u64,
+    /// Cycle the read reached the controller (the latency origin).
+    pub arrival: Cycle,
+    /// Whether the tags classified it a hit.
+    pub expect_hit: bool,
+}
+
 /// The organization-independent half of an L4 controller.
 #[derive(Debug)]
 pub struct Engine {
@@ -142,8 +151,10 @@ pub struct Engine {
     pub stats: L4Stats,
     /// The BEAR technique stack the organization invokes through hooks.
     pub stack: TechniqueStack,
-    next_txn: u64,
+    reads: TxnTable<ReadTxn>,
     completions: Vec<RoutedCompletion>,
+    /// Evicted lines not yet reported through [`L4Outputs::evictions`].
+    evictions: Vec<u64>,
     observe: bool,
     staged_events: Vec<ObsEvent>,
 }
@@ -157,17 +168,12 @@ impl Engine {
             harness: DeviceHarness::new(cfg.cache_dram, cfg.mem_dram),
             stats: L4Stats::default(),
             stack,
-            next_txn: 0,
+            reads: TxnTable::new(),
             completions: Vec::with_capacity(16),
+            evictions: Vec::new(),
             observe: false,
             staged_events: Vec::new(),
         }
-    }
-
-    /// Allocates a fresh transaction id (never zero).
-    pub fn alloc_txn(&mut self) -> u64 {
-        self.next_txn += 1;
-        self.next_txn
     }
 
     /// Stages an observation event (no-op unless observation is armed).
@@ -186,7 +192,7 @@ impl Engine {
     }
 
     /// Advances the DRAM devices one cycle and returns the completions
-    /// they produced. The returned buffer must come back through
+    /// they routed. The returned buffer must come back through
     /// [`finish_tick`](Engine::finish_tick) so its capacity is reused.
     pub fn begin_tick(&mut self, now: Cycle) -> Vec<RoutedCompletion> {
         let mut completions = std::mem::take(&mut self.completions);
@@ -195,27 +201,150 @@ impl Engine {
         completions
     }
 
-    /// Returns the completion buffer and flushes staged observation
-    /// events into `out`.
+    /// Returns the completion buffer and flushes the staged evictions and
+    /// observation events into `out`.
     pub fn finish_tick(&mut self, completions: Vec<RoutedCompletion>, out: &mut L4Outputs) {
         self.completions = completions;
+        out.evictions.append(&mut self.evictions);
         if self.observe {
             out.events.append(&mut self.staged_events);
         }
     }
 
-    /// Writes `line` straight to commodity memory as a writeback.
-    pub fn direct_mem_write(&mut self, line: u64, now: Cycle) {
-        let txn = self.alloc_txn();
-        self.harness
-            .mem_write(txn, line, MemTraffic::Writeback.class(), now);
+    /// The engine's busy hint: `now` while a submit-time eviction waits
+    /// for the next tick to report it, else [`Cycle::NEVER`].
+    pub fn idle_until(&self, now: Cycle) -> Cycle {
+        if self.evictions.is_empty() {
+            Cycle::NEVER
+        } else {
+            now
+        }
     }
 
-    /// Writes a dirty victim of the cache to commodity memory.
-    pub fn victim_mem_write(&mut self, line: u64, now: Cycle) {
-        let txn = self.alloc_txn();
+    /// Issues a demand read whose outcome the tags already know: a hit
+    /// reads `beats` from the cache at `loc`, a miss reads memory.
+    pub fn issue_read(
+        &mut self,
+        line: u64,
+        arrival: Cycle,
+        hit_at: Option<(DramLocation, u64)>,
+        now: Cycle,
+    ) {
+        let txn = self.reads.insert(ReadTxn {
+            line,
+            arrival,
+            expect_hit: hit_at.is_some(),
+        });
+        match hit_at {
+            Some((loc, beats)) => {
+                self.harness
+                    .cache_read(Some(txn), loc, beats, BloatCategory::Hit.class(), now);
+            }
+            None => self
+                .harness
+                .mem_read(txn, line, MemTraffic::DemandRead.class(), now),
+        }
+    }
+
+    /// Retires the [`issue_read`](Engine::issue_read) read that `c`
+    /// completes. A hit is counted and delivered here; a miss is returned
+    /// for the organization's fill decision.
+    pub fn finish_read(&mut self, c: &RoutedCompletion, out: &mut L4Outputs) -> Option<ReadTxn> {
+        let txn = self.reads.remove(c.txn)?;
+        if txn.expect_hit {
+            self.deliver_hit(txn.line, txn.arrival, c.finish, out);
+        }
+        Some(txn)
+    }
+
+    /// Reads issued through [`issue_read`](Engine::issue_read) and not
+    /// yet retired.
+    pub fn pending_reads(&self) -> usize {
+        self.reads.len()
+    }
+
+    /// Counts a demand hit that completed at `finish` and delivers it.
+    pub fn deliver_hit(&mut self, line: u64, arrival: Cycle, finish: Cycle, out: &mut L4Outputs) {
+        self.stats.read_hits += 1;
+        self.stats.useful_lines += 1;
+        self.stats.hit_latency.record((finish - arrival) as f64);
+        out.deliveries.push(Delivery {
+            line,
+            l4_hit: true,
+            in_l4: true,
+        });
+    }
+
+    /// Records a demand miss that completed at `finish` and delivers it.
+    pub fn deliver_miss(
+        &mut self,
+        line: u64,
+        arrival: Cycle,
+        finish: Cycle,
+        in_l4: bool,
+        out: &mut L4Outputs,
+    ) {
+        self.stats.miss_latency.record((finish - arrival) as f64);
+        out.deliveries.push(Delivery {
+            line,
+            l4_hit: false,
+            in_l4,
+        });
+    }
+
+    /// Retires a demand miss: the stack's fill hook decides, for the
+    /// bypass duel group `duel_set`, whether to fill or bypass; the
+    /// choice is counted and the line delivered. Returns whether the
+    /// organization must install the line.
+    pub fn fill_or_bypass(
+        &mut self,
+        line: u64,
+        arrival: Cycle,
+        finish: Cycle,
+        duel_set: u64,
+        out: &mut L4Outputs,
+    ) -> bool {
+        let fill = self.stack.on_fill_decision(duel_set);
+        if fill {
+            self.stats.fills += 1;
+        } else {
+            self.stats.bypasses += 1;
+            self.emit(ObsEvent::Bypassed { line });
+        }
+        self.deliver_miss(line, arrival, finish, fill, out);
+        fill
+    }
+
+    /// Reports `line` evicted from the DRAM cache: counts it, emits
+    /// [`ObsEvent::Evicted`], and stages it for the next
+    /// [`L4Outputs::evictions`].
+    pub fn evict(&mut self, line: u64, dirty: bool) {
+        self.stats.evictions += 1;
+        self.emit(ObsEvent::Evicted { line, dirty });
+        self.evictions.push(line);
+    }
+
+    /// Writes a dirty victim back to memory, first reading its data out
+    /// of the cache at `readout` when the organization did not already
+    /// move it (Alloy's probe carries it).
+    pub fn write_back_victim(&mut self, line: u64, readout: Option<DramLocation>, now: Cycle) {
+        if let Some(loc) = readout {
+            self.harness.cache_read(
+                None,
+                loc,
+                LINE_BEATS,
+                BloatCategory::VictimRead.class(),
+                now,
+            );
+        }
         self.harness
-            .mem_write(txn, line, MemTraffic::VictimWrite.class(), now);
+            .mem_write(line, MemTraffic::VictimWrite.class(), now);
+    }
+
+    /// Writes `line` straight to commodity memory as a writeback.
+    pub fn direct_mem_write(&mut self, line: u64, now: Cycle) {
+        self.harness
+            .mem_write(line, MemTraffic::Writeback.class(), now);
     }
 
     /// Resets statistics across the engine, stack, and devices.
@@ -248,19 +377,12 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::config::{DesignKind, SystemConfig};
+    use crate::harness::Leg;
 
     fn engine() -> Engine {
         let cfg = SystemConfig::paper_baseline(DesignKind::Alloy);
         let stack = TechniqueStack::from_config(&cfg, 64);
         Engine::new(&cfg, stack)
-    }
-
-    #[test]
-    fn txn_ids_are_unique_and_nonzero() {
-        let mut e = engine();
-        let a = e.alloc_txn();
-        let b = e.alloc_txn();
-        assert!(a > 0 && b > a);
     }
 
     #[test]
@@ -358,5 +480,73 @@ mod tests {
         assert_eq!(p.dirty_lines, 1);
         assert_eq!(p.capacity_lines, 100);
         assert_eq!(p.bab_bypassed + p.bab_filled, 1);
+    }
+
+    #[test]
+    fn unrouted_completions_never_reach_the_controller() {
+        let mut e = engine();
+        let mut out = L4Outputs::default();
+        let loc = DramLocation {
+            channel: 0,
+            rank: 0,
+            bank: 0,
+            row: 1,
+        };
+        // The read takes read-table id 1; a posted write, a victim
+        // read-out and a victim write run beside it without an id.
+        e.issue_read(0x40, Cycle(0), None, Cycle(0));
+        e.harness
+            .cache_write(loc, 5, BloatCategory::MissFill.class(), Cycle(0));
+        e.write_back_victim(0xC0, Some(loc), Cycle(0));
+        e.direct_mem_write(0x80, Cycle(0));
+        let mut routed = Vec::new();
+        let mut t = 0;
+        while e.harness.pending() > 0 {
+            let completions = e.begin_tick(Cycle(t));
+            for c in &completions {
+                routed.push((c.txn, c.leg));
+                let txn = e.finish_read(c, &mut out).expect("a live read");
+                assert_eq!((txn.line, txn.expect_hit), (0x40, false));
+            }
+            e.finish_tick(completions, &mut out);
+            t += 1;
+            assert!(t < 1_000_000, "engine did not drain");
+        }
+        assert_eq!(routed, vec![(1, Leg::MemRead)]);
+        assert_eq!(e.pending_reads(), 0);
+        assert_eq!(
+            e.harness
+                .cache
+                .bytes_in_class(BloatCategory::VictimRead.class()),
+            64
+        );
+    }
+
+    #[test]
+    fn evictions_report_on_the_next_tick_in_order() {
+        let mut e = engine();
+        let mut out = L4Outputs::default();
+        e.set_observe(true);
+        e.evict(7, true);
+        e.evict(3, false);
+        assert_eq!(e.stats.evictions, 2);
+        assert_eq!(e.idle_until(Cycle(5)), Cycle(5), "busy until reported");
+        let c = e.begin_tick(Cycle(5));
+        e.finish_tick(c, &mut out);
+        assert_eq!(out.evictions, vec![7, 3]);
+        assert_eq!(
+            out.events,
+            vec![
+                ObsEvent::Evicted {
+                    line: 7,
+                    dirty: true
+                },
+                ObsEvent::Evicted {
+                    line: 3,
+                    dirty: false
+                },
+            ]
+        );
+        assert_eq!(e.idle_until(Cycle(6)), Cycle::NEVER);
     }
 }

@@ -12,21 +12,19 @@
 //! front-end, the staged-latency queue, and the row-associative hit/miss
 //! policy. Demand fills consult the technique stack's fill hook, so
 //! Bandwidth-Aware Bypass composes with this organization too (the
-//! paper-default Loh-Hill stack is always-fill, which leaves behavior
-//! bit-identical to the pre-engine controller).
+//! paper-default Loh-Hill stack is always-fill).
 
 use crate::config::{DesignKind, SystemConfig};
 use crate::events::{FillCause, ObsEvent};
-use crate::harness::{DeviceHarness, Leg};
 use crate::l4::engine::Engine;
 use crate::l4::placement::SetPlacement;
 use crate::l4::stack::TechniqueStack;
-use crate::l4::{Delivery, L4Cache, L4Outputs, L4Stats};
-use crate::traffic::{BloatCategory, MemTraffic};
+use crate::l4::{L4Cache, L4Outputs};
+use crate::traffic::BloatCategory;
 use bear_cache::{CacheGeometry, MissMap, SetAssocCache};
 use bear_dram::request::DramLocation;
 use bear_sim::time::Cycle;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Ways per Loh-Hill set (per 2 KB row).
 const WAYS: u32 = 29;
@@ -34,8 +32,6 @@ const WAYS: u32 = 29;
 const HIT_BEATS: u64 = 16;
 /// Beats of a tag-group read: 192 B.
 const TAG_BEATS: u64 = 12;
-/// Beats of a data-line transfer: 64 B.
-const DATA_BEATS: u64 = 4;
 /// Beats of a combined tag+data write: 80 B.
 const FILL_BEATS: u64 = 5;
 /// Beats of an LRU-state update write.
@@ -45,13 +41,6 @@ const LRU_BEATS: u64 = 1;
 enum Staged {
     Read { line: u64, submitted: Cycle },
     Writeback { line: u64 },
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ReadTxn {
-    line: u64,
-    arrival: Cycle,
-    expect_hit: bool,
 }
 
 /// Controller for Loh-Hill (`DesignKind::LohHill`) and Mostly-Clean
@@ -64,11 +53,10 @@ pub struct LohHillController {
     missmap: MissMap,
     placement: SetPlacement,
     /// Shared transaction skeleton + technique stack.
-    pub engine: Engine,
+    engine: Engine,
     /// Extra lookup latency in CPU cycles (24 for LH, 0 for MC).
     front_latency: u64,
     staged: VecDeque<(Cycle, Staged)>,
-    reads: HashMap<u64, ReadTxn>,
 }
 
 impl LohHillController {
@@ -93,7 +81,6 @@ impl LohHillController {
             engine: Engine::new(cfg, stack),
             front_latency,
             staged: VecDeque::new(),
-            reads: HashMap::new(),
         }
     }
 
@@ -110,14 +97,7 @@ impl LohHillController {
     /// victim's data, and keeps the MissMap current. Victim selection uses
     /// the tag state already held by the row's most recent access; only
     /// dirty-victim data transfer costs bus bandwidth.
-    fn do_fill(
-        &mut self,
-        line: u64,
-        dirty: bool,
-        class: BloatCategory,
-        now: Cycle,
-        out: &mut L4Outputs,
-    ) {
+    fn do_fill(&mut self, line: u64, dirty: bool, class: BloatCategory, now: Cycle) {
         let loc = self.locate(line);
         let victim = self
             .store
@@ -125,10 +105,8 @@ impl LohHillController {
             .map(|v| (v.addr / 64, v.dirty));
         self.missmap.insert(line * 64);
         if let Some((vline, vdirty)) = victim {
-            self.engine.emit(ObsEvent::Evicted {
-                line: vline,
-                dirty: vdirty,
-            });
+            self.engine.evict(vline, vdirty);
+            self.missmap.remove(vline * 64);
         }
         self.engine.emit(ObsEvent::Filled {
             line,
@@ -140,70 +118,23 @@ impl LohHillController {
                 FillCause::Demand
             },
         });
-        let t = self.engine.alloc_txn();
         self.engine
             .harness
-            .cache_write(t, loc, FILL_BEATS, class.class(), now);
-        if let Some((vline, vdirty)) = victim {
-            self.engine.stats.evictions += 1;
-            self.missmap.remove(vline * 64);
-            out.evictions.push(vline);
-            if vdirty {
-                let t = self.engine.alloc_txn();
-                self.engine.harness.cache_read(
-                    t,
-                    Leg::CacheData,
-                    loc,
-                    DATA_BEATS,
-                    BloatCategory::VictimRead.class(),
-                    now,
-                );
-                let t = self.engine.alloc_txn();
-                self.engine
-                    .harness
-                    .mem_write(t, vline, MemTraffic::VictimWrite.class(), now);
-            }
+            .cache_write(loc, FILL_BEATS, class.class(), now);
+        if let Some((vline, true)) = victim {
+            self.engine.write_back_victim(vline, Some(loc), now);
         }
     }
 
-    fn process(&mut self, staged: Staged, now: Cycle, out: &mut L4Outputs) {
+    fn process(&mut self, staged: Staged, now: Cycle) {
         match staged {
             Staged::Read { line, submitted } => {
-                let txn = self.engine.alloc_txn();
+                // The MissMap knows the outcome: a hit reads tags + data in
+                // one row access, a miss goes straight to memory.
                 let hit = self.missmap.contains(line * 64);
                 self.engine.emit(ObsEvent::ReadClassified { line, hit });
-                if hit {
-                    // Known hit: one row access returns tags + data.
-                    self.reads.insert(
-                        txn,
-                        ReadTxn {
-                            line,
-                            arrival: submitted,
-                            expect_hit: true,
-                        },
-                    );
-                    self.engine.harness.cache_read(
-                        txn,
-                        Leg::CacheProbe,
-                        self.locate(line),
-                        HIT_BEATS,
-                        BloatCategory::Hit.class(),
-                        now,
-                    );
-                } else {
-                    // Known miss: dispatch straight to memory.
-                    self.reads.insert(
-                        txn,
-                        ReadTxn {
-                            line,
-                            arrival: submitted,
-                            expect_hit: false,
-                        },
-                    );
-                    self.engine
-                        .harness
-                        .mem_read(txn, line, MemTraffic::DemandRead.class(), now);
-                }
+                let hit_at = hit.then(|| (self.locate(line), HIT_BEATS));
+                self.engine.issue_read(line, submitted, hit_at, now);
             }
             Staged::Writeback { line } => {
                 let hit = self.missmap.contains(line * 64);
@@ -221,19 +152,15 @@ impl LohHillController {
                     // Way discovery: read the tag group; then write data +
                     // tag/LRU state.
                     let loc = self.locate(line);
-                    let t = self.engine.alloc_txn();
                     self.engine.harness.cache_read(
-                        t,
-                        Leg::CacheData,
+                        None,
                         loc,
                         TAG_BEATS,
                         BloatCategory::WritebackProbe.class(),
                         now,
                     );
                     self.store.access(line * 64, true);
-                    let t = self.engine.alloc_txn();
                     self.engine.harness.cache_write(
-                        t,
                         loc,
                         FILL_BEATS,
                         BloatCategory::WritebackUpdate.class(),
@@ -241,64 +168,22 @@ impl LohHillController {
                     );
                 } else {
                     // Write-allocate path.
-                    self.do_fill(line, true, BloatCategory::WritebackFill, now, out);
+                    self.do_fill(line, true, BloatCategory::WritebackFill, now);
                 }
             }
-        }
-    }
-
-    fn on_gating_completion(&mut self, txn_id: u64, finish: Cycle, out: &mut L4Outputs) {
-        let Some(txn) = self.reads.remove(&txn_id) else {
-            // Fill-stage / victim reads complete silently.
-            return;
-        };
-        if txn.expect_hit {
-            self.engine.stats.read_hits += 1;
-            self.engine.stats.useful_lines += 1;
-            self.engine
-                .stats
-                .hit_latency
-                .record((finish - txn.arrival) as f64);
-            // LRU promotion written back to the in-DRAM tag state
-            // (footnote 3's replacement-update bloat).
-            self.store.access(txn.line * 64, false);
-            let t = self.engine.alloc_txn();
-            self.engine.harness.cache_write(
-                t,
-                self.locate(txn.line),
-                LRU_BEATS,
-                BloatCategory::LruUpdate.class(),
-                finish,
-            );
-            out.deliveries.push(Delivery {
-                line: txn.line,
-                l4_hit: true,
-                in_l4: true,
-            });
-        } else {
-            self.engine
-                .stats
-                .miss_latency
-                .record((finish - txn.arrival) as f64);
-            let set = self.set_of(txn.line);
-            let fill = self.engine.stack.on_fill_decision(set);
-            if fill {
-                self.do_fill(txn.line, false, BloatCategory::MissFill, finish, out);
-                self.engine.stats.fills += 1;
-            } else {
-                self.engine.stats.bypasses += 1;
-                self.engine.emit(ObsEvent::Bypassed { line: txn.line });
-            }
-            out.deliveries.push(Delivery {
-                line: txn.line,
-                l4_hit: false,
-                in_l4: fill,
-            });
         }
     }
 }
 
 impl L4Cache for LohHillController {
+    fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
+    fn engine_mut(&mut self) -> &mut Engine {
+        &mut self.engine
+    }
+
     fn submit_read(&mut self, line: u64, _pc: u64, _core: u32, now: Cycle) {
         self.engine.stats.read_lookups += 1;
         self.staged.push_back((
@@ -316,61 +201,55 @@ impl L4Cache for LohHillController {
             .push_back((now + self.front_latency, Staged::Writeback { line }));
     }
 
-    fn submit_direct_mem_write(&mut self, line: u64, now: Cycle) {
-        self.engine.direct_mem_write(line, now);
-    }
-
     fn tick(&mut self, now: Cycle, out: &mut L4Outputs) {
         while matches!(self.staged.front(), Some((ready, _)) if *ready <= now) {
             let (_, staged) = self.staged.pop_front().expect("front checked");
-            self.process(staged, now, out);
+            self.process(staged, now);
         }
         let completions = self.engine.begin_tick(now);
         for c in &completions {
-            match c.leg {
-                Leg::CacheProbe | Leg::MemRead => self.on_gating_completion(c.txn, c.finish, out),
-                Leg::CacheData | Leg::PostedWrite => {}
+            let Some(txn) = self.engine.finish_read(c, out) else {
+                continue;
+            };
+            if txn.expect_hit {
+                // LRU promotion written back to the in-DRAM tag state
+                // (footnote 3's replacement-update bloat).
+                self.store.access(txn.line * 64, false);
+                self.engine.harness.cache_write(
+                    self.locate(txn.line),
+                    LRU_BEATS,
+                    BloatCategory::LruUpdate.class(),
+                    c.finish,
+                );
+            } else {
+                let set = self.set_of(txn.line);
+                if self
+                    .engine
+                    .fill_or_bypass(txn.line, txn.arrival, c.finish, set, out)
+                {
+                    self.do_fill(txn.line, false, BloatCategory::MissFill, c.finish);
+                }
             }
         }
         self.engine.finish_tick(completions, out);
     }
 
-    fn stats(&self) -> &L4Stats {
-        &self.engine.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.engine.reset_stats();
-    }
-
-    fn harness(&self) -> &DeviceHarness {
-        &self.engine.harness
-    }
-
-    fn harness_mut(&mut self) -> &mut DeviceHarness {
-        &mut self.engine.harness
-    }
-
     fn pending_txns(&self) -> usize {
-        self.reads.len() + self.staged.len()
+        self.engine.pending_reads() + self.staged.len()
     }
 
     fn controller_idle_until(&self, now: Cycle) -> Cycle {
-        // Only the staged delay queue can act without a device completion.
-        // It is FIFO with a constant latency, so the front entry carries
-        // the earliest ready time.
-        match self.staged.front() {
-            Some((ready, _)) => (*ready).max(now),
-            None => Cycle::NEVER,
-        }
+        // The staged delay queue is FIFO with a constant latency, so the
+        // front entry carries the earliest ready time.
+        let staged = self
+            .staged
+            .front()
+            .map_or(Cycle::NEVER, |(ready, _)| (*ready).max(now));
+        staged.min(self.engine.idle_until(now))
     }
 
     fn contains_line(&self, line: u64) -> Option<bool> {
         Some(self.store.contains(line * 64))
-    }
-
-    fn set_observe(&mut self, on: bool) {
-        self.engine.set_observe(on);
     }
 }
 
@@ -378,6 +257,7 @@ impl L4Cache for LohHillController {
 mod tests {
     use super::*;
     use crate::config::{BearFeatures, FillPolicy};
+    use crate::traffic::MemTraffic;
 
     fn controller(design: DesignKind) -> LohHillController {
         LohHillController::new(&SystemConfig::paper_baseline(design))

@@ -5,10 +5,13 @@
 //! and Mostly-Clean row-associative designs ([`loh_hill`]), the
 //! Tags-in-SRAM and Sector Cache comparison points ([`sram_tags`]), and the
 //! no-DRAM-cache pass-through (`no_cache`). [`placement`] maps cache sets
-//! onto DRAM rows/banks/channels. The organization-independent transaction
-//! skeleton lives in [`engine`], and the composable BEAR techniques in
-//! [`stack`]; controllers implement only placement, tag state, and hit/miss
-//! policy on top of those two. Tag state comes from two stores: the
+//! onto DRAM rows/banks/channels. Each controller embeds an
+//! [`engine::Engine`], which owns the devices, statistics, transaction
+//! ids, demand-read accounting and eviction reporting, and the engine
+//! carries the composable BEAR techniques of [`stack`]. A controller adds
+//! only placement, tag state, and hit/miss policy, and implements the
+//! trait's submit/tick half; the trait provides the rest through
+//! [`L4Cache::engine`]. Tag state comes from two stores: the
 //! direct-mapped `contents::DirectStore` (Alloy) and `bear_cache`'s
 //! set-associative LRU `SetAssocCache` (Loh-Hill rows, TIS tags, and the
 //! Sector Cache's sectors through `SectorTagStore`).
@@ -24,10 +27,14 @@ pub mod stack;
 use crate::config::{DesignKind, SystemConfig};
 use crate::events::ObsEvent;
 use crate::harness::DeviceHarness;
+use crate::l4::engine::Engine;
 use bear_sim::faultinject::FaultKind;
 use bear_sim::invariants::InvariantSink;
 use bear_sim::stats::RunningMean;
 use bear_sim::time::Cycle;
+
+/// Beats of a bare 64 B line on the stacked cache's 16 B bus.
+pub(crate) const LINE_BEATS: u64 = 4;
 
 /// A demand line returning to the L3/core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,8 +176,17 @@ pub struct ControllerProbe {
 /// Interface every DRAM-cache organization implements.
 ///
 /// The controller owns both DRAM devices (stacked cache and commodity
-/// memory); all memory-system traffic flows through it.
+/// memory) through its [`Engine`]; all memory-system traffic flows
+/// through it. An organization implements the engine accessors, the
+/// submit/tick half and its own queries; the statistics, harness,
+/// observation and direct-write plumbing is provided once here.
 pub trait L4Cache {
+    /// The controller's shared transaction engine.
+    fn engine(&self) -> &Engine;
+
+    /// Mutable access to the controller's shared transaction engine.
+    fn engine_mut(&mut self) -> &mut Engine;
+
     /// Submits a demand read for `line` (64 B line address) issued by
     /// instruction `pc` on `core`.
     fn submit_read(&mut self, line: u64, pc: u64, core: u32, now: Cycle);
@@ -183,24 +199,34 @@ pub trait L4Cache {
 
     /// Writes `line` directly to main memory (inclusive back-invalidation
     /// of a dirty L3 line, or writebacks in the no-cache design).
-    fn submit_direct_mem_write(&mut self, line: u64, now: Cycle);
+    fn submit_direct_mem_write(&mut self, line: u64, now: Cycle) {
+        self.engine_mut().direct_mem_write(line, now);
+    }
 
     /// Advances one CPU cycle: progresses DRAM devices and transaction
     /// state machines, appending results to `out`.
     fn tick(&mut self, now: Cycle, out: &mut L4Outputs);
 
     /// Statistics view.
-    fn stats(&self) -> &L4Stats;
+    fn stats(&self) -> &L4Stats {
+        &self.engine().stats
+    }
 
     /// Resets statistics (including device byte counters).
-    fn reset_stats(&mut self);
+    fn reset_stats(&mut self) {
+        self.engine_mut().reset_stats();
+    }
 
     /// Device harness (byte accounting lives on the devices).
-    fn harness(&self) -> &DeviceHarness;
+    fn harness(&self) -> &DeviceHarness {
+        &self.engine().harness
+    }
 
     /// Mutable device harness (the telemetry layer arms/drains the DRAM
     /// transfer log through this).
-    fn harness_mut(&mut self) -> &mut DeviceHarness;
+    fn harness_mut(&mut self) -> &mut DeviceHarness {
+        &mut self.engine_mut().harness
+    }
 
     /// Point-in-time snapshot of controller internals for the telemetry
     /// sampler. `None` for designs that expose nothing beyond [`L4Stats`].
@@ -208,8 +234,11 @@ pub trait L4Cache {
         None
     }
 
-    /// Outstanding transactions (for drain checks in tests).
-    fn pending_txns(&self) -> usize;
+    /// Outstanding transactions (for drain checks in tests). The default
+    /// counts the engine's known-outcome reads.
+    fn pending_txns(&self) -> usize {
+        self.engine().pending_reads()
+    }
 
     /// Earliest cycle at which the controller *itself* — excluding the
     /// DRAM devices — can act without a device completion arriving first.
@@ -217,11 +246,12 @@ pub trait L4Cache {
     /// submissions, the controller does nothing until a device completes.
     /// This is the controller's one busy hint, and it must cover every
     /// internal time-based queue. The fast-forward in `System` uses it to
-    /// prove that a window of cycles can run entirely inside the devices;
-    /// the conservative default (`now`) declares the controller always
-    /// busy, which disables fast-forwarding but is never wrong.
+    /// prove that a window of cycles can run entirely inside the devices.
+    /// The default is the engine's own hint (busy while a submit-time
+    /// eviction awaits its report); an organization with a queue of its
+    /// own composes that queue's hint with it.
     fn controller_idle_until(&self, now: Cycle) -> Cycle {
-        now
+        self.engine().idle_until(now)
     }
 
     /// Earliest cycle at which a [`L4Cache::tick`] can change any state:
@@ -253,9 +283,10 @@ pub trait L4Cache {
 
     /// Arms (or disarms) oracle observation: when on, the controller emits
     /// [`ObsEvent`]s into [`L4Outputs::events`] at every functional
-    /// decision instant. Off by default; the default impl ignores the
-    /// request (valid only for controllers that emit no events).
-    fn set_observe(&mut self, _on: bool) {}
+    /// decision instant. Off by default.
+    fn set_observe(&mut self, on: bool) {
+        self.engine_mut().set_observe(on);
+    }
 }
 
 /// Builds the controller for `cfg.design`.
@@ -268,8 +299,9 @@ pub fn build_controller(cfg: &SystemConfig) -> Box<dyn L4Cache> {
         DesignKind::LohHill | DesignKind::MostlyClean => {
             Box::new(loh_hill::LohHillController::new(cfg))
         }
-        DesignKind::TagsInSram => Box::new(sram_tags::TisController::new(cfg)),
-        DesignKind::SectorCache => Box::new(sram_tags::SectorController::new(cfg)),
+        DesignKind::TagsInSram | DesignKind::SectorCache => {
+            Box::new(sram_tags::SramTagController::new(cfg))
+        }
     }
 }
 
@@ -325,6 +357,53 @@ mod tests {
             let cfg = SystemConfig::paper_baseline(design);
             let ctrl = build_controller(&cfg);
             assert_eq!(ctrl.pending_txns(), 0, "{design:?} starts idle");
+        }
+    }
+
+    /// TIS, SC and BW-Opt evict at submit time when a writeback
+    /// allocates over a full set: the victim reaches `out.evictions` on
+    /// the next tick, and until then the controller reports itself busy.
+    #[test]
+    fn submit_time_evictions_report_on_the_next_tick() {
+        use crate::traffic::MemTraffic;
+        for design in [
+            DesignKind::TagsInSram,
+            DesignKind::SectorCache,
+            DesignKind::BwOpt,
+        ] {
+            let cfg = SystemConfig::paper_baseline(design);
+            // Lines `stride` apart share a set (a TIS set, a sector set, or
+            // a direct-mapped slot); line 64 opens a sector.
+            let (stride, ways) = match design {
+                DesignKind::BwOpt => (cfg.l4_lines(), 1),
+                _ => (cfg.l4_lines() / 32, 32),
+            };
+            let mut ctrl = build_controller(&cfg);
+            let mut out = L4Outputs::default();
+            let mut t = 0;
+            for k in 0..=ways {
+                let now = Cycle(t);
+                ctrl.submit_writeback(64 + k * stride, None, now);
+                if k == ways {
+                    assert_eq!(ctrl.controller_idle_until(now), now, "{design:?}");
+                    assert_eq!(ctrl.next_busy_cycle(now), now, "{design:?}");
+                    assert!(out.evictions.is_empty(), "{design:?}");
+                }
+                while ctrl.pending_txns() > 0 || ctrl.harness().pending() > 0 || t == now.0 {
+                    ctrl.tick(Cycle(t), &mut out);
+                    t += 1;
+                }
+            }
+            assert_eq!(out.evictions, vec![64], "{design:?}");
+            assert_eq!(ctrl.stats().evictions, 1, "{design:?}");
+            assert_eq!(ctrl.controller_idle_until(Cycle(t)), Cycle::NEVER);
+            assert_eq!(
+                ctrl.harness()
+                    .mem
+                    .bytes_in_class(MemTraffic::VictimWrite.class()),
+                64,
+                "{design:?}: the dirty victim goes to memory"
+            );
         }
     }
 }

@@ -8,20 +8,16 @@
 
 use crate::config::SystemConfig;
 use crate::events::ObsEvent;
-use crate::harness::{DeviceHarness, Leg};
 use crate::l4::engine::Engine;
 use crate::l4::stack::TechniqueStack;
-use crate::l4::{Delivery, L4Cache, L4Outputs, L4Stats};
-use crate::traffic::MemTraffic;
+use crate::l4::{L4Cache, L4Outputs};
 use bear_sim::time::Cycle;
-use std::collections::HashMap;
 
 /// Pass-through "controller": memory only.
 #[derive(Debug)]
 pub struct NoCacheController {
     /// Shared transaction skeleton (the cache device stays idle).
-    pub engine: Engine,
-    reads: HashMap<u64, (u64, Cycle)>,
+    engine: Engine,
 }
 
 impl NoCacheController {
@@ -30,22 +26,25 @@ impl NoCacheController {
         let stack = TechniqueStack::from_config(cfg, 1);
         NoCacheController {
             engine: Engine::new(cfg, stack),
-            reads: HashMap::new(),
         }
     }
 }
 
 impl L4Cache for NoCacheController {
+    fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
+    fn engine_mut(&mut self) -> &mut Engine {
+        &mut self.engine
+    }
+
     fn submit_read(&mut self, line: u64, _pc: u64, _core: u32, now: Cycle) {
         self.engine.stats.read_lookups += 1;
         // There is no cache: every demand read is a miss by construction.
         self.engine
             .emit(ObsEvent::ReadClassified { line, hit: false });
-        let txn = self.engine.alloc_txn();
-        self.reads.insert(txn, (line, now));
-        self.engine
-            .harness
-            .mem_read(txn, line, MemTraffic::DemandRead.class(), now);
+        self.engine.issue_read(line, now, None, now);
     }
 
     fn submit_writeback(&mut self, line: u64, _dcp_hint: Option<bool>, now: Cycle) {
@@ -59,62 +58,19 @@ impl L4Cache for NoCacheController {
         self.engine.direct_mem_write(line, now);
     }
 
-    fn submit_direct_mem_write(&mut self, line: u64, now: Cycle) {
-        self.engine.direct_mem_write(line, now);
-    }
-
     fn tick(&mut self, now: Cycle, out: &mut L4Outputs) {
         let completions = self.engine.begin_tick(now);
         for c in &completions {
-            if c.leg == Leg::MemRead {
-                if let Some((line, arrival)) = self.reads.remove(&c.txn) {
-                    self.engine
-                        .stats
-                        .miss_latency
-                        .record((c.finish - arrival) as f64);
-                    out.deliveries.push(Delivery {
-                        line,
-                        l4_hit: false,
-                        in_l4: false,
-                    });
-                }
+            if let Some(txn) = self.engine.finish_read(c, out) {
+                self.engine
+                    .deliver_miss(txn.line, txn.arrival, c.finish, false, out);
             }
         }
         self.engine.finish_tick(completions, out);
     }
 
-    fn stats(&self) -> &L4Stats {
-        &self.engine.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.engine.reset_stats();
-    }
-
-    fn harness(&self) -> &DeviceHarness {
-        &self.engine.harness
-    }
-
-    fn harness_mut(&mut self) -> &mut DeviceHarness {
-        &mut self.engine.harness
-    }
-
-    fn pending_txns(&self) -> usize {
-        self.reads.len()
-    }
-
-    fn controller_idle_until(&self, _now: Cycle) -> Cycle {
-        // Purely completion-driven: all transaction state waits on device
-        // completions.
-        Cycle::NEVER
-    }
-
     fn contains_line(&self, _line: u64) -> Option<bool> {
         Some(false)
-    }
-
-    fn set_observe(&mut self, on: bool) {
-        self.engine.set_observe(on);
     }
 }
 
@@ -122,6 +78,7 @@ impl L4Cache for NoCacheController {
 mod tests {
     use super::*;
     use crate::config::{DesignKind, SystemConfig};
+    use crate::traffic::MemTraffic;
 
     #[test]
     fn reads_come_from_memory_only() {
@@ -138,14 +95,9 @@ mod tests {
         assert_eq!(out.deliveries.len(), 1);
         assert!(!out.deliveries[0].l4_hit);
         assert!(!out.deliveries[0].in_l4);
+        assert_eq!(ctrl.harness().cache.total_bytes(), 0, "cache device unused");
         assert_eq!(
-            ctrl.engine.harness.cache.total_bytes(),
-            0,
-            "cache device unused"
-        );
-        assert_eq!(
-            ctrl.engine
-                .harness
+            ctrl.harness()
                 .mem
                 .bytes_in_class(MemTraffic::DemandRead.class()),
             64
@@ -164,8 +116,7 @@ mod tests {
             ctrl.tick(Cycle(t), &mut out);
         }
         assert_eq!(
-            ctrl.engine
-                .harness
+            ctrl.harness()
                 .mem
                 .bytes_in_class(MemTraffic::Writeback.class()),
             64

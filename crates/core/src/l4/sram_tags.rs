@@ -1,5 +1,5 @@
 //! Tags-in-SRAM designs (Section 8): the idealized TIS cache and the
-//! Sector Cache.
+//! Sector Cache, one controller whose tag model picks the design.
 //!
 //! Both keep their tags on chip, so probes cost no DRAM-cache bandwidth and
 //! no latency (the paper explicitly does not penalize them for the SRAM
@@ -12,123 +12,65 @@
 //! Built on the shared [`Engine`]: this file keeps only the on-chip tag
 //! models and their hit/miss policy. Demand fills consult the technique
 //! stack's fill hook, so Bandwidth-Aware Bypass composes with the SRAM-tag
-//! organizations too (the paper-default stack is always-fill, which leaves
-//! behavior bit-identical to the pre-engine controllers).
+//! organizations too (the paper-default stack is always-fill).
 
 use crate::config::{DesignKind, SystemConfig};
 use crate::events::{FillCause, ObsEvent};
-use crate::harness::{DeviceHarness, Leg};
 use crate::l4::engine::Engine;
 use crate::l4::placement::SetPlacement;
 use crate::l4::stack::TechniqueStack;
-use crate::l4::{Delivery, L4Cache, L4Outputs, L4Stats};
-use crate::traffic::{BloatCategory, MemTraffic};
+use crate::l4::{L4Cache, L4Outputs, LINE_BEATS};
+use crate::traffic::BloatCategory;
 use bear_cache::{CacheGeometry, SectorProbe, SectorTagStore, SetAssocCache};
-use bear_dram::request::DramLocation;
 use bear_sim::time::Cycle;
-use std::collections::HashMap;
 
-/// Beats per 64 B line on the stacked bus.
-const LINE_BEATS: u64 = 4;
-
-#[derive(Debug, Clone, Copy)]
-struct ReadTxn {
-    line: u64,
-    arrival: Cycle,
-    expect_hit: bool,
-}
-
-/// Shared implementation: hit/miss policy is delegated to the tag model.
+/// The on-chip tags, which decide the design.
 #[derive(Debug)]
 enum TagModel {
+    /// Tags-in-SRAM: 32-way, one tag per 64 B line.
     Tis(SetAssocCache<()>),
+    /// Sector Cache: 32-way, one tag per 4 KB sector of 64 B blocks.
     Sector(SectorTagStore),
 }
 
-/// Tags-in-SRAM controller (32-way, idealized on-chip tags).
+/// Controller for Tags-in-SRAM (`DesignKind::TagsInSram`) and the Sector
+/// Cache (`DesignKind::SectorCache`).
 #[derive(Debug)]
-pub struct TisController {
-    inner: SramTagController,
-}
-
-/// Sector Cache controller (4 KB sectors, 64 B blocks, 32-way).
-#[derive(Debug)]
-pub struct SectorController {
-    inner: SramTagController,
-}
-
-#[derive(Debug)]
-struct SramTagController {
+pub struct SramTagController {
     tags: TagModel,
     placement: SetPlacement,
     /// Shared transaction skeleton + technique stack.
     engine: Engine,
-    reads: HashMap<u64, ReadTxn>,
-    /// Evictions produced by submit-path writebacks, re-emitted on the
-    /// next tick (the trait reports evictions through `tick` outputs).
-    pending_evictions: Vec<u64>,
-}
-
-impl TisController {
-    /// Builds the TIS controller for `cfg`.
-    pub fn new(cfg: &SystemConfig) -> Self {
-        assert_eq!(cfg.design, DesignKind::TagsInSram);
-        TisController {
-            inner: SramTagController::new(
-                cfg,
-                TagModel::Tis(SetAssocCache::new(CacheGeometry::new(
-                    cfg.l4_capacity(),
-                    32,
-                    64,
-                ))),
-            ),
-        }
-    }
-}
-
-impl SectorController {
-    /// Builds the Sector Cache controller for `cfg`.
-    pub fn new(cfg: &SystemConfig) -> Self {
-        assert_eq!(cfg.design, DesignKind::SectorCache);
-        TisControllerDelegate::assert_capacity(cfg);
-        SectorController {
-            inner: SramTagController::new(
-                cfg,
-                TagModel::Sector(SectorTagStore::new(cfg.l4_capacity(), 32, 4096, 64)),
-            ),
-        }
-    }
-}
-
-/// Internal helper namespace for shared assertions.
-struct TisControllerDelegate;
-
-impl TisControllerDelegate {
-    fn assert_capacity(cfg: &SystemConfig) {
-        assert!(
-            cfg.l4_capacity().is_multiple_of(32 * 4096),
-            "sector cache capacity must hold whole sector sets"
-        );
-    }
 }
 
 impl SramTagController {
-    fn new(cfg: &SystemConfig, tags: TagModel) -> Self {
-        // Data-only rows: 32 lines of 64 B per 2 KB row.
+    /// Builds the controller.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.design` is not `TagsInSram` or `SectorCache`, or
+    /// the capacity is not a whole number of tag sets.
+    pub fn new(cfg: &SystemConfig) -> Self {
+        let tags = match cfg.design {
+            DesignKind::TagsInSram => TagModel::Tis(SetAssocCache::new(CacheGeometry::new(
+                cfg.l4_capacity(),
+                32,
+                64,
+            ))),
+            DesignKind::SectorCache => {
+                TagModel::Sector(SectorTagStore::new(cfg.l4_capacity(), 32, 4096, 64))
+            }
+            other => panic!("SramTagController built for {other:?}"),
+        };
+        // Data-only rows: 32 lines of 64 B per 2 KB row, striped row by
+        // row in line order.
         let placement = SetPlacement::new(cfg.cache_dram.topology, 32);
         let stack = TechniqueStack::from_config(cfg, placement.total_banks());
         SramTagController {
             tags,
             placement,
             engine: Engine::new(cfg, stack),
-            reads: HashMap::new(),
-            pending_evictions: Vec::new(),
         }
-    }
-
-    /// Data location: lines are striped row-by-row in line order.
-    fn locate(&self, line: u64) -> DramLocation {
-        self.placement.locate(line)
     }
 
     /// Tag-model set index for `line`, used as the bypass-duel group key.
@@ -139,44 +81,21 @@ impl SramTagController {
         }
     }
 
-    /// Is the line present (no stats side effects beyond the tag model's)?
-    fn present(&mut self, line: u64) -> bool {
-        match &mut self.tags {
-            TagModel::Tis(t) => t.contains(line * 64),
-            TagModel::Sector(s) => s.peek(line * 64) == SectorProbe::BlockHit,
+    /// Evicts `line`; a dirty one is read out and written to memory.
+    fn evict(&mut self, line: u64, dirty: bool, now: Cycle) {
+        self.engine.evict(line, dirty);
+        if dirty {
+            let loc = self.placement.locate(line);
+            self.engine.write_back_victim(line, Some(loc), now);
         }
     }
 
-    /// Installs `line`, charging victim traffic; returns evicted lines.
-    fn install(&mut self, line: u64, dirty: bool, now: Cycle, out: &mut L4Outputs) {
+    /// Installs `line`, evicting what it displaces.
+    fn install(&mut self, line: u64, dirty: bool, now: Cycle) {
         match &mut self.tags {
             TagModel::Tis(t) => {
                 if let Some(v) = t.fill(line * 64, dirty, ()) {
-                    let vline = v.addr / 64;
-                    self.engine.stats.evictions += 1;
-                    out.evictions.push(vline);
-                    self.engine.emit(ObsEvent::Evicted {
-                        line: vline,
-                        dirty: v.dirty,
-                    });
-                    if v.dirty {
-                        let txn = self.engine.alloc_txn();
-                        self.engine.harness.cache_read(
-                            txn,
-                            Leg::CacheData,
-                            self.placement.locate(vline),
-                            LINE_BEATS,
-                            BloatCategory::VictimRead.class(),
-                            now,
-                        );
-                        let txn = self.engine.alloc_txn();
-                        self.engine.harness.mem_write(
-                            txn,
-                            vline,
-                            MemTraffic::VictimWrite.class(),
-                            now,
-                        );
-                    }
+                    self.evict(v.addr / 64, v.dirty, now);
                 }
             }
             TagModel::Sector(s) => match s.peek(line * 64) {
@@ -189,41 +108,15 @@ impl SramTagController {
                 SectorProbe::SectorMiss => {
                     if let Some(v) = s.fill_sector(line * 64, dirty) {
                         let first_vline = v.addr / 64;
-                        self.engine.stats.evictions += u64::from(v.valid_blocks);
                         // Every dirty block of the victim sector is read
-                        // out and pushed to memory — the SC's Achilles heel.
-                        for i in 0..v.dirty_blocks as u64 {
-                            let vline = first_vline + i;
-                            out.evictions.push(vline);
-                            self.engine.emit(ObsEvent::Evicted {
-                                line: vline,
-                                dirty: true,
-                            });
-                            let txn = self.engine.alloc_txn();
-                            self.engine.harness.cache_read(
-                                txn,
-                                Leg::CacheData,
-                                self.placement.locate(vline),
-                                LINE_BEATS,
-                                BloatCategory::VictimRead.class(),
-                                now,
-                            );
-                            let txn = self.engine.alloc_txn();
-                            self.engine.harness.mem_write(
-                                txn,
-                                vline,
-                                MemTraffic::VictimWrite.class(),
-                                now,
-                            );
+                        // out and pushed to memory — the SC's Achilles
+                        // heel. Clean blocks just vanish, but are still
+                        // reported so DCP-style listeners stay coherent.
+                        for i in 0..u64::from(v.dirty_blocks) {
+                            self.evict(first_vline + i, true, now);
                         }
-                        // Clean evicted blocks just vanish; report them so
-                        // DCP-style listeners stay coherent.
-                        for i in v.dirty_blocks as u64..v.valid_blocks as u64 {
-                            out.evictions.push(first_vline + i);
-                            self.engine.emit(ObsEvent::Evicted {
-                                line: first_vline + i,
-                                dirty: false,
-                            });
+                        for i in u64::from(v.dirty_blocks)..u64::from(v.valid_blocks) {
+                            self.evict(first_vline + i, false, now);
                         }
                     }
                 }
@@ -239,49 +132,39 @@ impl SramTagController {
             },
         });
     }
+}
 
-    fn submit_read(&mut self, line: u64, now: Cycle) {
+impl L4Cache for SramTagController {
+    fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
+    fn engine_mut(&mut self) -> &mut Engine {
+        &mut self.engine
+    }
+
+    fn submit_read(&mut self, line: u64, _pc: u64, _core: u32, now: Cycle) {
         self.engine.stats.read_lookups += 1;
         let hit = match &mut self.tags {
             TagModel::Tis(t) => t.access(line * 64, false).is_some(),
             TagModel::Sector(s) => s.probe(line * 64) == SectorProbe::BlockHit,
         };
         self.engine.emit(ObsEvent::ReadClassified { line, hit });
-        let txn = self.engine.alloc_txn();
-        self.reads.insert(
-            txn,
-            ReadTxn {
-                line,
-                arrival: now,
-                expect_hit: hit,
-            },
-        );
-        if hit {
-            self.engine.harness.cache_read(
-                txn,
-                Leg::CacheProbe,
-                self.locate(line),
-                LINE_BEATS,
-                BloatCategory::Hit.class(),
-                now,
-            );
-        } else {
-            self.engine
-                .harness
-                .mem_read(txn, line, MemTraffic::DemandRead.class(), now);
-        }
+        let hit_at = hit.then(|| (self.placement.locate(line), LINE_BEATS));
+        self.engine.issue_read(line, now, hit_at, now);
     }
 
-    fn submit_writeback(&mut self, line: u64, now: Cycle, out: &mut L4Outputs) {
+    /// SRAM-tag designs never need DCP: presence is known on-chip.
+    fn submit_writeback(&mut self, line: u64, _dcp_hint: Option<bool>, now: Cycle) {
         self.engine.stats.wb_lookups += 1;
-        let hit = self.present(line);
+        let hit = self.contains_line(line) == Some(true);
         self.engine.emit(ObsEvent::WbResolved {
             line,
             hit,
             probe_skipped: true, // on-chip tags: presence known without probing
             allocated: !hit,
         });
-        if hit {
+        let class = if hit {
             self.engine.stats.wb_hits += 1;
             self.engine.stats.wb_probes_avoided += 1; // on-chip tags: no probe ever
             match &mut self.tags {
@@ -292,170 +175,67 @@ impl SramTagController {
                     s.mark_dirty(line * 64);
                 }
             }
-            let txn = self.engine.alloc_txn();
-            self.engine.harness.cache_write(
-                txn,
-                self.locate(line),
-                LINE_BEATS,
-                BloatCategory::WritebackUpdate.class(),
-                now,
-            );
+            BloatCategory::WritebackUpdate
         } else {
             // Write-allocate.
-            self.install(line, true, now, out);
-            let txn = self.engine.alloc_txn();
-            self.engine.harness.cache_write(
-                txn,
-                self.locate(line),
-                LINE_BEATS,
-                BloatCategory::WritebackFill.class(),
-                now,
-            );
-        }
+            self.install(line, true, now);
+            BloatCategory::WritebackFill
+        };
+        self.engine.harness.cache_write(
+            self.placement.locate(line),
+            LINE_BEATS,
+            class.class(),
+            now,
+        );
     }
 
     fn tick(&mut self, now: Cycle, out: &mut L4Outputs) {
         let completions = self.engine.begin_tick(now);
         for c in &completions {
-            match c.leg {
-                Leg::CacheProbe | Leg::MemRead => {
-                    let Some(txn) = self.reads.remove(&c.txn) else {
-                        continue;
-                    };
-                    if txn.expect_hit {
-                        self.engine.stats.read_hits += 1;
-                        self.engine.stats.useful_lines += 1;
-                        self.engine
-                            .stats
-                            .hit_latency
-                            .record((c.finish - txn.arrival) as f64);
-                        out.deliveries.push(Delivery {
-                            line: txn.line,
-                            l4_hit: true,
-                            in_l4: true,
-                        });
-                    } else {
-                        self.engine
-                            .stats
-                            .miss_latency
-                            .record((c.finish - txn.arrival) as f64);
-                        let fill = self.engine.stack.on_fill_decision(self.duel_set(txn.line));
-                        if fill {
-                            self.engine.stats.fills += 1;
-                            self.install(txn.line, false, c.finish, out);
-                            let t = self.engine.alloc_txn();
-                            self.engine.harness.cache_write(
-                                t,
-                                self.locate(txn.line),
-                                LINE_BEATS,
-                                BloatCategory::MissFill.class(),
-                                c.finish,
-                            );
-                        } else {
-                            self.engine.stats.bypasses += 1;
-                            self.engine.emit(ObsEvent::Bypassed { line: txn.line });
-                        }
-                        out.deliveries.push(Delivery {
-                            line: txn.line,
-                            l4_hit: false,
-                            in_l4: fill,
-                        });
-                    }
-                }
-                Leg::CacheData | Leg::PostedWrite => {}
+            let Some(txn) = self.engine.finish_read(c, out) else {
+                continue;
+            };
+            if !txn.expect_hit
+                && self.engine.fill_or_bypass(
+                    txn.line,
+                    txn.arrival,
+                    c.finish,
+                    self.duel_set(txn.line),
+                    out,
+                )
+            {
+                self.install(txn.line, false, c.finish);
+                self.engine.harness.cache_write(
+                    self.placement.locate(txn.line),
+                    LINE_BEATS,
+                    BloatCategory::MissFill.class(),
+                    c.finish,
+                );
             }
         }
         self.engine.finish_tick(completions, out);
     }
+
+    fn contains_line(&self, line: u64) -> Option<bool> {
+        Some(match &self.tags {
+            TagModel::Tis(t) => t.contains(line * 64),
+            TagModel::Sector(s) => s.peek(line * 64) == SectorProbe::BlockHit,
+        })
+    }
 }
-
-macro_rules! delegate_l4 {
-    ($ty:ty) => {
-        impl L4Cache for $ty {
-            fn submit_read(&mut self, line: u64, _pc: u64, _core: u32, now: Cycle) {
-                self.inner.submit_read(line, now);
-            }
-
-            fn submit_writeback(&mut self, line: u64, _dcp_hint: Option<bool>, now: Cycle) {
-                // SRAM-tag designs never need DCP: presence is known
-                // on-chip. Outputs are routed through a scratch buffer
-                // because the trait splits submit and tick; evictions are
-                // re-emitted on the next tick.
-                let mut scratch = L4Outputs::default();
-                self.inner.submit_writeback(line, now, &mut scratch);
-                self.inner
-                    .pending_evictions
-                    .extend(scratch.evictions.drain(..));
-            }
-
-            fn submit_direct_mem_write(&mut self, line: u64, now: Cycle) {
-                self.inner.engine.direct_mem_write(line, now);
-            }
-
-            fn tick(&mut self, now: Cycle, out: &mut L4Outputs) {
-                out.evictions.append(&mut self.inner.pending_evictions);
-                self.inner.tick(now, out);
-            }
-
-            fn stats(&self) -> &L4Stats {
-                &self.inner.engine.stats
-            }
-
-            fn reset_stats(&mut self) {
-                self.inner.engine.reset_stats();
-            }
-
-            fn harness(&self) -> &DeviceHarness {
-                &self.inner.engine.harness
-            }
-
-            fn harness_mut(&mut self) -> &mut DeviceHarness {
-                &mut self.inner.engine.harness
-            }
-
-            fn pending_txns(&self) -> usize {
-                self.inner.reads.len()
-            }
-
-            fn controller_idle_until(&self, now: Cycle) -> Cycle {
-                // The deferred-eviction backlog is the only non-device
-                // work and flushes at the start of the next tick; with it
-                // empty the controller waits on completions.
-                if self.inner.pending_evictions.is_empty() {
-                    Cycle::NEVER
-                } else {
-                    now
-                }
-            }
-
-            fn contains_line(&self, line: u64) -> Option<bool> {
-                Some(match &self.inner.tags {
-                    TagModel::Tis(t) => t.contains(line * 64),
-                    TagModel::Sector(s) => s.peek(line * 64) == SectorProbe::BlockHit,
-                })
-            }
-
-            fn set_observe(&mut self, on: bool) {
-                self.inner.engine.set_observe(on);
-            }
-        }
-    };
-}
-
-delegate_l4!(TisController);
-delegate_l4!(SectorController);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{BearFeatures, FillPolicy};
+    use crate::traffic::MemTraffic;
 
-    fn tis() -> TisController {
-        TisController::new(&SystemConfig::paper_baseline(DesignKind::TagsInSram))
+    fn tis() -> SramTagController {
+        SramTagController::new(&SystemConfig::paper_baseline(DesignKind::TagsInSram))
     }
 
-    fn sc() -> SectorController {
-        SectorController::new(&SystemConfig::paper_baseline(DesignKind::SectorCache))
+    fn sc() -> SramTagController {
+        SramTagController::new(&SystemConfig::paper_baseline(DesignKind::SectorCache))
     }
 
     fn drain(ctrl: &mut dyn L4Cache, out: &mut L4Outputs, start: u64) -> u64 {
@@ -508,7 +288,10 @@ mod tests {
     #[test]
     fn tis_dirty_victim_charged_as_victim_read() {
         let mut c = tis();
-        let sets = (c.inner_capacity_lines()) / 32;
+        let TagModel::Tis(t) = &c.tags else {
+            unreachable!()
+        };
+        let sets = t.geometry().sets();
         let mut out = L4Outputs::default();
         let mut t = 0;
         // Fill one set with 32 dirty lines then overflow it.
@@ -585,7 +368,7 @@ mod tests {
             fill_policy: FillPolicy::Probabilistic(1.0),
             ..cfg.bear
         };
-        let mut c = TisController::new(&cfg);
+        let mut c = SramTagController::new(&cfg);
         let mut out = L4Outputs::default();
         c.submit_read(0x50, 0, 0, Cycle(0));
         drain(&mut c, &mut out, 0);
@@ -593,14 +376,5 @@ mod tests {
         assert_eq!(c.stats().fills, 0);
         assert_eq!(c.contains_line(0x50), Some(false));
         assert!(!out.deliveries[0].in_l4);
-    }
-
-    impl TisController {
-        fn inner_capacity_lines(&self) -> u64 {
-            match &self.inner.tags {
-                TagModel::Tis(t) => t.geometry().lines(),
-                TagModel::Sector(_) => unreachable!(),
-            }
-        }
     }
 }

@@ -57,7 +57,8 @@ fn direct_store_matches_model() {
 fn assoc_store_conservation() {
     check(256, |src: &mut Source| {
         let lines = src.vec_with(1..200, |s| s.u64_in(0..256));
-        let mut store: SetAssocCache<()> = SetAssocCache::new(CacheGeometry::new(8 * 4 * 64, 4, 64));
+        let mut store: SetAssocCache<()> =
+            SetAssocCache::new(CacheGeometry::new(8 * 4 * 64, 4, 64));
         let mut resident: Vec<u64> = Vec::new();
         for &line in &lines {
             let addr = line * 64;
