@@ -83,6 +83,18 @@ if ./target/release/fuzz --seeds 190 --cycles 10000 --fault tag-flip@2000 \
   exit 1
 fi
 
+echo "==> quick-campaign golden (report digests)"
+# The quick campaign is seed-deterministic: its top-level JSON reports must
+# match the digests committed in results/quick_campaign.sha256, so a change
+# to any simulated result in any cell fails here. A change meant to alter
+# results regenerates the file from a fresh run and says so in CHANGES.md:
+#   BEAR_QUICK=1 BEAR_WORKERS=2 ./target/release/all_experiments --out DIR
+#   (cd DIR && sha256sum *.json) > results/quick_campaign.sha256
+env -u BEAR_WARMUP -u BEAR_CYCLES -u BEAR_SCALE BEAR_QUICK=1 BEAR_WORKERS=2 \
+  ./target/release/all_experiments --out "$SMOKE_DIR/quick" > /dev/null 2>&1
+GOLDEN="$PWD/results/quick_campaign.sha256"
+(cd "$SMOKE_DIR/quick" && sha256sum --quiet --strict -c "$GOLDEN")
+
 echo "==> daemon smoke (resident service: admission, fairness, overload shed, drain)"
 # The beard daemon runs the smoke grid end to end in-process: two clients
 # submit over the wire, one job is cancelled mid-run, the daemon drains
@@ -163,4 +175,4 @@ if [ -n "${FLOOR:-}" ]; then
   }' >&2
 fi
 
-echo "OK: fmt, clippy, docs, tests, benchmark build, fault injection, resume, chaos smoke, release invariant arming, fuzz smoke, daemon smoke, telemetry smoke, ledger property, metrics smoke, elision audit, and the run-loop speedup record all passed offline."
+echo "OK: fmt, clippy, docs, tests, benchmark build, fault injection, resume, chaos smoke, release invariant arming, fuzz smoke, quick-campaign golden, daemon smoke, telemetry smoke, ledger property, metrics smoke, elision audit, and the run-loop speedup record all passed offline."
