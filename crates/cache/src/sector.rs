@@ -29,16 +29,17 @@ struct Blocks {
     dirty: u64,
 }
 
-/// Outcome of a sector replacement: which blocks of the victim must be
-/// written back.
+/// Outcome of a sector replacement: which blocks of the victim left the
+/// cache, and which of them must be written back. Bit `i` of a mask stands
+/// for block `i` of the sector.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SectorVictim {
     /// Sector-aligned byte address of the evicted sector.
     pub addr: u64,
-    /// Number of dirty blocks that must be written back to memory.
-    pub dirty_blocks: u32,
-    /// Number of valid blocks held at eviction.
-    pub valid_blocks: u32,
+    /// Blocks held at eviction.
+    pub valid: u64,
+    /// Dirty blocks, which must be written back to memory.
+    pub dirty: u64,
 }
 
 /// Set-associative sector tag store.
@@ -131,8 +132,8 @@ impl SectorTagStore {
             .fill(addr, false, blocks)
             .map(|v| SectorVictim {
                 addr: v.addr,
-                dirty_blocks: v.meta.dirty.count_ones(),
-                valid_blocks: v.meta.valid.count_ones(),
+                valid: v.meta.valid,
+                dirty: v.meta.dirty,
             })
     }
 
@@ -204,14 +205,16 @@ mod tests {
     fn victim_reports_dirty_block_count() {
         let mut s = store();
         let a = sector_addr(2, 1);
-        s.fill_sector(a, true); // block 0 dirty
-        s.fill_block(a + 64, true);
-        s.fill_block(a + 128, false);
+        // Blocks 5 and 7 dirty, block 2 clean: not a prefix of the sector.
+        s.fill_sector(a + 5 * 64, true);
+        s.fill_block(a + 7 * 64, true);
+        s.fill_block(a + 2 * 64, false);
         s.fill_sector(sector_addr(2, 2), false);
         let v = s.fill_sector(sector_addr(2, 3), false).expect("victim");
         assert_eq!(v.addr, a);
-        assert_eq!(v.dirty_blocks, 2);
-        assert_eq!(v.valid_blocks, 3);
+        assert_eq!(v.dirty, 1 << 5 | 1 << 7);
+        assert_eq!(v.valid, 1 << 2 | 1 << 5 | 1 << 7);
+        assert_eq!(v.dirty.count_ones(), 2);
     }
 
     #[test]
@@ -226,7 +229,7 @@ mod tests {
         assert!(s.mark_dirty(a + 64));
         s.fill_sector(sector_addr(3, 2), false);
         let v = s.fill_sector(sector_addr(3, 9), false).unwrap();
-        assert_eq!(v.dirty_blocks, 2);
+        assert_eq!(v.dirty, 0b11);
     }
 
     #[test]

@@ -107,16 +107,12 @@ impl SramTagController {
                 SectorProbe::BlockMiss => s.fill_block(line * 64, dirty),
                 SectorProbe::SectorMiss => {
                     if let Some(v) = s.fill_sector(line * 64, dirty) {
+                        // Every valid block of the victim sector leaves
+                        // the cache, and every dirty one is read out and
+                        // pushed to memory — the SC's Achilles heel.
                         let first_vline = v.addr / 64;
-                        // Every dirty block of the victim sector is read
-                        // out and pushed to memory — the SC's Achilles
-                        // heel. Clean blocks just vanish, but are still
-                        // reported so DCP-style listeners stay coherent.
-                        for i in 0..u64::from(v.dirty_blocks) {
-                            self.evict(first_vline + i, true, now);
-                        }
-                        for i in u64::from(v.dirty_blocks)..u64::from(v.valid_blocks) {
-                            self.evict(first_vline + i, false, now);
+                        for i in (0..64).filter(|i| (v.valid >> i) & 1 != 0) {
+                            self.evict(first_vline + i, (v.dirty >> i) & 1 != 0, now);
                         }
                     }
                 }
@@ -357,6 +353,42 @@ mod tests {
                 >= 8 * 64,
             "dirty sector eviction must read all dirty blocks"
         );
+    }
+
+    #[test]
+    fn sector_victim_reports_exactly_its_valid_blocks() {
+        // A dirty writeback of line 5 (block 5 of sector 0), then 32
+        // sector fills of the same set: the victim is sector 0, which
+        // holds block 5 alone.
+        let mut c = sc();
+        c.set_observe(true);
+        let mut out = L4Outputs::default();
+        let stride = SystemConfig::paper_baseline(DesignKind::SectorCache).l4_lines() / 32;
+        c.submit_writeback(5, None, Cycle(0));
+        let mut t = drain(&mut c, &mut out, 0);
+        for w in 1..=32u64 {
+            c.submit_read(w * stride, 0, 0, Cycle(t));
+            t = drain(&mut c, &mut out, t);
+        }
+        assert_eq!(out.evictions, vec![5]);
+        let evicted: Vec<_> = out
+            .events
+            .iter()
+            .filter(|e| matches!(e, ObsEvent::Evicted { .. }))
+            .collect();
+        assert_eq!(
+            evicted,
+            [&ObsEvent::Evicted {
+                line: 5,
+                dirty: true
+            }]
+        );
+        let h = c.harness();
+        assert_eq!(
+            h.cache.bytes_in_class(BloatCategory::VictimRead.class()),
+            64
+        );
+        assert_eq!(h.mem.bytes_in_class(MemTraffic::VictimWrite.class()), 64);
     }
 
     #[test]

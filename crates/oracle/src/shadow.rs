@@ -21,10 +21,7 @@ use bear_core::config::{DesignKind, FillPolicy, SystemConfig};
 use bear_core::events::{FillCause, ObsEvent};
 use bear_core::ntc::NtcAnswer;
 use bear_sim::error::SimError;
-use std::collections::{HashMap, HashSet, VecDeque};
-
-/// Lines per 4 KB sector in the Sector Cache.
-const SECTOR_LINES: u64 = 64;
+use std::collections::{HashMap, VecDeque};
 
 /// Shadow L3 line state.
 #[derive(Debug, Clone, Copy)]
@@ -53,12 +50,9 @@ enum ShadowL4 {
         slots: Vec<Option<(u64, bool)>>,
     },
     /// Membership + dirty bit, maintained from fill/evict events
-    /// (Loh-Hill, Mostly-Clean, TIS) — no replacement-policy replication.
+    /// (Loh-Hill, Mostly-Clean, TIS, and the Sector Cache's blocks) — no
+    /// replacement-policy replication.
     Assoc { members: HashMap<u64, bool> },
-    /// Block membership only (Sector Cache). The cycle model enumerates
-    /// victim-sector blocks synthetically (`first block + i`), so per-line
-    /// dirty attribution is unsound; evictions clear the whole sector.
-    Sector { members: HashSet<u64> },
     /// No DRAM cache.
     Absent,
 }
@@ -70,7 +64,6 @@ impl ShadowL4 {
                 slots[(line % sets) as usize].is_some_and(|(l, _)| l == line)
             }
             ShadowL4::Assoc { members } => members.contains_key(&line),
-            ShadowL4::Sector { members } => members.contains(&line),
             ShadowL4::Absent => false,
         }
     }
@@ -90,7 +83,7 @@ impl ShadowL4 {
                     *d = true;
                 }
             }
-            ShadowL4::Sector { .. } | ShadowL4::Absent => {}
+            ShadowL4::Absent => {}
         }
     }
 }
@@ -212,13 +205,11 @@ impl Shadow {
                     slots: vec![None; sets as usize],
                 }
             }
-            DesignKind::LohHill | DesignKind::MostlyClean | DesignKind::TagsInSram => {
-                ShadowL4::Assoc {
-                    members: HashMap::new(),
-                }
-            }
-            DesignKind::SectorCache => ShadowL4::Sector {
-                members: HashSet::new(),
+            DesignKind::LohHill
+            | DesignKind::MostlyClean
+            | DesignKind::TagsInSram
+            | DesignKind::SectorCache => ShadowL4::Assoc {
+                members: HashMap::new(),
             },
         };
         // Dueling exists only on plain Alloy with BandwidthAware fills
@@ -490,9 +481,6 @@ impl Shadow {
                     ShadowL4::Assoc { members } => {
                         members.insert(line, dirty);
                     }
-                    ShadowL4::Sector { members } => {
-                        members.insert(line);
-                    }
                     ShadowL4::Absent => {
                         return Self::diverge(
                             cycle,
@@ -578,16 +566,6 @@ impl Shadow {
                             );
                         }
                     },
-                    // Sector victim blocks are enumerated synthetically
-                    // (`first block + i`), so neither membership nor dirty
-                    // state of an individual reported block is meaningful;
-                    // drop the whole victim sector instead.
-                    ShadowL4::Sector { members } => {
-                        let first = line & !(SECTOR_LINES - 1);
-                        for l in first..first + SECTOR_LINES {
-                            members.remove(&l);
-                        }
-                    }
                     ShadowL4::Absent => {
                         return Self::diverge(
                             cycle,
@@ -878,29 +856,27 @@ mod tests {
     }
 
     #[test]
-    fn sector_evictions_clear_whole_sector_without_dirty_checks() {
+    fn sector_evictions_are_checked_per_line() {
         let mut s = Shadow::new(&cfg(DesignKind::SectorCache));
-        for l in [64u64, 65, 200] {
-            s.apply(
-                1,
-                &ObsEvent::Filled {
-                    line: l,
-                    dirty: false,
-                    cause: FillCause::Demand,
-                },
-            )
-            .unwrap();
+        // Blocks 0 and 1 of sector 1 (line 65 dirty), and a line elsewhere.
+        for (line, dirty) in [(64u64, false), (65, true), (200, false)] {
+            let cause = if dirty {
+                FillCause::Writeback
+            } else {
+                FillCause::Demand
+            };
+            s.apply(1, &ObsEvent::Filled { line, dirty, cause })
+                .unwrap();
         }
-        // Synthetic victim enumeration: dirty flag and membership of the
-        // reported block are not checked, the sector empties as a whole.
         s.apply(
             2,
             &ObsEvent::Evicted {
-                line: 64,
+                line: 65,
                 dirty: true,
             },
         )
         .unwrap();
+        // Only the reported block left; its sector-mate is still held.
         s.apply(
             3,
             &ObsEvent::ReadClassified {
@@ -910,13 +886,34 @@ mod tests {
         )
         .unwrap();
         s.apply(
-            4,
+            3,
             &ObsEvent::ReadClassified {
-                line: 200,
+                line: 64,
                 hit: true,
             },
         )
         .unwrap();
+        // Each reported block is checked on its own, dirty bit included.
+        let absent = s
+            .apply(
+                4,
+                &ObsEvent::Evicted {
+                    line: 66,
+                    dirty: false,
+                },
+            )
+            .unwrap_err();
+        assert!(absent.to_string().contains("eviction-membership"));
+        let dirty = s
+            .apply(
+                5,
+                &ObsEvent::Evicted {
+                    line: 64,
+                    dirty: true,
+                },
+            )
+            .unwrap_err();
+        assert!(dirty.to_string().contains("eviction-dirty"));
     }
 
     #[test]
