@@ -150,8 +150,8 @@ impl L4Cache for SramTagController {
         self.engine.issue_read(line, now, hit_at, now);
     }
 
-    /// SRAM-tag designs never need DCP: presence is known on-chip.
     fn submit_writeback(&mut self, line: u64, _dcp_hint: Option<bool>, now: Cycle) {
+        // SRAM-tag designs never need DCP: presence is known on-chip.
         self.engine.stats.wb_lookups += 1;
         let hit = self.contains_line(line) == Some(true);
         self.engine.emit(ObsEvent::WbResolved {
