@@ -6,7 +6,9 @@
 //! `--bench-json PATH` additionally writes a compact machine-readable
 //! benchmark summary (the repo-root `BENCH_core.json` emitted by
 //! `scripts/verify.sh`): the headline gmean speedup plus per-cell
-//! wall-clock times in both modes, derived from the report's scalars.
+//! wall-clock times in both modes, the event-driven run's absolute
+//! Mcycles/s and its DRAM host-work counters, derived from the report's
+//! scalars.
 
 use bear_bench::cli;
 use bear_bench::experiments::loop_speedup;
@@ -34,9 +36,22 @@ fn split_local_flags(args: Vec<String>) -> (Option<PathBuf>, Vec<String>) {
     (path, rest)
 }
 
+/// Per-cell event-mode fields copied from the report's scalars: absolute
+/// simulated Mcycles/s (best and median sample) and the DRAM host-work
+/// counters.
+const EVENT_FIELDS: [&str; 7] = [
+    "event_mcps_best",
+    "event_mcps_median",
+    "dram_channel_ticks",
+    "dram_noop_ticks",
+    "dram_commands",
+    "dram_previews",
+    "dram_entries_scanned",
+];
+
 /// Builds the benchmark summary document from the finished report:
 /// `speedup_gmean` plus one entry per cell with its raw poll/event wall
-/// times (ns) and the resulting speedup.
+/// times (ns), the resulting speedup, and the [`EVENT_FIELDS`].
 fn bench_json(report: &Report) -> Json {
     let scalar = |key: &str| {
         report
@@ -51,7 +66,7 @@ fn bench_json(report: &Report) -> Json {
             continue;
         };
         let event_ns = scalar(&format!("event_ns:{cell}")).unwrap_or(0.0);
-        cells.push(Json::Obj(vec![
+        let mut fields = vec![
             ("cell".into(), Json::Str(cell.to_string())),
             ("poll_ns".into(), Json::Num(*poll_ns)),
             ("event_ns".into(), Json::Num(event_ns)),
@@ -63,7 +78,13 @@ fn bench_json(report: &Report) -> Json {
                     0.0
                 }),
             ),
-        ]));
+        ];
+        for name in EVENT_FIELDS {
+            if let Some(v) = scalar(&format!("{name}:{cell}")) {
+                fields.push((name.to_string(), Json::Num(v)));
+            }
+        }
+        cells.push(Json::Obj(fields));
     }
     Json::Obj(vec![
         ("bench".into(), Json::Str("loop_speedup".into())),

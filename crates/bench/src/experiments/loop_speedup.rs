@@ -14,13 +14,18 @@
 //! per cell (`poll_ns:<config>:<workload>`, `event_ns:<config>:<workload>`)
 //! and their skip and span shares of all simulated cycles
 //! (`skip_frac:<config>:<workload>`, `span_frac:<config>:<workload>`),
-//! and the headline `speedup_gmean`.
+//! the event-driven run's absolute simulated Mcycles per host second
+//! (`event_mcps_best:` and `event_mcps_median:` over its samples), its
+//! DRAM host-work counters (`dram_channel_ticks:`, `dram_noop_ticks:`,
+//! `dram_commands:`, `dram_previews:`, `dram_entries_scanned:`; see
+//! `bear_dram::channel::DramWork`), and the headline `speedup_gmean`.
 
 use crate::report::Report;
 use crate::{config_for, f3, gmean, print_row, Campaign};
 use bear_core::config::{BearFeatures, DesignKind};
 use bear_core::metrics::RunStats;
 use bear_core::system::System;
+use bear_dram::channel::DramWork;
 use bear_workloads::{BenchmarkProfile, Workload};
 use std::time::Instant;
 
@@ -68,36 +73,58 @@ fn grid() -> Vec<Cell> {
     ]
 }
 
-/// Runs one cell in the given mode, returning (best wall ns, stats,
-/// skip share, span share). The shares are of all simulated cycles.
-/// Wall time covers the monitored run only (not system construction);
-/// best-of-N suppresses scheduler noise without the many samples a
-/// median would need on an already simulation-bound budget.
+/// One cell's timing in one run-loop mode.
+struct Timing {
+    /// Best and median wall ns over the samples.
+    best_ns: u64,
+    median_ns: u64,
+    /// Simulated cycles per sample (warm-up plus measurement).
+    cycles: u64,
+    /// Statistics of the best sample.
+    stats: RunStats,
+    /// Skip and span shares of all simulated cycles (best sample).
+    skip_frac: f64,
+    span_frac: f64,
+    /// DRAM host-work counters (identical in every sample).
+    work: DramWork,
+}
+
+/// Runs one cell in the given mode. Wall time covers the monitored run
+/// only (not system construction); best-of-N suppresses scheduler noise
+/// without the many samples a median would need on an already
+/// simulation-bound budget, and the median is kept beside it.
 fn time_cell(
     cfg: &bear_core::config::SystemConfig,
     workload: &Workload,
     event_driven: bool,
     samples: usize,
-) -> (u64, RunStats, f64, f64) {
-    let mut best_ns = u64::MAX;
-    let mut best_stats = None;
-    let (mut skip_frac, mut span_frac) = (0.0, 0.0);
+) -> Timing {
+    let mut all_ns = Vec::with_capacity(samples.max(1));
+    let mut best: Option<Timing> = None;
     for _ in 0..samples.max(1) {
         let mut sys = System::build(cfg, workload);
         sys.set_event_driven(event_driven);
         let t0 = Instant::now();
         let stats = sys.run(cfg.warmup_cycles, cfg.measure_cycles);
         let ns = t0.elapsed().as_nanos() as u64;
-        if ns < best_ns {
-            best_ns = ns;
-            best_stats = Some(stats);
-            let total = sys.now().raw().max(1) as f64;
-            skip_frac = sys.loop_counters().0 as f64 / total;
-            span_frac = sys.span_cycles() as f64 / total;
+        all_ns.push(ns);
+        if best.as_ref().is_none_or(|b| ns < b.best_ns) {
+            let total = sys.now().raw().max(1);
+            best = Some(Timing {
+                best_ns: ns,
+                median_ns: 0,
+                cycles: total,
+                stats,
+                skip_frac: sys.loop_counters().0 as f64 / total as f64,
+                span_frac: sys.span_cycles() as f64 / total as f64,
+                work: sys.l4_cache().harness().dram_work(),
+            });
         }
     }
-    let stats = best_stats.expect("at least one sample");
-    (best_ns, stats, skip_frac, span_frac)
+    all_ns.sort_unstable();
+    let mut timing = best.expect("at least one sample");
+    timing.median_ns = all_ns[all_ns.len() / 2];
+    timing
 }
 
 /// Asserts the two modes produced bit-identical simulated results.
@@ -146,10 +173,10 @@ pub fn run(campaign: &Campaign, report: &mut Report) {
         let profile = BenchmarkProfile::by_name(cell.bench)
             .unwrap_or_else(|| panic!("unknown benchmark {}", cell.bench));
         let workload = Workload::rate(profile);
-        let (poll_ns, poll_stats, ..) = time_cell(&cfg, &workload, false, samples);
-        let (event_ns, event_stats, skip_frac, span_frac) =
-            time_cell(&cfg, &workload, true, samples);
-        assert_equivalent(cell.label, cell.bench, &event_stats, &poll_stats);
+        let poll = time_cell(&cfg, &workload, false, samples);
+        let event = time_cell(&cfg, &workload, true, samples);
+        assert_equivalent(cell.label, cell.bench, &event.stats, &poll.stats);
+        let (poll_ns, event_ns) = (poll.best_ns, event.best_ns);
         let sp = poll_ns as f64 / event_ns.max(1) as f64;
         let key = format!("{}:{}", cell.label, cell.bench);
         print_row(
@@ -157,16 +184,30 @@ pub fn run(campaign: &Campaign, report: &mut Report) {
             &[
                 format!("{:.1}", poll_ns as f64 / 1e6),
                 format!("{:.1}", event_ns as f64 / 1e6),
-                format!("{:.0}%", skip_frac * 100.0),
-                format!("{:.0}%", span_frac * 100.0),
+                format!("{:.0}%", event.skip_frac * 100.0),
+                format!("{:.0}%", event.span_frac * 100.0),
                 f3(sp),
             ],
         );
-        report.add_run(cell.label, &event_stats, Some(sp));
+        report.add_run(cell.label, &event.stats, Some(sp));
         report.add_scalar(&format!("poll_ns:{key}"), poll_ns as f64);
         report.add_scalar(&format!("event_ns:{key}"), event_ns as f64);
-        report.add_scalar(&format!("skip_frac:{key}"), skip_frac);
-        report.add_scalar(&format!("span_frac:{key}"), span_frac);
+        report.add_scalar(&format!("skip_frac:{key}"), event.skip_frac);
+        report.add_scalar(&format!("span_frac:{key}"), event.span_frac);
+        // Simulated cycles per wall ns, times 1e3: Mcycles/s.
+        let mcps = |ns: u64| event.cycles as f64 * 1e3 / ns.max(1) as f64;
+        report.add_scalar(&format!("event_mcps_best:{key}"), mcps(event.best_ns));
+        report.add_scalar(&format!("event_mcps_median:{key}"), mcps(event.median_ns));
+        let w = event.work;
+        for (name, value) in [
+            ("channel_ticks", w.channel_ticks),
+            ("noop_ticks", w.noop_ticks),
+            ("commands", w.commands),
+            ("previews", w.previews),
+            ("entries_scanned", w.entries_scanned),
+        ] {
+            report.add_scalar(&format!("dram_{name}:{key}"), value as f64);
+        }
         speedups.push(sp);
     }
     let overall = gmean(&speedups);

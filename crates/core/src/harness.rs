@@ -10,6 +10,7 @@
 //! completion.
 
 use crate::ledger::AttributionLedger;
+use bear_dram::channel::DramWork;
 use bear_dram::config::DramConfig;
 use bear_dram::device::{Completion, DramDevice};
 use bear_dram::mapping::{AddressMapper, Interleave};
@@ -216,10 +217,14 @@ impl DeviceHarness {
 
     /// Earliest cycle at which ticking the harness can change state: ticks
     /// strictly before it are guaranteed no-ops. Retry queues drain at tick
-    /// start, so any backlog makes the harness busy immediately; otherwise
-    /// the devices' own hints govern. [`Cycle::NEVER`] when fully drained.
+    /// start, so a head its channel can accept makes the harness busy
+    /// immediately. A head its channel cannot accept stays stuck until that
+    /// channel issues from the full queue, which happens only in a device
+    /// tick, and a failed drain changes nothing; so a blocked backlog
+    /// leaves the devices' own hints in charge. [`Cycle::NEVER`] when
+    /// fully drained.
     pub fn next_busy_cycle(&self, now: Cycle) -> Cycle {
-        if !self.cache_retry.is_empty() || !self.mem_retry.is_empty() {
+        if self.head_acceptable() {
             return now;
         }
         let cache = self.cache.next_busy_cycle(now);
@@ -229,18 +234,42 @@ impl DeviceHarness {
         cache.min(self.mem.next_busy_cycle(now))
     }
 
-    /// A cycle strictly before which no device can produce a completion,
-    /// provided nothing is submitted in the meantime (min over both
-    /// devices' [`DramDevice::completion_horizon`]). Retry backlog makes
-    /// the horizon `now` — a drained request could issue and pipeline
-    /// behind in-flight work in ways only real ticking resolves.
+    /// Whether some retry queue's head would be accepted by its device
+    /// now (so the next tick's drain makes progress).
+    fn head_acceptable(&self) -> bool {
+        let accepts = |queue: &VecDeque<DramRequest>, device: &DramDevice| {
+            queue
+                .front()
+                .is_some_and(|r| device.can_accept(r.location.channel, r.is_write))
+        };
+        accepts(&self.cache_retry, &self.cache) || accepts(&self.mem_retry, &self.mem)
+    }
+
+    /// A cycle strictly before which no device can produce a completion
+    /// and no retry head can drain, provided nothing is submitted in the
+    /// meantime: the min over both devices'
+    /// [`DramDevice::completion_horizon`], bounded by `b + 1` for each
+    /// device with a blocked backlog, where `b` is that device's next busy
+    /// cycle (the first tick that can free a slot; the drain that uses it
+    /// runs at the tick after). A head that can drain now makes the
+    /// horizon `now`.
     pub fn completion_horizon(&self, now: Cycle) -> Cycle {
-        if !self.cache_retry.is_empty() || !self.mem_retry.is_empty() {
+        if self.head_acceptable() {
             return now;
         }
+        let blocked = |queue: &VecDeque<DramRequest>, device: &DramDevice| {
+            if queue.is_empty() {
+                Cycle::NEVER
+            } else {
+                // A permanently rejected head on an idle device: NEVER.
+                Cycle(device.next_busy_cycle(now).0.saturating_add(1))
+            }
+        };
         self.cache
             .completion_horizon(now)
             .min(self.mem.completion_horizon(now))
+            .min(blocked(&self.cache_retry, &self.cache))
+            .min(blocked(&self.mem_retry, &self.mem))
     }
 
     /// Advances both devices from `now` to `horizon` with
@@ -248,14 +277,22 @@ impl DeviceHarness {
     /// exactly as per-cycle driving would. The caller must have
     /// established `horizon <= self.completion_horizon(now)` and must not
     /// submit requests during the span; under that contract no completion
-    /// occurs.
+    /// occurs and no retry head drains.
     pub fn advance_span(&mut self, now: Cycle, horizon: Cycle) {
         debug_assert!(
-            self.cache_retry.is_empty() && self.mem_retry.is_empty(),
-            "span advance with retry backlog"
+            !self.head_acceptable(),
+            "span advance with a drainable retry backlog"
         );
         self.cache.advance_span(now, horizon);
         self.mem.advance_span(now, horizon);
+    }
+
+    /// Host-work counters of both DRAM devices (diagnostics; see
+    /// [`DramWork`]).
+    pub fn dram_work(&self) -> DramWork {
+        let mut work = self.cache.work();
+        work += self.mem.work();
+        work
     }
 
     /// Requests waiting in retry queues (backpressure depth).
@@ -603,5 +640,111 @@ mod tests {
         assert!(legs.contains(&Leg::CacheProbe));
         assert!(legs.contains(&Leg::MemRead));
         assert!(done.iter().all(|c| c.txn == 9));
+    }
+
+    /// A harness whose cache channels hold at most two reads.
+    fn narrow_harness() -> DeviceHarness {
+        let mut cache = DramConfig::stacked_cache_8x();
+        cache.read_queue_capacity = 2;
+        DeviceHarness::new(cache, DramConfig::commodity_memory())
+    }
+
+    /// Three reads to one bank of channel 0: two fill its queue, the third
+    /// waits in the retry queue.
+    fn submit_three(h: &mut DeviceHarness) {
+        for (txn, row) in [(1, 4), (2, 4), (3, 9)] {
+            h.cache_read(
+                Some(txn),
+                loc(0, 0, row),
+                5,
+                BloatCategory::Hit.class(),
+                Cycle(0),
+            );
+        }
+    }
+
+    #[test]
+    fn blocked_backlog_waits_for_its_channel() {
+        let t = DramConfig::stacked_cache_8x().timings;
+        let mut h = narrow_harness();
+        h.set_event_gating(true);
+        submit_three(&mut h);
+        assert_eq!(h.next_busy_cycle(Cycle(0)), Cycle(0), "the head can drain");
+        let mut out = Vec::new();
+        h.tick(Cycle(0), &mut out); // drains two reads, issues the ACT
+        assert_eq!(h.retry_depth(), 1);
+        // The full channel frees a slot only when the row hit's CAS issues
+        // (tRCD after the ACT); until then the backlog is not busy work.
+        let dev = h.cache.next_busy_cycle(Cycle(1));
+        assert_eq!(dev, Cycle(t.t_rcd));
+        assert_eq!(h.next_busy_cycle(Cycle(1)), dev);
+        assert_eq!(h.completion_horizon(Cycle(1)), dev + 1);
+        h.tick(dev, &mut out); // the CAS frees a slot
+        assert_eq!(h.retry_depth(), 1, "the drain ran before the CAS");
+        assert_eq!(
+            h.next_busy_cycle(dev + 1),
+            dev + 1,
+            "the backlog drains next"
+        );
+        h.tick(dev + 1, &mut out);
+        assert_eq!(h.retry_depth(), 0);
+    }
+
+    #[test]
+    fn hinted_driving_matches_per_cycle_under_backpressure() {
+        let key = |c: &RoutedCompletion| (c.txn, c.leg, c.finish);
+        let mut polled = narrow_harness();
+        submit_three(&mut polled);
+        let mut polled_done = Vec::new();
+        for t in 0..5_000u64 {
+            polled.tick(Cycle(t), &mut polled_done);
+        }
+        assert_eq!(polled_done.len(), 3);
+        let mut hinted = narrow_harness();
+        hinted.set_event_gating(true);
+        submit_three(&mut hinted);
+        let mut hinted_done = Vec::new();
+        let (mut now, mut ticks) = (Cycle(0), 0);
+        while hinted.pending() > 0 {
+            assert!(now.0 < 5_000, "hinted driving stalled");
+            hinted.tick(now, &mut hinted_done);
+            ticks += 1;
+            now = hinted.next_busy_cycle(now + 1);
+        }
+        assert_eq!(
+            polled_done.iter().map(key).collect::<Vec<_>>(),
+            hinted_done.iter().map(key).collect::<Vec<_>>()
+        );
+        assert!(
+            ticks < 20,
+            "{ticks} hinted ticks: the backlog kept the harness busy"
+        );
+    }
+
+    #[test]
+    fn permanently_rejected_head_neither_panics_nor_overflows() {
+        let mut h = harness();
+        h.set_event_gating(true);
+        // Channel 9 does not exist: the device rejects the head forever.
+        h.cache_read(
+            Some(1),
+            loc(9, 0, 1),
+            5,
+            BloatCategory::Hit.class(),
+            Cycle(0),
+        );
+        let mut out = Vec::new();
+        for t in 0..4u64 {
+            h.tick(Cycle(t), &mut out);
+        }
+        assert_eq!(h.retry_depth(), 1);
+        assert_eq!(h.next_busy_cycle(Cycle(4)), Cycle::NEVER);
+        assert_eq!(h.completion_horizon(Cycle(4)), Cycle::NEVER);
+        // Behind work on a real channel, the hints follow that channel.
+        h.mem_read(2, 0x40, MemTraffic::DemandRead.class(), Cycle(4));
+        assert_eq!(h.next_busy_cycle(Cycle(4)), Cycle(4));
+        h.tick(Cycle(4), &mut out);
+        assert!(h.next_busy_cycle(Cycle(5)) > Cycle(5));
+        assert!(h.completion_horizon(Cycle(5)) < Cycle::NEVER);
     }
 }

@@ -511,8 +511,8 @@ impl L4Cache for AlloyController {
         self.engine.stack.check_ntc_mirror(&self.store, now, sink);
     }
 
-    fn contains_line(&self, line: u64) -> Option<bool> {
-        Some(self.store.contains(line))
+    fn contains_line(&self, line: u64) -> bool {
+        self.store.contains(line)
     }
 
     fn inject_fault(&mut self, fault: FaultKind) -> bool {

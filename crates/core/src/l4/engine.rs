@@ -211,10 +211,13 @@ impl Engine {
         }
     }
 
-    /// The engine's busy hint: `now` while a submit-time eviction waits
-    /// for the next tick to report it, else [`Cycle::NEVER`].
+    /// The engine's busy hint: `now` while a submit-time eviction or a
+    /// staged observation event waits for the next tick to report it,
+    /// else [`Cycle::NEVER`]. (A submission whose DRAM request waits
+    /// behind a full channel leaves the harness idle, so the events it
+    /// staged must keep the controller busy on their own.)
     pub fn idle_until(&self, now: Cycle) -> Cycle {
-        if self.evictions.is_empty() {
+        if self.evictions.is_empty() && self.staged_events.is_empty() {
             Cycle::NEVER
         } else {
             now
@@ -448,9 +451,12 @@ mod tests {
 
         e.set_observe(true);
         e.emit(ObsEvent::Bypassed { line: 2 });
+        // A staged event keeps the engine busy until a tick reports it.
+        assert_eq!(e.idle_until(Cycle(1)), Cycle(1));
         let c = e.begin_tick(Cycle(1));
         e.finish_tick(c, &mut out);
         assert_eq!(out.events.len(), 1);
+        assert_eq!(e.idle_until(Cycle(2)), Cycle::NEVER);
     }
 
     #[test]

@@ -248,8 +248,8 @@ impl L4Cache for LohHillController {
         staged.min(self.engine.idle_until(now))
     }
 
-    fn contains_line(&self, line: u64) -> Option<bool> {
-        Some(self.store.contains(line * 64))
+    fn contains_line(&self, line: u64) -> bool {
+        self.store.contains(line * 64)
     }
 }
 

@@ -269,11 +269,9 @@ pub trait L4Cache {
     /// at the system level instead.
     fn self_check(&self, _now: Cycle, _sink: &mut InvariantSink) {}
 
-    /// Whether `line` resides in the DRAM cache, for designs that track
-    /// exact contents (`None` when the design cannot say).
-    fn contains_line(&self, _line: u64) -> Option<bool> {
-        None
-    }
+    /// Whether `line` resides in the DRAM cache. Every organization
+    /// tracks its exact contents.
+    fn contains_line(&self, line: u64) -> bool;
 
     /// Applies one injected corruption; returns whether a target existed
     /// (the fault-injection harness re-arms the fault otherwise).

@@ -69,8 +69,8 @@ impl L4Cache for NoCacheController {
         self.engine.finish_tick(completions, out);
     }
 
-    fn contains_line(&self, _line: u64) -> Option<bool> {
-        Some(false)
+    fn contains_line(&self, _line: u64) -> bool {
+        false
     }
 }
 

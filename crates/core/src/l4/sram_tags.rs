@@ -153,7 +153,7 @@ impl L4Cache for SramTagController {
     fn submit_writeback(&mut self, line: u64, _dcp_hint: Option<bool>, now: Cycle) {
         // SRAM-tag designs never need DCP: presence is known on-chip.
         self.engine.stats.wb_lookups += 1;
-        let hit = self.contains_line(line) == Some(true);
+        let hit = self.contains_line(line);
         self.engine.emit(ObsEvent::WbResolved {
             line,
             hit,
@@ -212,11 +212,11 @@ impl L4Cache for SramTagController {
         self.engine.finish_tick(completions, out);
     }
 
-    fn contains_line(&self, line: u64) -> Option<bool> {
-        Some(match &self.tags {
+    fn contains_line(&self, line: u64) -> bool {
+        match &self.tags {
             TagModel::Tis(t) => t.contains(line * 64),
             TagModel::Sector(s) => s.peek(line * 64) == SectorProbe::BlockHit,
-        })
+        }
     }
 }
 
@@ -406,7 +406,7 @@ mod tests {
         drain(&mut c, &mut out, 0);
         assert_eq!(c.stats().bypasses, 1);
         assert_eq!(c.stats().fills, 0);
-        assert_eq!(c.contains_line(0x50), Some(false));
+        assert!(!c.contains_line(0x50));
         assert!(!out.deliveries[0].in_l4);
     }
 }

@@ -487,11 +487,12 @@ impl System {
     /// The one fast-forward. When every non-device component is provably
     /// quiet — cores, wheel and fault plan for `bound` ticks
     /// ([`System::quiet_bound`]), the L4 controller waiting purely on
-    /// completions, retry queues empty — the only work in the next cycles
-    /// happens *inside* the DRAM channels, and
+    /// completions, no retry head its channel can accept — the only work
+    /// in the next cycles happens *inside* the DRAM channels, and
     /// [`DeviceHarness::completion_horizon`] bounds how long that stays
     /// true: no completion (the only signal that can wake the rest of the
-    /// system) can retire before it. The span
+    /// system) can retire, and no blocked retry head can drain, before
+    /// it. The span
     /// `[now, min(horizon, first component wake-up))` is then executed by
     /// ticking each busy channel independently and jumping the clock,
     /// which is bit-identical to per-cycle `System::tick` driving because
@@ -509,7 +510,7 @@ impl System {
         let now = self.clock;
         let ctrl = self.l4.controller_idle_until(now);
         let harness = self.l4.harness();
-        // A retry backlog makes the horizon `now`.
+        // A retry head that can drain now makes the horizon `now`.
         let horizon = harness.completion_horizon(now);
         if ctrl <= now || horizon <= now {
             return None;
@@ -771,7 +772,7 @@ impl System {
         if !self.sink.enabled() || self.cfg.design != DesignKind::Alloy || !self.cfg.bear.dcp {
             return;
         }
-        if dcp && self.l4.contains_line(line) == Some(false) {
+        if dcp && !self.l4.contains_line(line) {
             self.sink.report("dcp-at-eviction", self.clock.0, || {
                 format!(
                     "dirty L3 eviction of line {line:#x} carries DCP=present \
@@ -813,7 +814,7 @@ impl System {
                 let target = self
                     .l3
                     .resident_lines()
-                    .find(|&(line, dcp)| !dcp && self.l4.contains_line(line) == Some(false))
+                    .find(|&(line, dcp)| !dcp && !self.l4.contains_line(line))
                     .map(|(line, _)| line);
                 match target {
                     Some(line) => self.l3.force_dcp(line, true),
@@ -842,7 +843,7 @@ impl System {
         // disabled the bit is never consulted and may go stale).
         if self.cfg.design == DesignKind::Alloy && self.cfg.bear.dcp {
             for (line, dcp) in self.l3.resident_lines() {
-                if dcp && self.l4.contains_line(line) == Some(false) {
+                if dcp && !self.l4.contains_line(line) {
                     self.sink.report("dcp-coherence", now.0, || {
                         format!(
                             "L3 line {line:#x} has its DCP bit set but is absent \
@@ -928,7 +929,7 @@ impl System {
         //    controller's busy hint proves it a no-op. The check runs
         //    after steps 1–2 so any submission they made is visible (a
         //    fresh submission lands in the harness retry queues, which
-        //    report busy immediately).
+        //    report busy as soon as their head can drain).
         if !self.event_driven || self.l4.next_busy_cycle(now) <= now {
             let mut outputs = std::mem::take(&mut self.outputs);
             outputs.clear();
@@ -1395,7 +1396,7 @@ mod tests {
         sys.set_check_mode(bear_sim::invariants::CheckMode::Record);
         // A line the DRAM cache has never seen: provably absent.
         let line = 0xDEAD;
-        assert_eq!(sys.l4.contains_line(line), Some(false));
+        assert!(!sys.l4.contains_line(line));
         // A truthful "absent" hint passes; a stale "present" hint reports.
         sys.check_dcp_at_eviction(line, false);
         assert!(sys.violations().is_empty());

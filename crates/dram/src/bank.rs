@@ -1,4 +1,4 @@
-//! Per-bank row-buffer state machine.
+//! Per-bank row-buffer state machines.
 //!
 //! Each bank enforces the DRAM core timing windows: ACT→CAS (tRCD),
 //! CAS→data (tCAS), ACT→PRE (tRAS), and PRE→ACT (tRP). The controller uses
@@ -45,21 +45,24 @@ struct Subarray {
 }
 
 impl Subarray {
-    fn new() -> Self {
-        Subarray {
-            open_row: None,
-            ready_act: Cycle::ZERO,
-            ready_cas: Cycle::NEVER,
-            ready_pre: Cycle::ZERO,
-        }
-    }
+    const CLOSED: Subarray = Subarray {
+        open_row: None,
+        ready_act: Cycle::ZERO,
+        ready_cas: Cycle::NEVER,
+        ready_pre: Cycle::ZERO,
+    };
 }
 
-/// Row-buffer state machine for one DRAM bank (one or more subarrays).
+/// Row-buffer state machines for every bank of one channel, stored flat:
+/// one `Subarray` record per (bank, subarray) pair, bank-major. Banks are
+/// addressed by their flat bank-in-channel index
+/// ([`crate::request::DramLocation::bank_in_channel`]); an index past the
+/// last bank names no state and never becomes schedulable.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Bank {
-    subarrays: Vec<Subarray>,
-    /// Statistics: row-buffer hits.
+pub struct Banks {
+    subarrays_per_bank: u64,
+    state: Vec<Subarray>,
+    /// Statistics: row-buffer hits (CAS commands).
     pub row_hits: u64,
     /// Number of row activations performed.
     pub activations: u64,
@@ -67,63 +70,88 @@ pub struct Bank {
     pub precharges: u64,
 }
 
-impl Bank {
-    /// Creates a closed, idle bank with a single subarray (the
-    /// conventional model).
-    pub fn new() -> Self {
-        Self::with_subarrays(1)
-    }
-
-    /// Creates a closed, idle bank split into `subarrays` MASA subarrays.
+impl Banks {
+    /// Creates `banks` closed, idle banks, each split into `subarrays`
+    /// MASA subarrays (1 = the conventional single-row-buffer model).
     ///
     /// # Panics
     ///
     /// Panics if `subarrays` is zero.
-    pub fn with_subarrays(subarrays: u32) -> Self {
+    pub fn new(banks: u32, subarrays: u32) -> Self {
         assert!(subarrays > 0, "a bank needs at least one subarray");
-        Bank {
-            subarrays: (0..subarrays).map(|_| Subarray::new()).collect(),
+        Banks {
+            subarrays_per_bank: u64::from(subarrays),
+            state: vec![Subarray::CLOSED; banks as usize * subarrays as usize],
             row_hits: 0,
             activations: 0,
             precharges: 0,
         }
     }
 
-    /// Subarray index serving `row`. Power-of-two counts (including the
-    /// single-subarray default) mask instead of dividing: this runs on
-    /// every scheduler probe of every windowed request.
+    /// Number of banks.
+    pub fn len(&self) -> usize {
+        self.state.len() / self.subarrays_per_bank as usize
+    }
+
+    /// Whether there are no banks at all.
+    pub fn is_empty(&self) -> bool {
+        self.state.is_empty()
+    }
+
+    /// Subarray index within a bank serving `row`. Power-of-two counts
+    /// (including the single-subarray default) mask instead of dividing.
     #[inline]
-    fn sub_of(&self, row: u64) -> usize {
-        let n = self.subarrays.len() as u64;
+    fn sub_of(&self, row: u64) -> u64 {
+        let n = self.subarrays_per_bank;
         if n.is_power_of_two() {
-            (row & (n - 1)) as usize
+            row & (n - 1)
         } else {
-            (row % n) as usize
+            row % n
         }
     }
 
-    /// Determines the next command required to service `row`, and the
-    /// earliest time it can issue. Only the subarray serving `row` is
-    /// consulted: rows striped to other subarrays neither conflict with nor
-    /// gate this request.
-    pub fn next_action(&self, row: u64) -> BankAction {
-        let s = &self.subarrays[self.sub_of(row)];
-        match s.open_row {
+    /// Flat state index of the subarray of `bank` serving `row`, or `None`
+    /// when `bank` is out of range.
+    #[inline]
+    fn slot(&self, bank: u32, row: u64) -> Option<usize> {
+        let idx = (u64::from(bank) * self.subarrays_per_bank + self.sub_of(row)) as usize;
+        (idx < self.state.len()).then_some(idx)
+    }
+
+    /// Determines the next command required to service `row` in `bank`,
+    /// and the earliest time it can issue (`None` for an out-of-range
+    /// bank). Only the subarray serving `row` is consulted: rows striped to
+    /// other subarrays neither conflict with nor gate this request.
+    #[inline]
+    pub fn next_action(&self, bank: u32, row: u64) -> Option<BankAction> {
+        let s = &self.state[self.slot(bank, row)?];
+        Some(match s.open_row {
             Some(open) if open == row => BankAction::Cas(s.ready_cas),
             Some(_) => BankAction::Pre(s.ready_pre),
             None => BankAction::Act(s.ready_act),
+        })
+    }
+
+    /// The earliest cycle a CAS for `row` may issue in `bank`:
+    /// [`Cycle::NEVER`] unless `row` is open in its subarray. This is the
+    /// value a request queue caches per entry (its CAS-ready column).
+    #[inline]
+    pub fn cas_ready(&self, bank: u32, row: u64) -> Cycle {
+        match self.next_action(bank, row) {
+            Some(BankAction::Cas(ready)) => ready,
+            _ => Cycle::NEVER,
         }
     }
 
-    /// Issues an ACT for `row` at time `now`.
+    /// Issues an ACT for `row` in `bank` at time `now`.
     ///
     /// # Panics
     ///
-    /// Panics (debug) if the target subarray is not closed or `now`
-    /// violates tRP.
-    pub fn activate(&mut self, row: u64, now: Cycle, t: &DramTimings) {
-        let idx = self.sub_of(row);
-        let s = &mut self.subarrays[idx];
+    /// Panics if `bank` is out of range, and (debug) if the target
+    /// subarray is not closed or `now` violates tRP.
+    pub fn activate(&mut self, bank: u32, row: u64, now: Cycle, t: &DramTimings) {
+        let idx = self.slot(bank, row).expect("ACT on an out-of-range bank");
+        let s = &mut self.state[idx];
         debug_assert!(s.open_row.is_none(), "ACT on open bank");
         debug_assert!(now >= s.ready_act, "ACT violates tRP window");
         s.open_row = Some(row);
@@ -133,19 +161,26 @@ impl Bank {
     }
 
     /// Issues a CAS (read or write) at `now` for `row` (open in its
-    /// subarray); returns the time the first data beat appears on the bus
-    /// (`now + tCAS`).
+    /// subarray of `bank`); returns the time the first data beat appears on
+    /// the bus (`now + tCAS`). A CAS changes no request's CAS readiness.
     ///
     /// `burst_cycles` is the bus occupancy of the transfer; the subarray
     /// cannot be precharged until the burst has drained.
     ///
     /// # Panics
     ///
-    /// Panics (debug) if `row` is not the open row of its subarray or `now`
-    /// violates tRCD.
-    pub fn cas(&mut self, row: u64, now: Cycle, burst_cycles: u64, t: &DramTimings) -> Cycle {
-        let idx = self.sub_of(row);
-        let s = &mut self.subarrays[idx];
+    /// Panics if `bank` is out of range, and (debug) if `row` is not the
+    /// open row of its subarray or `now` violates tRCD.
+    pub fn cas(
+        &mut self,
+        bank: u32,
+        row: u64,
+        now: Cycle,
+        burst_cycles: u64,
+        t: &DramTimings,
+    ) -> Cycle {
+        let idx = self.slot(bank, row).expect("CAS on an out-of-range bank");
+        let s = &mut self.state[idx];
         debug_assert!(s.open_row == Some(row), "CAS on closed bank");
         debug_assert!(now >= s.ready_cas, "CAS violates tRCD window");
         let data_start = now + t.t_cas;
@@ -155,25 +190,15 @@ impl Bank {
         data_start
     }
 
-    /// Forcibly closes the whole bank for a refresh ending at `ready`: all
-    /// open rows are lost and no command may issue before `ready`.
-    pub fn refresh_until(&mut self, ready: Cycle) {
-        for s in &mut self.subarrays {
-            s.open_row = None;
-            s.ready_act = s.ready_act.max(ready);
-            s.ready_cas = Cycle::NEVER;
-            s.ready_pre = Cycle::ZERO;
-        }
-    }
-
-    /// Issues a PRE at `now`, closing the subarray serving `row`.
+    /// Issues a PRE at `now`, closing the subarray of `bank` serving `row`.
     ///
     /// # Panics
     ///
-    /// Panics (debug) if the subarray is closed or `now` violates tRAS.
-    pub fn precharge(&mut self, row: u64, now: Cycle, t: &DramTimings) {
-        let idx = self.sub_of(row);
-        let s = &mut self.subarrays[idx];
+    /// Panics if `bank` is out of range, and (debug) if the subarray is
+    /// closed or `now` violates tRAS.
+    pub fn precharge(&mut self, bank: u32, row: u64, now: Cycle, t: &DramTimings) {
+        let idx = self.slot(bank, row).expect("PRE on an out-of-range bank");
+        let s = &mut self.state[idx];
         debug_assert!(s.open_row.is_some(), "PRE on closed bank");
         debug_assert!(now >= s.ready_pre, "PRE violates tRAS window");
         s.open_row = None;
@@ -181,11 +206,17 @@ impl Bank {
         s.ready_cas = Cycle::NEVER;
         self.precharges += 1;
     }
-}
 
-impl Default for Bank {
-    fn default() -> Self {
-        Self::new()
+    /// Forcibly closes every bank for an all-bank refresh ending at
+    /// `ready`: all open rows are lost and no command may issue before
+    /// `ready`.
+    pub fn refresh_until(&mut self, ready: Cycle) {
+        for s in &mut self.state {
+            s.open_row = None;
+            s.ready_act = s.ready_act.max(ready);
+            s.ready_cas = Cycle::NEVER;
+            s.ready_pre = Cycle::ZERO;
+        }
     }
 }
 
@@ -197,36 +228,36 @@ mod tests {
         DramTimings::table1()
     }
 
-    /// The open row of the subarray serving `row`, if any.
-    fn open_row_for(b: &Bank, row: u64) -> Option<u64> {
-        b.subarrays[b.sub_of(row)].open_row
+    /// The open row of bank 0's subarray serving `row`, if any.
+    fn open_row_for(b: &Banks, row: u64) -> Option<u64> {
+        b.state[b.slot(0, row).unwrap()].open_row
     }
 
     #[test]
     fn closed_bank_wants_act() {
-        let b = Bank::new();
-        assert_eq!(b.next_action(5), BankAction::Act(Cycle::ZERO));
+        let b = Banks::new(1, 1);
+        assert_eq!(b.next_action(0, 5).unwrap(), BankAction::Act(Cycle::ZERO));
         assert_eq!(open_row_for(&b, 0), None);
     }
 
     #[test]
     fn act_then_cas_respects_trcd_tcas() {
-        let mut b = Bank::new();
-        b.activate(5, Cycle(100), &t());
+        let mut b = Banks::new(1, 1);
+        b.activate(0, 5, Cycle(100), &t());
         assert_eq!(open_row_for(&b, 0), Some(5));
-        match b.next_action(5) {
+        match b.next_action(0, 5).unwrap() {
             BankAction::Cas(ready) => assert_eq!(ready, Cycle(136)), // +tRCD
             other => panic!("expected CAS, got {other:?}"),
         }
-        let data = b.cas(5, Cycle(136), 5, &t());
+        let data = b.cas(0, 5, Cycle(136), 5, &t());
         assert_eq!(data, Cycle(172)); // +tCAS
     }
 
     #[test]
     fn conflicting_row_wants_pre_after_tras() {
-        let mut b = Bank::new();
-        b.activate(5, Cycle(0), &t());
-        match b.next_action(9) {
+        let mut b = Banks::new(1, 1);
+        b.activate(0, 5, Cycle(0), &t());
+        match b.next_action(0, 9).unwrap() {
             BankAction::Pre(ready) => assert_eq!(ready, Cycle(144)), // tRAS
             other => panic!("expected PRE, got {other:?}"),
         }
@@ -234,12 +265,12 @@ mod tests {
 
     #[test]
     fn pre_then_act_respects_trp() {
-        let mut b = Bank::new();
-        b.activate(1, Cycle(0), &t());
-        b.cas(1, Cycle(36), 4, &t());
-        b.precharge(1, Cycle(144), &t());
+        let mut b = Banks::new(1, 1);
+        b.activate(0, 1, Cycle(0), &t());
+        b.cas(0, 1, Cycle(36), 4, &t());
+        b.precharge(0, 1, Cycle(144), &t());
         assert_eq!(open_row_for(&b, 0), None);
-        match b.next_action(2) {
+        match b.next_action(0, 2).unwrap() {
             BankAction::Act(ready) => assert_eq!(ready, Cycle(180)), // +tRP
             other => panic!("expected ACT, got {other:?}"),
         }
@@ -247,12 +278,12 @@ mod tests {
 
     #[test]
     fn cas_extends_pre_window_past_burst() {
-        let mut b = Bank::new();
-        b.activate(1, Cycle(0), &t());
+        let mut b = Banks::new(1, 1);
+        b.activate(0, 1, Cycle(0), &t());
         // CAS late enough that data drain (not tRAS) limits the precharge.
-        let data = b.cas(1, Cycle(200), 10, &t());
+        let data = b.cas(0, 1, Cycle(200), 10, &t());
         assert_eq!(data, Cycle(236));
-        match b.next_action(2) {
+        match b.next_action(0, 2).unwrap() {
             BankAction::Pre(ready) => assert_eq!(ready, Cycle(246)),
             other => panic!("expected PRE, got {other:?}"),
         }
@@ -260,11 +291,11 @@ mod tests {
 
     #[test]
     fn stats_count_commands() {
-        let mut b = Bank::new();
-        b.activate(1, Cycle(0), &t());
-        b.cas(1, Cycle(36), 4, &t());
-        b.cas(1, Cycle(80), 4, &t());
-        b.precharge(1, Cycle(144), &t());
+        let mut b = Banks::new(1, 1);
+        b.activate(0, 1, Cycle(0), &t());
+        b.cas(0, 1, Cycle(36), 4, &t());
+        b.cas(0, 1, Cycle(80), 4, &t());
+        b.precharge(0, 1, Cycle(144), &t());
         assert_eq!(b.activations, 1);
         assert_eq!(b.row_hits, 2);
         assert_eq!(b.precharges, 1);
@@ -274,26 +305,26 @@ mod tests {
     fn distinct_subarrays_activate_independently() {
         // Rows 0 and 1 stripe to different subarrays of a 4-subarray bank:
         // no precharge is needed between them and both stay open.
-        let mut b = Bank::with_subarrays(4);
-        b.activate(0, Cycle(0), &t());
-        match b.next_action(1) {
+        let mut b = Banks::new(1, 4);
+        b.activate(0, 0, Cycle(0), &t());
+        match b.next_action(0, 1).unwrap() {
             BankAction::Act(ready) => assert_eq!(ready, Cycle::ZERO),
             other => panic!("expected independent ACT, got {other:?}"),
         }
-        b.activate(1, Cycle(1), &t());
+        b.activate(0, 1, Cycle(1), &t());
         assert_eq!(open_row_for(&b, 0), Some(0));
         assert_eq!(open_row_for(&b, 1), Some(1));
         // Both rows are CAS-ready after their own tRCD windows.
-        assert_eq!(b.next_action(0), BankAction::Cas(Cycle(36)));
-        assert_eq!(b.next_action(1), BankAction::Cas(Cycle(37)));
+        assert_eq!(b.next_action(0, 0).unwrap(), BankAction::Cas(Cycle(36)));
+        assert_eq!(b.next_action(0, 1).unwrap(), BankAction::Cas(Cycle(37)));
     }
 
     #[test]
     fn same_subarray_rows_still_conflict() {
         // Rows 0 and 4 both stripe to subarray 0 of a 4-subarray bank.
-        let mut b = Bank::with_subarrays(4);
-        b.activate(0, Cycle(0), &t());
-        match b.next_action(4) {
+        let mut b = Banks::new(1, 4);
+        b.activate(0, 0, Cycle(0), &t());
+        match b.next_action(0, 4).unwrap() {
             BankAction::Pre(ready) => assert_eq!(ready, Cycle(144)), // tRAS
             other => panic!("expected PRE, got {other:?}"),
         }
@@ -301,11 +332,11 @@ mod tests {
 
     #[test]
     fn precharge_closes_only_the_target_subarray() {
-        let mut b = Bank::with_subarrays(2);
-        b.activate(0, Cycle(0), &t());
-        b.activate(1, Cycle(0), &t());
-        b.cas(0, Cycle(36), 4, &t());
-        b.precharge(0, Cycle(144), &t());
+        let mut b = Banks::new(1, 2);
+        b.activate(0, 0, Cycle(0), &t());
+        b.activate(0, 1, Cycle(0), &t());
+        b.cas(0, 0, Cycle(36), 4, &t());
+        b.precharge(0, 0, Cycle(144), &t());
         assert_eq!(open_row_for(&b, 0), None);
         assert_eq!(open_row_for(&b, 1), Some(1), "sibling subarray unaffected");
         assert_eq!(b.precharges, 1);
@@ -314,10 +345,10 @@ mod tests {
     #[test]
     fn rows_stripe_across_subarrays_by_remainder() {
         for n in [1u32, 2, 3, 8] {
-            let b = Bank::with_subarrays(n);
+            let b = Banks::new(1, n);
             for row in [0u64, 1, 5, 7, 8, 1023, u64::MAX] {
                 assert_eq!(
-                    b.sub_of(row) as u64,
+                    b.sub_of(row),
                     row % u64::from(n),
                     "{n} subarrays, row {row}"
                 );
@@ -327,30 +358,30 @@ mod tests {
 
     #[test]
     fn refresh_closes_every_subarray() {
-        let mut b = Bank::with_subarrays(2);
-        b.activate(0, Cycle(0), &t());
-        b.activate(1, Cycle(0), &t());
+        let mut b = Banks::new(1, 2);
+        b.activate(0, 0, Cycle(0), &t());
+        b.activate(0, 1, Cycle(0), &t());
         b.refresh_until(Cycle(500));
         assert_eq!(open_row_for(&b, 0), None);
         assert_eq!(open_row_for(&b, 1), None);
-        assert_eq!(b.next_action(0), BankAction::Act(Cycle(500)));
-        assert_eq!(b.next_action(1), BankAction::Act(Cycle(500)));
+        assert_eq!(b.next_action(0, 0).unwrap(), BankAction::Act(Cycle(500)));
+        assert_eq!(b.next_action(0, 1).unwrap(), BankAction::Act(Cycle(500)));
     }
 
     #[test]
     #[should_panic(expected = "CAS on closed bank")]
     #[cfg(debug_assertions)]
     fn cas_on_closed_bank_panics() {
-        let mut b = Bank::new();
-        b.cas(0, Cycle(0), 4, &t());
+        let mut b = Banks::new(1, 1);
+        b.cas(0, 0, Cycle(0), 4, &t());
     }
 
     #[test]
     #[should_panic(expected = "ACT on open bank")]
     #[cfg(debug_assertions)]
     fn act_on_open_bank_panics() {
-        let mut b = Bank::new();
-        b.activate(1, Cycle(0), &t());
-        b.activate(2, Cycle(500), &t());
+        let mut b = Banks::new(1, 1);
+        b.activate(0, 1, Cycle(0), &t());
+        b.activate(0, 2, Cycle(500), &t());
     }
 }

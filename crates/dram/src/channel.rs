@@ -10,22 +10,21 @@
 //! `sched_window` entries it first looks for a *row-buffer hit* whose CAS can
 //! issue now, then falls back to advancing the oldest request (ACT or PRE as
 //! the bank requires). One command may issue per channel per CPU cycle.
+//!
+//! A tick has two phases: `retire` hands finished transfers
+//! back, and `act` refreshes, flips drain mode and schedules.
+//! Scheduling reads no in-flight state, so a tick that only retires leaves
+//! the scheduler preview (`Channel::next_schedule_cycle`) valid. Both
+//! the FR-FCFS scan and the preview read one dense column per queue, each
+//! entry's CAS-ready cycle; only an ACT, PRE or refresh changes it, and
+//! only for the entries of the bank it touched.
 
-use crate::bank::{Bank, BankAction};
+use crate::bank::{BankAction, Banks};
 use crate::config::DramConfig;
 use crate::device::Completion;
 use crate::request::{DramRequest, RequestQueue, TrafficClass};
 use bear_sim::time::Cycle;
-
-/// Memoized scheduler preview behind [`Channel::next_busy_cycle`] and
-/// [`Channel::completion_horizon`]: one window scan feeds both hints.
-#[derive(Debug, Clone, Copy)]
-struct Hint {
-    /// `now`-independent bound of [`Channel::next_busy_cycle`].
-    busy: Cycle,
-    /// [`Channel::next_schedule_cycle`] at the time of the scan.
-    sched: Cycle,
-}
+use std::cell::Cell;
 
 /// A data-bus burst captured for trace export (telemetry only).
 ///
@@ -99,11 +98,62 @@ impl ChannelStats {
     }
 }
 
+/// Host-work counters of the DRAM model since construction (diagnostics,
+/// like the run loop's cycle counters): they measure how much the
+/// simulator did, not what the simulated hardware did, so they differ
+/// between per-cycle and event-driven driving while every simulated result
+/// agrees.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DramWork {
+    /// Channel ticks executed.
+    pub channel_ticks: u64,
+    /// Channel ticks that changed nothing (no retire, refresh, drain flip
+    /// or command).
+    pub noop_ticks: u64,
+    /// Commands issued (ACT, PRE and CAS).
+    pub commands: u64,
+    /// Scheduler previews computed (busy-hint rescans).
+    pub previews: u64,
+    /// Queue-window entries read by the FR-FCFS scan and the previews.
+    pub entries_scanned: u64,
+}
+
+impl std::ops::AddAssign for DramWork {
+    fn add_assign(&mut self, o: DramWork) {
+        self.channel_ticks += o.channel_ticks;
+        self.noop_ticks += o.noop_ticks;
+        self.commands += o.commands;
+        self.previews += o.previews;
+        self.entries_scanned += o.entries_scanned;
+    }
+}
+
+/// Interior-mutable [`DramWork`]: the read-only preview counts its scans
+/// too. Its `Debug` prints no values, so the channel's `{:?}` state (which
+/// the span-equivalence tests and the gate audit compare) ignores it.
+#[derive(Default)]
+struct Work(Cell<DramWork>);
+
+impl Work {
+    #[inline]
+    fn bump(&self, f: impl FnOnce(&mut DramWork)) {
+        let mut w = self.0.get();
+        f(&mut w);
+        self.0.set(w);
+    }
+}
+
+impl std::fmt::Debug for Work {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Work")
+    }
+}
+
 /// One DRAM channel: banks + queues + scheduler + data bus.
 #[derive(Debug)]
 pub struct Channel {
     cfg: DramConfig,
-    banks: Vec<Bank>,
+    banks: Banks,
     read_queue: RequestQueue,
     write_queue: RequestQueue,
     /// Data bus is busy until this time.
@@ -112,7 +162,7 @@ pub struct Channel {
     /// `finish`).
     in_flight: Vec<Completion>,
     /// Earliest `finish` in `in_flight` ([`Cycle::NEVER`] when empty):
-    /// `tick` skips the retire scan before it.
+    /// [`Channel::retire`] does nothing before it.
     earliest_finish: Cycle,
     /// Currently draining writes.
     draining: bool,
@@ -120,26 +170,19 @@ pub struct Channel {
     next_refresh: Cycle,
     /// Optional bounded capture of data bursts (armed by telemetry).
     transfer_log: Option<TransferLog>,
-    /// Memoized scheduler preview behind [`Channel::next_busy_cycle`] and
-    /// [`Channel::completion_horizon`] (`None` = stale). Interior-mutable
-    /// so the read-only hints can cache across ticks that provably changed
-    /// nothing; every mutation point (enqueue, retire, refresh, drain
-    /// flip, command issue) clears it.
-    hint_cache: std::cell::Cell<Option<Hint>>,
     /// Statistics.
     pub stats: ChannelStats,
+    work: Work,
 }
 
 impl Channel {
     /// Creates an idle channel per `cfg`.
     pub fn new(cfg: DramConfig) -> Self {
-        let banks = (0..cfg.topology.banks_per_channel())
-            .map(|_| Bank::with_subarrays(cfg.topology.subarrays_per_bank))
-            .collect();
+        let t = cfg.topology;
         Channel {
-            banks,
-            read_queue: RequestQueue::new(cfg.read_queue_capacity, cfg.topology.banks_per_rank),
-            write_queue: RequestQueue::new(cfg.write_queue_capacity, cfg.topology.banks_per_rank),
+            banks: Banks::new(t.banks_per_channel(), t.subarrays_per_bank),
+            read_queue: RequestQueue::new(cfg.read_queue_capacity, t.banks_per_rank),
+            write_queue: RequestQueue::new(cfg.write_queue_capacity, t.banks_per_rank),
             bus_free_at: Cycle::ZERO,
             in_flight: Vec::with_capacity(8),
             earliest_finish: Cycle::NEVER,
@@ -150,10 +193,15 @@ impl Channel {
                 Cycle::NEVER
             },
             transfer_log: None,
-            hint_cache: std::cell::Cell::new(None),
             stats: ChannelStats::default(),
+            work: Work::default(),
             cfg,
         }
+    }
+
+    /// Host-work counters since construction (see [`DramWork`]).
+    pub fn work(&self) -> DramWork {
+        self.work.0.get()
     }
 
     /// Arms (`Some(capacity)`) or disarms (`None`) the transfer log. The
@@ -198,11 +246,8 @@ impl Channel {
         } else {
             &mut self.read_queue
         };
-        let res = queue.try_push(req);
-        if res.is_ok() {
-            self.hint_cache.set(None);
-        }
-        res
+        let banks = &self.banks;
+        queue.push_with_cas_ready(req, |bank, row| banks.cas_ready(bank, row))
     }
 
     /// Whether a read (`is_write == false`) or write can currently be
@@ -222,7 +267,7 @@ impl Channel {
 
     /// Row-buffer hit counts summed over banks (for diagnostics).
     pub fn row_hits(&self) -> u64 {
-        self.banks.iter().map(|b| b.row_hits).sum()
+        self.banks.row_hits
     }
 
     /// Bytes represented by queued requests that have *not* yet been
@@ -244,56 +289,86 @@ impl Channel {
     }
 
     /// Advances the channel to CPU cycle `now`: retires finished transfers
-    /// into `completions` and issues at most one command.
-    pub fn tick(&mut self, now: Cycle, completions: &mut Vec<Completion>) {
-        // Retire finished transfers.
-        if self.earliest_finish <= now {
-            let mut i = 0;
-            while i < self.in_flight.len() {
-                if self.in_flight[i].finish <= now {
-                    let f = self.in_flight.swap_remove(i);
-                    if f.request.is_write {
-                        self.stats.writes_completed += 1;
-                    } else {
-                        self.stats.reads_completed += 1;
-                    }
-                    completions.push(f);
-                } else {
-                    i += 1;
-                }
-            }
-            self.earliest_finish = self
-                .in_flight
-                .iter()
-                .map(|f| f.finish)
-                .min()
-                .unwrap_or(Cycle::NEVER);
-            self.hint_cache.set(None);
-        }
+    /// into `completions`, then issues at most one command. Returns whether
+    /// the channel changed.
+    pub fn tick(&mut self, now: Cycle, completions: &mut Vec<Completion>) -> bool {
+        self.tick_phases(now, completions, true) != (false, false)
+    }
 
+    /// One tick whose act phase runs only when `act` is set (a driver that
+    /// knows [`Channel::act`] is a no-op at `now` skips it). Returns
+    /// `(retired, acted)`: whether each phase changed the channel.
+    pub(crate) fn tick_phases(
+        &mut self,
+        now: Cycle,
+        completions: &mut Vec<Completion>,
+        act: bool,
+    ) -> (bool, bool) {
+        let retired = self.retire(now, completions);
+        let acted = act && self.act(now);
+        self.work.bump(|w| {
+            w.channel_ticks += 1;
+            w.noop_ticks += u64::from(!retired && !acted);
+        });
+        (retired, acted)
+    }
+
+    /// Retires the transfers finished by `now` into `completions`.
+    /// Returns whether any retired.
+    pub(crate) fn retire(&mut self, now: Cycle, completions: &mut Vec<Completion>) -> bool {
+        if self.earliest_finish > now {
+            return false;
+        }
+        let mut i = 0;
+        while i < self.in_flight.len() {
+            if self.in_flight[i].finish <= now {
+                let f = self.in_flight.swap_remove(i);
+                if f.request.is_write {
+                    self.stats.writes_completed += 1;
+                } else {
+                    self.stats.reads_completed += 1;
+                }
+                completions.push(f);
+            } else {
+                i += 1;
+            }
+        }
+        self.earliest_finish = self
+            .in_flight
+            .iter()
+            .map(|f| f.finish)
+            .min()
+            .unwrap_or(Cycle::NEVER);
+        true
+    }
+
+    /// The act phase of a tick at `now`: an all-bank refresh when one is
+    /// due, the drain-mode flip, then FR-FCFS issue of at most one
+    /// command. Returns whether anything changed.
+    pub(crate) fn act(&mut self, now: Cycle) -> bool {
+        let mut changed = false;
         // All-bank refresh: close every row and stall the channel tRFC.
         if now >= self.next_refresh {
             let ready = now + self.cfg.timings.t_rfc;
-            for bank in &mut self.banks {
-                bank.refresh_until(ready);
-            }
+            self.banks.refresh_until(ready);
+            self.read_queue.clear_cas_ready();
+            self.write_queue.clear_cas_ready();
             self.bus_free_at = self.bus_free_at.max(ready);
             self.next_refresh = now + self.cfg.timings.t_refi;
             self.stats.refreshes += 1;
-            self.hint_cache.set(None);
+            changed = true;
         }
-
-        self.update_drain_mode();
-
+        changed |= self.update_drain_mode();
         // Pick the active queue: writes only during a drain (or when no
         // reads are waiting).
         let use_writes =
             self.draining || (self.read_queue.is_empty() && !self.write_queue.is_empty());
-        if use_writes {
-            self.schedule_from(true, now);
-        } else {
-            self.schedule_from(false, now);
-        }
+        self.schedule_from(use_writes, now) || changed
+    }
+
+    /// Whether an all-bank refresh falls due at `now`.
+    pub(crate) fn refresh_due(&self, now: Cycle) -> bool {
+        now >= self.next_refresh
     }
 
     /// The earliest cycle at which a tick can change this channel's state:
@@ -307,38 +382,36 @@ impl Channel {
     ///
     /// Exactness relies on the queues being frozen until the returned
     /// cycle — the event-driven driver guarantees this, as it only skips
-    /// when no other component can enqueue.
+    /// when no other component can enqueue. [`crate::device::DramDevice`]
+    /// keeps this value per channel in its wake table instead of
+    /// recomputing it per query.
     pub fn next_busy_cycle(&self, now: Cycle) -> Cycle {
-        self.hint(now).busy.max(now)
+        self.busy_cycle(self.next_schedule_cycle(now)).max(now)
     }
 
-    /// The memoized scheduler preview, scanning the window only when a
-    /// mutation cleared the memo. A memo taken at an earlier `now'` is
-    /// exact once clamped to `now`: with the state frozen since, a preview
-    /// that returned `now'` (something issuable) would return `now` today,
-    /// and every other outcome does not depend on `now`. Caching a bound
-    /// already `<= now` stays pessimistic ("busy now") until the tick it
-    /// predicts fires, and that tick clears the memo.
-    fn hint(&self, now: Cycle) -> Hint {
-        if let Some(h) = self.hint_cache.get() {
-            return h;
-        }
-        let sched = self.next_schedule_cycle(now);
-        let h = Hint {
-            busy: self.earliest_finish.min(self.next_refresh).min(sched),
-            sched,
-        };
-        self.hint_cache.set(Some(h));
-        h
+    /// The channel's next busy cycle given its scheduler preview `sched`
+    /// (not clamped to any `now`).
+    #[inline]
+    pub(crate) fn busy_cycle(&self, sched: Cycle) -> Cycle {
+        self.earliest_finish.min(self.next_refresh).min(sched)
     }
 
-    /// Earliest cycle at which [`Channel::tick`]'s scheduling passes could
+    /// Earliest cycle at which [`Channel::act`]'s scheduling passes could
     /// issue a command or mutate a bank, assuming the queues stay frozen
     /// until then. Never later than the true first action (late would break
     /// the no-op guarantee); [`Cycle::NEVER`] when nothing is queued. May
     /// return `now` without finishing the window scan once a command is
     /// provably issuable this cycle — earlier-than-true is always safe.
-    fn next_schedule_cycle(&self, now: Cycle) -> Cycle {
+    ///
+    /// A preview taken at an earlier `now'` stays exact, once clamped to
+    /// `now`, while the channel is frozen and `now` does not pass the
+    /// clamped preview: a preview that returned `now'` (something
+    /// issuable) would return `now` today, and the other outcomes only
+    /// differ once the front request's ACT/PRE time is in the past. A
+    /// preview already `<= now` stays pessimistic ("busy now") until the
+    /// act phase it predicts changes the channel.
+    pub(crate) fn next_schedule_cycle(&self, now: Cycle) -> Cycle {
+        self.work.bump(|w| w.previews += 1);
         // A pending drain-mode flip makes the channel busy immediately:
         // the flip is hysteretic, so its *latch time* is observable — a
         // deferred flip would read a different queue depth and can settle
@@ -366,25 +439,26 @@ impl Channel {
         let bus_free = Cycle(self.bus_free_at.0.saturating_sub(self.cfg.timings.t_cas));
         // Pass-1 preview: the first CAS issues once some windowed row-hit
         // is past its tRCD window AND its data can start on a free bus.
+        // Entries whose row is not open read `NEVER` and change nothing.
         let mut ready_cas_min = Cycle::NEVER;
-        for i in 0..queue.len().min(self.cfg.sched_window) {
-            if let Some(bank) = self.banks.get(queue.bank_index(i) as usize) {
-                if let BankAction::Cas(ready) = bank.next_action(queue.row(i)) {
-                    if ready.max(bus_free) <= now {
-                        // A CAS is provably issuable this cycle; nothing
-                        // can be earlier, so skip the rest of the scan.
-                        return now;
-                    }
-                    ready_cas_min = ready_cas_min.min(ready);
-                    if ready_cas_min <= bus_free {
-                        // The issue time is already pinned at the bus
-                        // bound; later entries can only err the pass-2
-                        // comparison toward "earlier", which is safe.
-                        break;
-                    }
-                }
+        let mut scanned = 0;
+        for &ready in queue.cas_ready_window(self.cfg.sched_window) {
+            scanned += 1;
+            if ready.max(bus_free) <= now {
+                // A CAS is provably issuable this cycle; nothing can be
+                // earlier, so skip the rest of the scan.
+                self.work.bump(|w| w.entries_scanned += scanned);
+                return now;
+            }
+            ready_cas_min = ready_cas_min.min(ready);
+            if ready_cas_min <= bus_free {
+                // The issue time is already pinned at the bus bound; later
+                // entries can only err the pass-2 comparison toward
+                // "earlier", which is safe.
+                break;
             }
         }
+        self.work.bump(|w| w.entries_scanned += scanned);
         let cas_issue = if ready_cas_min == Cycle::NEVER {
             Cycle::NEVER
         } else {
@@ -394,11 +468,7 @@ impl Channel {
         // while no windowed CAS is ready — a ready-but-bus-blocked CAS
         // returns early without reaching it — so the front's ready time
         // counts only when it precedes every CAS window.
-        let front_t = match self
-            .banks
-            .get(queue.bank_index(0) as usize)
-            .map(|b| b.next_action(queue.row(0)))
-        {
+        let front_t = match self.banks.next_action(queue.bank_index(0), queue.row(0)) {
             Some(BankAction::Act(ready) | BankAction::Pre(ready)) => ready,
             _ => Cycle::NEVER,
         };
@@ -410,22 +480,23 @@ impl Channel {
     }
 
     /// A cycle strictly before which this channel can produce **no**
-    /// completion, assuming its queues stay frozen (no enqueues) from `now`
-    /// on. Two bounds compose:
+    /// completion, given its scheduler preview `sched` taken at or before
+    /// `now` and frozen queues (no enqueues) from `now` on. Two bounds
+    /// compose:
     ///
     /// - an in-flight transfer retires no earlier than its scheduled
     ///   finish, and
-    /// - any *new* CAS issues at some tick `t ≥ next_schedule_cycle(now)`
-    ///   (no command of any kind can issue earlier), so its data finishes
-    ///   at `t + tCAS + burst ≥ next_schedule_cycle(now) + tCAS + 1 beat`.
+    /// - any *new* CAS issues at some tick `t ≥ sched` (no command of any
+    ///   kind can issue earlier), so its data finishes at
+    ///   `t + tCAS + burst ≥ sched + tCAS + 1 beat`.
     ///
     /// Internal activity (ACT/PRE, refresh, CAS issue, drain flips) may
     /// happen freely inside the window — only *completions* are excluded —
-    /// which is exactly the contract [`Channel::advance_to`] needs to run
-    /// a whole span of ticks without synchronizing with the caller.
-    /// [`Cycle::NEVER`] when the channel is drained.
-    pub fn completion_horizon(&self, now: Cycle) -> Cycle {
-        let sched = self.hint(now).sched;
+    /// which is exactly the contract a span advance needs to run a whole
+    /// span of ticks without synchronizing with the caller (see
+    /// [`crate::device::DramDevice::advance_span`]). [`Cycle::NEVER`] when
+    /// the channel is drained.
+    pub(crate) fn completion_horizon(&self, sched: Cycle, now: Cycle) -> Cycle {
         let first_new_finish = if sched == Cycle::NEVER {
             Cycle::NEVER
         } else {
@@ -434,141 +505,100 @@ impl Channel {
         self.earliest_finish.min(first_new_finish)
     }
 
-    /// Replays every live tick this channel would have executed in
-    /// `[now, horizon)` under per-cycle driving, following its own busy
-    /// hints — issuing commands, flipping drain mode, and performing
-    /// refreshes exactly as [`Channel::tick`] at those cycles would. The
-    /// caller must pass a `horizon` no later than
-    /// [`Channel::completion_horizon`]`(now)` and must not enqueue during
-    /// the span; under that contract no completion can retire, so a device
-    /// can advance its channels one after another instead of in lockstep
-    /// (see [`crate::device::DramDevice::advance_span`]). Resulting state
-    /// is bit-identical to serial per-cycle ticking because each tick runs
-    /// at exactly the cycle the busy hint names — the same cycles a
-    /// per-cycle driver would find non-elidable.
-    pub fn advance_to(&mut self, now: Cycle, horizon: Cycle, completions: &mut Vec<Completion>) {
-        let mut cur = now;
-        loop {
-            let t = self.next_busy_cycle(cur);
-            if t >= horizon {
-                break;
-            }
-            let before = completions.len();
-            self.tick(t, completions);
-            debug_assert_eq!(
-                completions.len(),
-                before,
-                "completion retired inside a span at {t:?} (horizon {horizon:?})"
-            );
-            cur = t + 1;
+    /// Flips drain mode at the watermarks; returns whether it flipped.
+    fn update_drain_mode(&mut self) -> bool {
+        let flip = if self.draining {
+            self.write_queue.len() <= self.cfg.write_drain_low
+        } else {
+            self.write_queue.len() >= self.cfg.write_drain_high
+        };
+        if flip {
+            self.draining = !self.draining;
+            self.stats.drain_episodes += u64::from(self.draining);
         }
-    }
-
-    fn update_drain_mode(&mut self) {
-        if self.draining {
-            if self.write_queue.len() <= self.cfg.write_drain_low {
-                self.draining = false;
-                self.hint_cache.set(None);
-            }
-        } else if self.write_queue.len() >= self.cfg.write_drain_high {
-            self.draining = true;
-            self.stats.drain_episodes += 1;
-            self.hint_cache.set(None);
-        }
+        flip
     }
 
     /// FR-FCFS over the chosen queue; issues at most one command at `now`.
-    fn schedule_from(&mut self, writes: bool, now: Cycle) {
-        let window = self.cfg.sched_window;
+    /// Returns whether a command issued.
+    fn schedule_from(&mut self, writes: bool, now: Cycle) -> bool {
         let queue = if writes {
-            &self.write_queue
+            &mut self.write_queue
         } else {
-            &self.read_queue
+            &mut self.read_queue
         };
         if queue.is_empty() {
-            return;
+            return false;
         }
 
-        // Pass 1: oldest row-hit whose CAS can issue now and whose data can
-        // start on a free bus. Only the SoA hot columns (row + flat bank
-        // index) are touched during the scan.
-        let mut cas_candidate: Option<usize> = None;
-        for idx in 0..queue.len().min(window) {
-            let Some(bank) = self.banks.get(queue.bank_index(idx) as usize) else {
-                continue; // out-of-range bank: never schedulable
-            };
-            if let BankAction::Cas(ready) = bank.next_action(queue.row(idx)) {
-                if ready <= now {
-                    cas_candidate = Some(idx);
-                    break;
-                }
-            }
-        }
+        // Pass 1: oldest row-hit whose CAS can issue now, read off the
+        // CAS-ready column alone.
+        let window = queue.cas_ready_window(self.cfg.sched_window);
+        let hit = window.iter().position(|&ready| ready <= now);
+        let scanned = hit.map_or(window.len(), |idx| idx + 1);
+        self.work.bump(|w| w.entries_scanned += scanned as u64);
 
-        if let Some(idx) = cas_candidate {
+        if let Some(idx) = hit {
             // Data may not start before the bus frees; model the CAS as
-            // delayed until the data window fits.
-            let data_start_unconstrained = now + self.cfg.timings.t_cas;
-            if self.bus_free_at <= data_start_unconstrained {
-                let bank_idx = queue.bank_index(idx) as usize;
-                let queue = if writes {
-                    &mut self.write_queue
-                } else {
-                    &mut self.read_queue
-                };
-                let Some(req) = queue.remove(idx) else {
-                    return; // queue mutated unexpectedly; retry next cycle
-                };
-                self.hint_cache.set(None);
-                let burst = req.beats * self.cfg.topology.beat_cpu_cycles;
-                let data_start =
-                    self.banks[bank_idx].cas(req.location.row, now, burst, &self.cfg.timings);
-                let finish = data_start + burst;
-                self.bus_free_at = finish;
-                self.stats.bus_busy_cycles += burst;
-                self.account_bytes(&req);
-                if let Some(log) = &mut self.transfer_log {
-                    log.push(TransferRecord {
-                        channel: 0,
-                        bank: bank_idx as u32,
-                        is_write: req.is_write,
-                        class: req.class,
-                        start: data_start,
-                        finish,
-                    });
-                }
-                if !req.is_write {
-                    self.stats.read_queue_latency_sum += data_start - req.arrival;
-                }
-                self.in_flight.push(Completion {
-                    request: req,
+            // delayed until the data window fits. While the bus is the
+            // bottleneck, issue nothing that could starve this CAS.
+            if self.bus_free_at > now + self.cfg.timings.t_cas {
+                return false;
+            }
+            let bank = queue.bank_index(idx);
+            let Some(req) = queue.remove(idx) else {
+                return false;
+            };
+            let burst = req.beats * self.cfg.topology.beat_cpu_cycles;
+            let data_start = self
+                .banks
+                .cas(bank, req.location.row, now, burst, &self.cfg.timings);
+            let finish = data_start + burst;
+            self.bus_free_at = finish;
+            self.stats.bus_busy_cycles += burst;
+            self.account_bytes(&req);
+            if let Some(log) = &mut self.transfer_log {
+                log.push(TransferRecord {
+                    channel: 0,
+                    bank,
+                    is_write: req.is_write,
+                    class: req.class,
+                    start: data_start,
                     finish,
                 });
-                self.earliest_finish = self.earliest_finish.min(finish);
-                return;
             }
-            // Bus is the bottleneck: do not issue other commands that could
-            // starve this CAS; just wait.
-            return;
+            if !req.is_write {
+                self.stats.read_queue_latency_sum += data_start - req.arrival;
+            }
+            self.in_flight.push(Completion {
+                request: req,
+                finish,
+            });
+            self.earliest_finish = self.earliest_finish.min(finish);
+            self.work.bump(|w| w.commands += 1);
+            return true;
         }
 
         // Pass 2: advance the oldest request's bank (ACT or PRE).
-        let row = queue.row(0);
-        let bank_idx = queue.bank_index(0) as usize;
-        let Some(bank) = self.banks.get_mut(bank_idx) else {
-            return; // out-of-range bank: request can never be scheduled
-        };
-        match bank.next_action(row) {
-            BankAction::Act(ready) if ready <= now => {
-                bank.activate(row, now, &self.cfg.timings);
-                self.hint_cache.set(None);
+        let (bank, row) = (queue.bank_index(0), queue.row(0));
+        match self.banks.next_action(bank, row) {
+            Some(BankAction::Act(ready)) if ready <= now => {
+                self.banks.activate(bank, row, now, &self.cfg.timings);
             }
-            BankAction::Pre(ready) if ready <= now => {
-                bank.precharge(row, now, &self.cfg.timings);
-                self.hint_cache.set(None);
+            Some(BankAction::Pre(ready)) if ready <= now => {
+                self.banks.precharge(bank, row, now, &self.cfg.timings);
             }
-            _ => {}
+            // Not yet, or an out-of-range bank that can never be scheduled.
+            _ => return false,
         }
+        // Only this bank's entries can change CAS readiness.
+        let banks = &self.banks;
+        self.read_queue
+            .refresh_cas_ready(bank, |row| banks.cas_ready(bank, row));
+        self.write_queue
+            .refresh_cas_ready(bank, |row| banks.cas_ready(bank, row));
+        self.work.bump(|w| w.commands += 1);
+        true
     }
 
     fn account_bytes(&mut self, req: &DramRequest) {
@@ -907,7 +937,7 @@ mod tests {
         assert_eq!(ch.next_busy_cycle(now), bus_free);
         // Polling every cycle in between changes nothing; the hinted
         // cycle issues the row hit's CAS.
-        let acts = |ch: &Channel| ch.banks.iter().map(|b| b.activations).sum::<u64>();
+        let acts = |ch: &Channel| ch.banks.activations;
         let before = acts(&ch);
         for c in now.0..bus_free.0 {
             ch.tick(Cycle(c), &mut done);

@@ -5,7 +5,7 @@
 //! by `bear-core` (stacked cache and commodity memory) differ only in their
 //! [`crate::config::DramConfig`].
 
-use crate::channel::{Channel, ChannelStats, TransferRecord};
+use crate::channel::{Channel, ChannelStats, DramWork, TransferRecord};
 use crate::config::DramConfig;
 use crate::request::{DramLocation, DramRequest, TrafficClass};
 use bear_sim::error::SimError;
@@ -21,11 +21,38 @@ pub struct Completion {
     pub finish: Cycle,
 }
 
+/// One channel's row of the device wake table.
+#[derive(Debug, Clone, Copy)]
+struct Wake {
+    /// The channel's scheduler preview ([`Channel::next_schedule_cycle`]),
+    /// taken after its last change.
+    sched: Cycle,
+    /// The channel's next busy cycle, `min(earliest finish, next refresh,
+    /// sched)`, unclamped.
+    busy: Cycle,
+    /// An enqueue changed the channel since `sched` was taken; the enqueue
+    /// does not know the cycle, so the preview waits for the next
+    /// [`DramDevice::tick_gated`] or [`DramDevice::advance_span`], and
+    /// read-only queries take it on the fly until then.
+    stale: bool,
+}
+
 /// A complete DRAM device: several independent channels.
+///
+/// The device keeps a *wake table*: each channel's next busy cycle and
+/// scheduler preview, plus the minimum busy cycle, updated at the device's
+/// own mutation points (enqueue, tick, span). Its busy hint and the idle
+/// check of [`DramDevice::tick_gated`] are then a few loads, and a gated
+/// tick visits only the channels that are due.
 #[derive(Debug)]
 pub struct DramDevice {
     cfg: DramConfig,
     channels: Vec<Channel>,
+    wake: Vec<Wake>,
+    /// Minimum `busy` over the channels that are not stale.
+    min_busy: Cycle,
+    /// Whether any channel is stale.
+    any_stale: bool,
 }
 
 impl DramDevice {
@@ -36,10 +63,26 @@ impl DramDevice {
     /// Returns the [`SimError::Config`] from [`DramConfig::validate`].
     pub fn try_new(cfg: DramConfig) -> Result<Self, SimError> {
         cfg.validate()?;
-        let channels = (0..cfg.topology.channels)
+        let channels: Vec<Channel> = (0..cfg.topology.channels)
             .map(|_| Channel::new(cfg))
             .collect();
-        Ok(DramDevice { cfg, channels })
+        let wake = channels
+            .iter()
+            .map(|ch| Wake {
+                sched: Cycle::NEVER,
+                busy: ch.busy_cycle(Cycle::NEVER),
+                stale: false,
+            })
+            .collect();
+        let mut dev = DramDevice {
+            cfg,
+            channels,
+            wake,
+            min_busy: Cycle::NEVER,
+            any_stale: false,
+        };
+        dev.update_min_busy();
+        Ok(dev)
     }
 
     /// Creates an idle device.
@@ -84,43 +127,123 @@ impl DramDevice {
         if !self.location_in_range(&req.location) {
             return Err(req);
         }
-        self.channels[req.location.channel as usize].try_enqueue(req)
+        let idx = req.location.channel as usize;
+        self.channels[idx].try_enqueue(req)?;
+        self.wake[idx].stale = true;
+        self.any_stale = true;
+        Ok(())
     }
 
     /// Advances all channels to `now`, appending finished transactions to
-    /// `completions`.
+    /// `completions`: every channel retires, then acts, in index order.
     pub fn tick(&mut self, now: Cycle, completions: &mut Vec<Completion>) {
-        for ch in &mut self.channels {
-            ch.tick(now, completions);
+        for (ch, w) in self.channels.iter_mut().zip(&mut self.wake) {
+            if ch.tick(now, completions) {
+                // Taken lazily: a per-cycle driver need not pay for it.
+                w.stale = true;
+                self.any_stale = true;
+            }
         }
     }
 
-    /// [`DramDevice::tick`] for event-driven drivers: channels whose
-    /// [`Channel::next_busy_cycle`] proves this cycle a no-op are not
-    /// ticked at all. The hint is memoized per channel and every mutation
-    /// point invalidates it, so the elision is exact — both tick variants
-    /// produce bit-identical channel state and completions.
+    /// [`DramDevice::tick`] for event-driven drivers: only the channels
+    /// the wake table marks due at `now` tick, and a due channel whose
+    /// preview lies past `now` only retires. Every skipped tick or act
+    /// phase is a provable no-op, so both tick variants produce
+    /// bit-identical channel state and completions.
     pub fn tick_gated(&mut self, now: Cycle, completions: &mut Vec<Completion>) {
         // `BEAR_GATE_DIAG=1` cross-checks every elision by running the
-        // tick anyway and asserting it changed nothing (slow; CI smoke
-        // and bug hunts only). The flag is read once per process.
+        // skipped tick or act phase anyway and asserting it changed
+        // nothing (slow; CI smoke and bug hunts only). The flag is read
+        // once per process.
         static DIAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         let diag = *DIAG.get_or_init(|| std::env::var("BEAR_GATE_DIAG").is_ok());
-        for ch in &mut self.channels {
-            if ch.next_busy_cycle(now) > now {
-                if diag {
-                    let before = format!("{ch:?}");
+        self.refresh_stale(now);
+        if self.min_busy > now && !diag {
+            return;
+        }
+        for (ch, w) in self.channels.iter_mut().zip(&mut self.wake) {
+            if w.busy <= now {
+                Self::step(ch, w, now, completions, diag);
+            } else if diag {
+                Self::audit(ch, now, "tick", |ch| {
                     let mut scratch = Vec::new();
                     ch.tick(now, &mut scratch);
-                    let after = format!("{ch:?}");
-                    assert!(
-                        scratch.is_empty() && before == after,
-                        "hint claimed idle at {now:?} but tick mutated:\nBEFORE {before}\nAFTER {after}\ncompletions {scratch:?}"
-                    );
-                }
-                continue;
+                    scratch.is_empty()
+                });
             }
-            ch.tick(now, completions);
+        }
+        self.update_min_busy();
+    }
+
+    /// One due tick of `ch` at `now`, keeping its wake-table row exact.
+    /// The act phase runs when the preview or a refresh falls due. The
+    /// preview is retaken only when the act phase ran and the channel
+    /// changed; a retire-only tick keeps it, since scheduling reads no
+    /// in-flight state.
+    fn step(
+        ch: &mut Channel,
+        w: &mut Wake,
+        now: Cycle,
+        completions: &mut Vec<Completion>,
+        diag: bool,
+    ) {
+        let act = w.sched <= now || ch.refresh_due(now);
+        let (retired, acted) = ch.tick_phases(now, completions, act);
+        if act && (retired || acted) {
+            w.sched = ch.next_schedule_cycle(now + 1);
+        } else if diag && !act {
+            Self::audit(ch, now, "act phase", |ch| !ch.act(now));
+        }
+        w.busy = ch.busy_cycle(w.sched);
+    }
+
+    /// Gate audit: runs an elided `op` anyway and panics unless it was a
+    /// no-op (it returns `true` and leaves the channel's state unchanged).
+    fn audit(ch: &mut Channel, now: Cycle, what: &str, op: impl FnOnce(&mut Channel) -> bool) {
+        let before = format!("{ch:?}");
+        let quiet = op(ch);
+        let after = format!("{ch:?}");
+        assert!(
+            quiet && before == after,
+            "hint claimed the {what} idle at {now:?} but it mutated:\nBEFORE {before}\nAFTER {after}"
+        );
+    }
+
+    /// Takes the preview of every stale channel at `now`.
+    fn refresh_stale(&mut self, now: Cycle) {
+        if !self.any_stale {
+            return;
+        }
+        for (ch, w) in self.channels.iter().zip(&mut self.wake) {
+            if w.stale {
+                w.sched = ch.next_schedule_cycle(now);
+                w.busy = ch.busy_cycle(w.sched);
+                w.stale = false;
+            }
+        }
+        self.any_stale = false;
+        self.update_min_busy();
+    }
+
+    fn update_min_busy(&mut self) {
+        self.min_busy = self
+            .wake
+            .iter()
+            .filter(|w| !w.stale)
+            .map(|w| w.busy)
+            .min()
+            .unwrap_or(Cycle::NEVER);
+    }
+
+    /// Channel `idx`'s preview as seen at `now`: the wake table's, or one
+    /// taken on the fly while the channel is stale.
+    fn sched_at(&self, idx: usize, now: Cycle) -> Cycle {
+        let w = &self.wake[idx];
+        if w.stale {
+            self.channels[idx].next_schedule_cycle(now)
+        } else {
+            w.sched
         }
     }
 
@@ -134,35 +257,34 @@ impl DramDevice {
     /// [`Channel::next_busy_cycle`]). [`Cycle::NEVER`] when every channel is
     /// idle with no refresh pending.
     pub fn next_busy_cycle(&self, now: Cycle) -> Cycle {
-        let mut best = Cycle::NEVER;
-        for c in &self.channels {
-            let b = c.next_busy_cycle(now);
-            if b <= now {
-                // One busy channel settles the device; skip the rest.
-                return b;
-            }
-            best = best.min(b);
+        if !self.any_stale {
+            return self.min_busy.max(now);
         }
-        best
+        (0..self.channels.len())
+            .map(|idx| self.channels[idx].busy_cycle(self.sched_at(idx, now)))
+            .min()
+            .unwrap_or(Cycle::NEVER)
+            .max(now)
     }
 
     /// A cycle strictly before which no channel can produce a completion,
-    /// provided no new requests are enqueued (min over
-    /// [`Channel::completion_horizon`]). [`Cycle::NEVER`] when drained.
+    /// provided no new requests are enqueued (min over the channels'
+    /// completion horizons). [`Cycle::NEVER`] when drained.
     pub fn completion_horizon(&self, now: Cycle) -> Cycle {
-        self.channels
-            .iter()
-            .map(|c| c.completion_horizon(now))
+        (0..self.channels.len())
+            .map(|idx| self.channels[idx].completion_horizon(self.sched_at(idx, now), now))
             .min()
             .unwrap_or(Cycle::NEVER)
     }
 
     /// Advances every channel from `now` to `horizon` in one call, replaying
-    /// each channel's busy ticks exactly as per-cycle driving would (see
-    /// [`Channel::advance_to`]). The caller must pass
-    /// `horizon <= self.completion_horizon(now)` and must not enqueue
-    /// during the span. Channels share no state, so advancing them one
-    /// after another lands in the same state as ticking them in lockstep.
+    /// each channel's busy ticks exactly as per-cycle driving would: each
+    /// tick runs at exactly the cycle the channel's wake-table row names,
+    /// the same cycles a per-cycle driver would find non-elidable. The
+    /// caller must pass `horizon <= self.completion_horizon(now)` and must
+    /// not enqueue during the span. Channels share no state, so advancing
+    /// them one after another lands in the same state as ticking them in
+    /// lockstep.
     ///
     /// # Panics
     ///
@@ -170,16 +292,34 @@ impl DramDevice {
     /// broke the completion-horizon contract. The check stays on in
     /// release builds; the buffer it checks allocates only then.
     pub fn advance_span(&mut self, now: Cycle, horizon: Cycle) {
+        self.refresh_stale(now);
         let mut retired = Vec::new();
-        for (idx, ch) in self.channels.iter_mut().enumerate() {
-            // Returns at once when the channel's busy hint is past `horizon`.
-            ch.advance_to(now, horizon, &mut retired);
+        for (idx, (ch, w)) in self.channels.iter_mut().zip(&mut self.wake).enumerate() {
+            let mut cur = now;
+            loop {
+                let t = w.busy.max(cur);
+                if t >= horizon {
+                    break;
+                }
+                Self::step(ch, w, t, &mut retired, false);
+                cur = t + 1;
+            }
             assert!(
                 retired.is_empty(),
                 "channel {idx} retired a completion inside the span \
                  [{now:?}, {horizon:?}): completion_horizon contract violated"
             );
         }
+        self.update_min_busy();
+    }
+
+    /// Host-work counters summed over channels (see [`DramWork`]).
+    pub fn work(&self) -> DramWork {
+        let mut sum = DramWork::default();
+        for ch in &self.channels {
+            sum += ch.work();
+        }
+        sum
     }
 
     /// Per-channel statistics.

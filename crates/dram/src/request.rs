@@ -102,36 +102,33 @@ impl DramRequest {
     }
 }
 
-/// A bounded FIFO of [`DramRequest`]s in structure-of-arrays layout.
+/// A bounded FIFO of [`DramRequest`]s with its scheduler columns split out.
 ///
 /// The channel scheduler's hot loops (the FR-FCFS window scan and the
-/// `next_busy_cycle` preview) touch only a request's row and flat bank
-/// index; packing those into their own dense arrays keeps the per-tick
-/// working set to a few cache lines instead of a stride of full
-/// [`DramRequest`] structs. The flat bank index is precomputed at push
-/// time so the scan does no arithmetic at all.
+/// busy-hint preview) read one dense column: each entry's *CAS-ready*
+/// cycle, the earliest cycle its bank could take its CAS
+/// ([`Cycle::NEVER`] unless its row is open). The queue does not know the
+/// banks, so the owning channel maintains that column: it sets an entry's
+/// value at push time and recomputes the entries of a bank whenever an
+/// ACT, PRE or refresh changes that bank ([`RequestQueue::refresh_cas_ready`]).
+/// A request's row and flat bank index sit in their own columns too, the
+/// bank index precomputed at push time, so that recompute touches no full
+/// request. The requests themselves live in one `Vec`, so a removal moves
+/// four arrays.
 ///
 /// It behaves as a capped FIFO: pushes past the capacity hand the
 /// rejected request back unchanged, and removal at an arbitrary index
 /// preserves the order of the rest (FR-FCFS picks row hits out of order).
 /// `tests/proptests.rs` checks this against a `VecDeque` model, with the
-/// scan columns kept aligned under out-of-order removal.
+/// columns kept aligned under out-of-order removal.
 #[derive(Debug, Clone)]
 pub struct RequestQueue {
     cap: usize,
     banks_per_rank: u32,
-    // Hot scan columns.
     rows: Vec<u64>,
     bank_idx: Vec<u32>,
-    // Cold columns, touched only on push/remove/accounting.
-    ids: Vec<RequestId>,
-    channels: Vec<u32>,
-    ranks: Vec<u32>,
-    banks: Vec<u32>,
-    beats: Vec<u64>,
-    writes: Vec<bool>,
-    classes: Vec<TrafficClass>,
-    arrivals: Vec<Cycle>,
+    cas_ready: Vec<Cycle>,
+    reqs: Vec<DramRequest>,
 }
 
 impl RequestQueue {
@@ -149,49 +146,51 @@ impl RequestQueue {
             banks_per_rank,
             rows: Vec::with_capacity(capacity),
             bank_idx: Vec::with_capacity(capacity),
-            ids: Vec::with_capacity(capacity),
-            channels: Vec::with_capacity(capacity),
-            ranks: Vec::with_capacity(capacity),
-            banks: Vec::with_capacity(capacity),
-            beats: Vec::with_capacity(capacity),
-            writes: Vec::with_capacity(capacity),
-            classes: Vec::with_capacity(capacity),
-            arrivals: Vec::with_capacity(capacity),
+            cas_ready: Vec::with_capacity(capacity),
+            reqs: Vec::with_capacity(capacity),
         }
     }
 
     /// Attempts to enqueue; hands the request back if there is no room.
+    /// The entry's CAS-ready cycle starts at [`Cycle::NEVER`] (see
+    /// [`RequestQueue::push_with_cas_ready`]).
     pub fn try_push(&mut self, req: DramRequest) -> Result<(), DramRequest> {
-        if self.rows.len() >= self.cap {
+        self.push_with_cas_ready(req, |_, _| Cycle::NEVER)
+    }
+
+    /// [`RequestQueue::try_push`], setting the new entry's CAS-ready cycle
+    /// to `cas_ready(bank_index, row)`, evaluated only when the request is
+    /// accepted.
+    pub fn push_with_cas_ready(
+        &mut self,
+        req: DramRequest,
+        cas_ready: impl FnOnce(u32, u64) -> Cycle,
+    ) -> Result<(), DramRequest> {
+        if self.reqs.len() >= self.cap {
             return Err(req);
         }
-        self.rows.push(req.location.row);
-        self.bank_idx
-            .push(req.location.bank_in_channel(self.banks_per_rank));
-        self.ids.push(req.id);
-        self.channels.push(req.location.channel);
-        self.ranks.push(req.location.rank);
-        self.banks.push(req.location.bank);
-        self.beats.push(req.beats);
-        self.writes.push(req.is_write);
-        self.classes.push(req.class);
-        self.arrivals.push(req.arrival);
+        let bank = req.location.bank_in_channel(self.banks_per_rank);
+        let row = req.location.row;
+        self.rows.push(row);
+        self.bank_idx.push(bank);
+        self.cas_ready.push(cas_ready(bank, row));
+        self.reqs.push(req);
         Ok(())
     }
 
     /// Number of queued requests.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.reqs.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.reqs.is_empty()
     }
 
     /// Whether the queue is at capacity.
     pub fn is_full(&self) -> bool {
-        self.rows.len() >= self.cap
+        self.reqs.len() >= self.cap
     }
 
     /// Maximum number of requests.
@@ -211,52 +210,55 @@ impl RequestQueue {
         self.bank_idx[index]
     }
 
-    /// Reconstructs the full request at `index` from the columns.
-    pub fn get(&self, index: usize) -> Option<DramRequest> {
-        if index >= self.rows.len() {
-            return None;
+    /// The CAS-ready column of the oldest `n` entries (fewer when the
+    /// queue is shorter).
+    #[inline]
+    pub fn cas_ready_window(&self, n: usize) -> &[Cycle] {
+        &self.cas_ready[..n.min(self.cas_ready.len())]
+    }
+
+    /// Recomputes the CAS-ready cycle of every entry in flat bank `bank`
+    /// as `cas_ready(row)`.
+    pub fn refresh_cas_ready(&mut self, bank: u32, cas_ready: impl Fn(u64) -> Cycle) {
+        for (i, &b) in self.bank_idx.iter().enumerate() {
+            if b == bank {
+                self.cas_ready[i] = cas_ready(self.rows[i]);
+            }
         }
-        Some(DramRequest {
-            id: self.ids[index],
-            location: DramLocation {
-                channel: self.channels[index],
-                rank: self.ranks[index],
-                bank: self.banks[index],
-                row: self.rows[index],
-            },
-            beats: self.beats[index],
-            is_write: self.writes[index],
-            class: self.classes[index],
-            arrival: self.arrivals[index],
-        })
+    }
+
+    /// Sets every entry's CAS-ready cycle to [`Cycle::NEVER`] (an
+    /// all-bank refresh closed every row).
+    pub fn clear_cas_ready(&mut self) {
+        self.cas_ready.fill(Cycle::NEVER);
+    }
+
+    /// The request at `index` (0 = oldest).
+    pub fn get(&self, index: usize) -> Option<DramRequest> {
+        self.reqs.get(index).copied()
     }
 
     /// Removes and returns the request at `index` (0 = oldest),
     /// preserving the order of the remainder.
     pub fn remove(&mut self, index: usize) -> Option<DramRequest> {
-        let req = self.get(index)?;
+        if index >= self.reqs.len() {
+            return None;
+        }
         self.rows.remove(index);
         self.bank_idx.remove(index);
-        self.ids.remove(index);
-        self.channels.remove(index);
-        self.ranks.remove(index);
-        self.banks.remove(index);
-        self.beats.remove(index);
-        self.writes.remove(index);
-        self.classes.remove(index);
-        self.arrivals.remove(index);
-        Some(req)
+        self.cas_ready.remove(index);
+        Some(self.reqs.remove(index))
     }
 
     /// Sum of queued transfer lengths in beats (byte accounting).
     pub fn total_beats(&self) -> u64 {
-        self.beats.iter().sum()
+        self.reqs.iter().map(|r| r.beats).sum()
     }
 
     /// Accumulates queued bytes per traffic class into `out`.
     pub fn add_bytes_by_class(&self, beat_bytes: u64, out: &mut [u64; TrafficClass::COUNT]) {
-        for (class, beats) in self.classes.iter().zip(&self.beats) {
-            out[(class.0 as usize).min(TrafficClass::COUNT - 1)] += beats * beat_bytes;
+        for r in &self.reqs {
+            out[(r.class.0 as usize).min(TrafficClass::COUNT - 1)] += r.beats * beat_bytes;
         }
     }
 

@@ -227,3 +227,136 @@ fn queue_remove_preserves_order() {
         queue_agrees(&q, &model, 16, banks_per_rank)
     });
 }
+
+/// How [`drive_stream`] advances the device.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Driving {
+    /// `tick` at every cycle.
+    Polled,
+    /// `tick_gated` at every cycle.
+    GatedEveryCycle,
+    /// `tick_gated` only at cycles the hints name (`next_busy_cycle`, an
+    /// arrival, or the cycle after a blocked head's channel freed a slot).
+    Hinted,
+}
+
+/// What one drive observed.
+struct Drive {
+    /// `(id, finish)` in completion order.
+    done: Vec<(u64, Cycle)>,
+    /// Per-channel statistics, formatted.
+    stats: String,
+    /// `(cycle, next_busy_cycle, completion_horizon)` at every visited
+    /// cycle, taken after offering requests and before ticking.
+    hints: Vec<(Cycle, Cycle, Cycle)>,
+}
+
+/// Offers `stream` (sorted by arrival) to a fresh device in order, head of
+/// line, each request retried until accepted, and ticks it as `driving`
+/// says until it drains.
+fn drive_stream(cfg: DramConfig, stream: &[DramRequest], driving: Driving) -> Drive {
+    let mut dev = DramDevice::new(cfg);
+    let mut completions = Vec::new();
+    let mut hints = Vec::new();
+    let (mut next, mut now) = (0, Cycle(0));
+    loop {
+        while let Some(&req) = stream.get(next) {
+            if req.arrival > now || dev.try_enqueue(req).is_err() {
+                break;
+            }
+            next += 1;
+        }
+        hints.push((now, dev.next_busy_cycle(now), dev.completion_horizon(now)));
+        match driving {
+            Driving::Polled => dev.tick(now, &mut completions),
+            _ => dev.tick_gated(now, &mut completions),
+        }
+        if next == stream.len() && dev.pending() == 0 {
+            break;
+        }
+        assert!(now.0 < 1_000_000, "device stalled");
+        now = match (driving, stream.get(next)) {
+            (Driving::Hinted, Some(head))
+                if head.arrival <= now + 1
+                    && dev.can_accept(head.location.channel, head.is_write) =>
+            {
+                now + 1
+            }
+            (Driving::Hinted, head) => {
+                let busy = dev.next_busy_cycle(now + 1);
+                head.map_or(busy, |h| busy.min(h.arrival.max(now + 1)))
+            }
+            _ => now + 1,
+        };
+    }
+    Drive {
+        done: completions
+            .iter()
+            .map(|c| (c.request.id, c.finish))
+            .collect(),
+        stats: format!(
+            "{:?} {}",
+            dev.channel_stats().collect::<Vec<_>>(),
+            dev.row_hits()
+        ),
+        hints,
+    }
+}
+
+/// Skipping to the busy hints is exact under backpressure: queues of 2–4
+/// entries, 1/2/8 subarrays per bank, refresh on and off, and scheduler
+/// windows of 1/4/16. Hinted `tick_gated` driving gives the same
+/// completions and statistics as per-cycle `tick`, and the same hint
+/// values as per-cycle `tick_gated` at every cycle it visits.
+#[test]
+fn hinted_gated_driving_matches_per_cycle_ticking() {
+    check(96, |src: &mut Source| {
+        let mut cfg = DramConfig::stacked_cache_8x();
+        cfg.topology.channels = src.u32_in(1..3);
+        cfg.topology.banks_per_rank = src.u32_in(1..5);
+        cfg.topology.subarrays_per_bank = [1, 2, 8][src.usize_in(0..3)];
+        cfg.read_queue_capacity = src.usize_in(2..5);
+        cfg.write_queue_capacity = src.usize_in(2..5);
+        cfg.write_drain_high = src.usize_in(1..cfg.write_queue_capacity + 1);
+        cfg.write_drain_low = src.usize_in(0..cfg.write_drain_high);
+        cfg.sched_window = [1, 4, 16][src.usize_in(0..3)];
+        if src.bool() {
+            cfg.timings.t_refi = src.u64_in(300..2_000);
+            cfg.timings.t_rfc = src.u64_in(20..200);
+        }
+        let t = cfg.topology;
+        let mut arrival = 0;
+        let mut id = 0;
+        let stream = src.vec_with(1..60, |s| {
+            arrival += s.u64_in(0..40);
+            id += 1;
+            let loc = DramLocation {
+                channel: s.u32_in(0..t.channels),
+                rank: 0,
+                bank: s.u32_in(0..t.banks_per_rank),
+                row: s.u64_in(0..12),
+            };
+            let (beats, class) = (s.u64_in(1..9), TrafficClass(s.u8_in(0..4)));
+            if s.bool() {
+                DramRequest::write(id, loc, beats, class, Cycle(arrival))
+            } else {
+                DramRequest::read(id, loc, beats, class, Cycle(arrival))
+            }
+        });
+        let polled = drive_stream(cfg, &stream, Driving::Polled);
+        let gated = drive_stream(cfg, &stream, Driving::GatedEveryCycle);
+        let hinted = drive_stream(cfg, &stream, Driving::Hinted);
+        prop_assert_eq!(polled.done.len(), stream.len(), "requests lost");
+        prop_assert_eq!(&gated.done, &polled.done);
+        prop_assert_eq!(&hinted.done, &polled.done);
+        prop_assert_eq!(&gated.stats, &polled.stats);
+        prop_assert_eq!(&hinted.stats, &polled.stats);
+        let mut every_cycle = gated.hints.iter();
+        for &(at, busy, horizon) in &hinted.hints {
+            let same_cycle = every_cycle.find(|h| h.0 == at);
+            prop_assert_eq!(same_cycle, Some(&(at, busy, horizon)), "hints at {:?}", at);
+        }
+        prop_assert!(hinted.hints.len() <= gated.hints.len());
+        Ok(())
+    });
+}

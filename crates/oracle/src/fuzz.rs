@@ -8,7 +8,7 @@
 //! ([`crate::repro`]).
 
 use crate::lockstep::{run_lockstep_traced, DivergenceContext, LockstepReport};
-use crate::pools::{footprint_pool, neighbor_pair_pool, set_collision_pool};
+use crate::pools::{footprint_pool, neighbor_pair_pool, sector_set_pool, set_collision_pool};
 use crate::repro::Repro;
 use crate::shrink::shrink;
 use bear_core::config::{BearFeatures, DesignKind, SystemConfig};
@@ -151,6 +151,12 @@ pub fn trace_for(case: &FuzzCase) -> Vec<TraceEvent> {
     let cfg = quick_config(case.design, case.features);
     let pool = match case.pattern {
         AdversarialPattern::SetConflictStorm => set_collision_pool(&cfg, 64),
+        // The Sector Cache's dirty flood overflows one sector set with
+        // scattered blocks, so victims are sectors whose valid blocks are
+        // not a prefix.
+        AdversarialPattern::DirtyEvictionFlood if case.design == DesignKind::SectorCache => {
+            sector_set_pool(&cfg, 160, 8)
+        }
         AdversarialPattern::DirtyEvictionFlood => footprint_pool(&cfg, 4),
         AdversarialPattern::DuelSetThrash => footprint_pool(&cfg, 8),
         AdversarialPattern::NtcNeighborAlias => neighbor_pair_pool(&cfg, 32),

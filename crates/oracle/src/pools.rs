@@ -79,6 +79,36 @@ pub fn footprint_pool(cfg: &SystemConfig, factor: u64) -> Vec<u64> {
     (0..lines).map(|i| i * 4096).collect()
 }
 
+/// Sector size and associativity of the Sector Cache's tag store
+/// (`DesignKind::SectorCache`: 32-way, one tag per 4 KB sector).
+const SECTOR_BYTES: u64 = 4096;
+const SECTOR_WAYS: u64 = 32;
+
+/// Virtual byte addresses covering `blocks` non-zero blocks of each of
+/// `sectors` 4 KB sectors that all map to one Sector Cache sector set.
+///
+/// With more sectors than the set has ways, fills evict whole sectors
+/// whose valid blocks are scattered (never a prefix, never block 0), so a
+/// victim's exact block mask decides which lines leave the cache. Block
+/// offsets rotate per sector (`1 + (7·page + 13·j) mod 63`, distinct for
+/// `blocks <= 63`); the pool lists sector after sector.
+pub fn sector_set_pool(cfg: &SystemConfig, sectors: usize, blocks: u64) -> Vec<u64> {
+    let sets = (cfg.l4_capacity() / SECTOR_BYTES / SECTOR_WAYS).max(1);
+    // A 4 KB page is one sector: translation keeps page offsets.
+    let set_of = |page: u64| page_base_line(page) / PAGE_LINES % sets;
+    let target = set_of(0);
+    let mut pool = Vec::with_capacity(sectors * blocks as usize);
+    let mut found = 0;
+    for page in (0..SCAN_PAGES).filter(|&p| set_of(p) == target) {
+        pool.extend((0..blocks.min(63)).map(|j| page * 4096 + (1 + (7 * page + 13 * j) % 63) * 64));
+        found += 1;
+        if found == sectors {
+            break;
+        }
+    }
+    pool
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,5 +156,29 @@ mod tests {
         let cfg = cfg();
         let pool = footprint_pool(&cfg, 4);
         assert!(pool.len() as u64 > cfg.l3_capacity() / 64);
+    }
+
+    #[test]
+    fn sector_pool_overflows_one_sector_set_off_block_zero() {
+        let cfg = SystemConfig {
+            scale_shift: 12,
+            ..SystemConfig::paper_baseline(DesignKind::SectorCache)
+        };
+        let sets = cfg.l4_capacity() / SECTOR_BYTES / SECTOR_WAYS;
+        let pool = sector_set_pool(&cfg, 96, 8);
+        assert_eq!(pool.len(), 96 * 8);
+        let sector = |addr: u64| translate(addr) / SECTOR_BYTES;
+        let mut sectors: Vec<u64> = pool.iter().map(|&a| sector(a)).collect();
+        sectors.dedup();
+        assert_eq!(sectors.len(), 96, "sectors are listed one after another");
+        assert!(sectors.len() as u64 > 2 * SECTOR_WAYS);
+        assert!(sectors.iter().all(|s| s % sets == sectors[0] % sets));
+        for chunk in pool.chunks(8) {
+            let mut blocks: Vec<u64> = chunk.iter().map(|&a| translate(a) / 64 % 64).collect();
+            assert!(blocks.iter().all(|&b| b != 0), "block 0 is never touched");
+            blocks.sort_unstable();
+            blocks.dedup();
+            assert_eq!(blocks.len(), 8, "distinct blocks per sector");
+        }
     }
 }

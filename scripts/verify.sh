@@ -147,6 +147,11 @@ echo "==> MASA elision audit (BEAR_GATE_DIAG=1, multi-subarray banks)"
 # subarray-aware busy hints (per-subarray open rows and timing state)
 # on top of the polled-vs-spanned equalities.
 BEAR_GATE_DIAG=1 cargo test -q -p bear-core --offline --test span_equivalence
+# The DRAM property tests drive random request streams under backpressure
+# (2-4 entry queues, 1/2/8 subarrays, refresh on and off) per cycle and
+# by the hints; the audit also checks every retire-only tick's skipped
+# act phase.
+BEAR_GATE_DIAG=1 cargo test -q -p bear-dram --offline --test proptests
 # The same audit over the run-loop-mode grid (adversarial traces x the
 # B/BD/BDN/BEAR ladder) cross-checks every channel tick the event loop
 # elides there.
