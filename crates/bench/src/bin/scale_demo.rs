@@ -2,14 +2,13 @@
 //! `--scale 1` (a 1 GB L4, the paper's actual system), timed end to end.
 //!
 //! The gigascale run loop (DESIGN.md §14) is what makes this cell
-//! finish in seconds instead of minutes: completion-horizon advances
-//! (a plain skip when no channel works inside one) and channel gating
-//! elide the overwhelmingly idle cycles a 1 GB cache's long miss
-//! latencies produce. The binary runs through the campaign driver and
-//! accepts the standard flags (`--out`, `--scale` — default `1` here,
-//! unlike the other binaries); scalars record wall clock, skip and span
-//! shares of all simulated cycles, and the cell's headline stats so runs
-//! are comparable across machines.
+//! finish in seconds instead of minutes: idle skips, deferred DRAM
+//! devices and channel gating elide the overwhelmingly idle cycles a 1 GB
+//! cache's long miss latencies produce. The binary runs through the
+//! campaign driver and accepts the standard flags (`--out`, `--scale` —
+//! default `1` here, unlike the other binaries); scalars record wall
+//! clock, the share of all simulated cycles the loop skipped, and the
+//! cell's headline stats so runs are comparable across machines.
 
 use bear_bench::report::Report;
 use bear_bench::{cli, config_for, Campaign};
@@ -29,18 +28,15 @@ fn run(campaign: &Campaign, report: &mut Report) {
     let t0 = Instant::now();
     let stats = sys.run(cfg.warmup_cycles, cfg.measure_cycles);
     let wall = t0.elapsed();
-    // Skipped, span and live-tick cycles partition the simulated cycles.
+    // Skipped and live-tick cycles partition the simulated cycles.
     let total = sys.now().raw().max(1) as f64;
-    let skip_frac = sys.loop_counters().0 as f64 / total;
-    let span_frac = sys.span_cycles() as f64 / total;
+    let elided_frac = sys.loop_counters().0 as f64 / total;
     println!(
-        "BEAR x mcf @ L4 {} MB: {} cycles in {:.2}s \
-         ({:.0}% of cycles skipped, {:.0}% advanced in spans)",
+        "BEAR x mcf @ L4 {} MB: {} cycles in {:.2}s ({:.0}% of cycles skipped)",
         cfg.l4_capacity() >> 20,
         cfg.warmup_cycles + cfg.measure_cycles,
         wall.as_secs_f64(),
-        skip_frac * 100.0,
-        span_frac * 100.0,
+        elided_frac * 100.0,
     );
     // At this budget a 1 GB cache is still warming (the paper's runs are
     // billions of cycles), so hit-dependent ratios like the bloat factor
@@ -55,9 +51,7 @@ fn run(campaign: &Campaign, report: &mut Report) {
     );
     report.add_run("BEAR", &stats, None);
     report.add_scalar("wall_ns", wall.as_nanos() as f64);
-    report.add_scalar("skip_frac", skip_frac);
-    report.add_scalar("span_frac", span_frac);
-    report.add_scalar("span_cycles", sys.span_cycles() as f64);
+    report.add_scalar("elided_frac", elided_frac);
     report.add_scalar("l4_capacity_bytes", cfg.l4_capacity() as f64);
 }
 

@@ -71,7 +71,7 @@ fn class_name(class: TrafficClass) -> String {
 }
 
 /// Runs one armed cell and returns its stats, its telemetry and the
-/// cycles the event-driven loop elided (idle skips plus span advances).
+/// cycles the event-driven loop skipped.
 fn run_armed(
     cfg: &SystemConfig,
     workload: &Workload,
@@ -84,7 +84,7 @@ fn run_armed(
         .run_monitored(cfg.warmup_cycles, cfg.measure_cycles)
         .unwrap_or_else(|e| panic!("running {}: {e}", workload.name));
     let report = sys.take_telemetry().expect("armed run yields telemetry");
-    let elided = sys.loop_counters().0 + sys.span_cycles();
+    let elided = sys.loop_counters().0;
     (stats, report, elided)
 }
 

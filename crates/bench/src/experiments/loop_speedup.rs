@@ -11,13 +11,13 @@
 //!
 //! Report rows carry the event-driven run's statistics with `speedup` set
 //! to `poll_wall_ns / event_wall_ns`; scalars record both raw wall times
-//! per cell (`poll_ns:<config>:<workload>`, `event_ns:<config>:<workload>`)
-//! and their skip and span shares of all simulated cycles
-//! (`skip_frac:<config>:<workload>`, `span_frac:<config>:<workload>`),
-//! the event-driven run's absolute simulated Mcycles per host second
-//! (`event_mcps_best:` and `event_mcps_median:` over its samples), its
-//! DRAM host-work counters (`dram_channel_ticks:`, `dram_noop_ticks:`,
-//! `dram_commands:`, `dram_previews:`, `dram_entries_scanned:`; see
+//! per cell (`poll_ns:<config>:<workload>`, `event_ns:<config>:<workload>`),
+//! the share of all simulated cycles the event loop skipped
+//! (`elided_frac:<config>:<workload>`), the event-driven run's absolute
+//! simulated Mcycles per host second (`event_mcps_best:` and
+//! `event_mcps_median:` over its samples), its DRAM host-work counters
+//! (`dram_channel_ticks:`, `dram_noop_ticks:`, `dram_commands:`,
+//! `dram_previews:`, `dram_entries_scanned:`, `dram_replayed_ticks:`; see
 //! `bear_dram::channel::DramWork`), and the headline `speedup_gmean`.
 
 use crate::report::Report;
@@ -82,9 +82,8 @@ struct Timing {
     cycles: u64,
     /// Statistics of the best sample.
     stats: RunStats,
-    /// Skip and span shares of all simulated cycles (best sample).
-    skip_frac: f64,
-    span_frac: f64,
+    /// Share of all simulated cycles skipped (best sample).
+    elided_frac: f64,
     /// DRAM host-work counters (identical in every sample).
     work: DramWork,
 }
@@ -115,8 +114,7 @@ fn time_cell(
                 median_ns: 0,
                 cycles: total,
                 stats,
-                skip_frac: sys.loop_counters().0 as f64 / total as f64,
-                span_frac: sys.span_cycles() as f64 / total as f64,
+                elided_frac: sys.loop_counters().0 as f64 / total as f64,
                 work: sys.l4_cache().harness().dram_work(),
             });
         }
@@ -162,8 +160,7 @@ pub fn run(campaign: &Campaign, report: &mut Report) {
         &[
             "poll ms".into(),
             "event ms".into(),
-            "skipped".into(),
-            "spans".into(),
+            "elided".into(),
             "speedup".into(),
         ],
     );
@@ -184,16 +181,14 @@ pub fn run(campaign: &Campaign, report: &mut Report) {
             &[
                 format!("{:.1}", poll_ns as f64 / 1e6),
                 format!("{:.1}", event_ns as f64 / 1e6),
-                format!("{:.0}%", event.skip_frac * 100.0),
-                format!("{:.0}%", event.span_frac * 100.0),
+                format!("{:.0}%", event.elided_frac * 100.0),
                 f3(sp),
             ],
         );
         report.add_run(cell.label, &event.stats, Some(sp));
         report.add_scalar(&format!("poll_ns:{key}"), poll_ns as f64);
         report.add_scalar(&format!("event_ns:{key}"), event_ns as f64);
-        report.add_scalar(&format!("skip_frac:{key}"), event.skip_frac);
-        report.add_scalar(&format!("span_frac:{key}"), event.span_frac);
+        report.add_scalar(&format!("elided_frac:{key}"), event.elided_frac);
         // Simulated cycles per wall ns, times 1e3: Mcycles/s.
         let mcps = |ns: u64| event.cycles as f64 * 1e3 / ns.max(1) as f64;
         report.add_scalar(&format!("event_mcps_best:{key}"), mcps(event.best_ns));
@@ -205,6 +200,7 @@ pub fn run(campaign: &Campaign, report: &mut Report) {
             ("commands", w.commands),
             ("previews", w.previews),
             ("entries_scanned", w.entries_scanned),
+            ("replayed_ticks", w.replayed_ticks),
         ] {
             report.add_scalar(&format!("dram_{name}:{key}"), value as f64);
         }

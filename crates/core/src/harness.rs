@@ -8,6 +8,9 @@
 //! machine; every other request (posted writes, victim-data and
 //! way-discovery reads) carries no id, and the harness drops its
 //! completion.
+//! Event-driven, the devices lag: the harness is ticked only when a
+//! completion can retire or a retry head can drain, and each tick first
+//! replays the channel ticks the devices deferred.
 
 use crate::ledger::AttributionLedger;
 use bear_dram::channel::DramWork;
@@ -164,12 +167,15 @@ impl DeviceHarness {
         });
     }
 
-    /// Drains retry queues into the devices (respecting backpressure),
-    /// advances both devices one cycle, and routes completions.
+    /// Replays the ticks both devices deferred before `now`, drains retry
+    /// queues into the devices (respecting backpressure), advances both
+    /// devices one cycle, and routes completions. The replay comes first,
+    /// so the drain reads current channel queues.
     ///
     /// Only routed legs are returned; completions of requests nothing
     /// waits on are dropped here.
     pub fn tick(&mut self, now: Cycle, out: &mut Vec<RoutedCompletion>) {
+        self.catch_up(now);
         // Issue as many queued requests as the channels will accept.
         Self::drain(&mut self.cache_retry, &mut self.cache);
         Self::drain(&mut self.mem_retry, &mut self.mem);
@@ -196,6 +202,14 @@ impl DeviceHarness {
         }
     }
 
+    /// Replays the device ticks deferred before `now` (see
+    /// [`DramDevice::catch_up`]): the sync point before anything reads
+    /// device state other than [`DeviceHarness::pending`].
+    pub fn catch_up(&mut self, now: Cycle) {
+        self.cache.catch_up(now);
+        self.mem.catch_up(now);
+    }
+
     fn drain(queue: &mut VecDeque<DramRequest>, device: &mut DramDevice) {
         // In-order per queue; head-of-line blocking is intentional (it is
         // the backpressure signal). A request the device rejects (full or
@@ -215,76 +229,25 @@ impl DeviceHarness {
         self.cache.pending() + self.mem.pending() + self.cache_retry.len() + self.mem_retry.len()
     }
 
-    /// Earliest cycle at which ticking the harness can change state: ticks
-    /// strictly before it are guaranteed no-ops. Retry queues drain at tick
-    /// start, so a head its channel can accept makes the harness busy
-    /// immediately. A head its channel cannot accept stays stuck until that
-    /// channel issues from the full queue, which happens only in a device
-    /// tick, and a failed drain changes nothing; so a blocked backlog
-    /// leaves the devices' own hints in charge. [`Cycle::NEVER`] when
-    /// fully drained.
+    /// Earliest cycle at which a harness tick can have an effect outside
+    /// the devices: a completion retiring, routed or not (each one changes
+    /// [`DeviceHarness::pending`]), or a retry head draining. Ticks strictly
+    /// before it only move channels internally, and the devices replay
+    /// those when next touched. Retry queues drain at tick start, so a
+    /// head its channel can accept makes the harness busy `now`; a blocked
+    /// head waits for a tick of its own channel to free a slot and drains
+    /// on the tick after (see [`DramDevice::accept_cycle`]). Exact on
+    /// lagging devices. [`Cycle::NEVER`] when fully drained.
     pub fn next_busy_cycle(&self, now: Cycle) -> Cycle {
-        if self.head_acceptable() {
-            return now;
-        }
-        let cache = self.cache.next_busy_cycle(now);
-        if cache <= now {
-            return cache;
-        }
-        cache.min(self.mem.next_busy_cycle(now))
-    }
-
-    /// Whether some retry queue's head would be accepted by its device
-    /// now (so the next tick's drain makes progress).
-    fn head_acceptable(&self) -> bool {
-        let accepts = |queue: &VecDeque<DramRequest>, device: &DramDevice| {
-            queue
-                .front()
-                .is_some_and(|r| device.can_accept(r.location.channel, r.is_write))
+        let head = |queue: &VecDeque<DramRequest>, device: &DramDevice| {
+            queue.front().map_or(Cycle::NEVER, |r| {
+                device.accept_cycle(r.location.channel, r.is_write, now)
+            })
         };
-        accepts(&self.cache_retry, &self.cache) || accepts(&self.mem_retry, &self.mem)
-    }
-
-    /// A cycle strictly before which no device can produce a completion
-    /// and no retry head can drain, provided nothing is submitted in the
-    /// meantime: the min over both devices'
-    /// [`DramDevice::completion_horizon`], bounded by `b + 1` for each
-    /// device with a blocked backlog, where `b` is that device's next busy
-    /// cycle (the first tick that can free a slot; the drain that uses it
-    /// runs at the tick after). A head that can drain now makes the
-    /// horizon `now`.
-    pub fn completion_horizon(&self, now: Cycle) -> Cycle {
-        if self.head_acceptable() {
-            return now;
-        }
-        let blocked = |queue: &VecDeque<DramRequest>, device: &DramDevice| {
-            if queue.is_empty() {
-                Cycle::NEVER
-            } else {
-                // A permanently rejected head on an idle device: NEVER.
-                Cycle(device.next_busy_cycle(now).0.saturating_add(1))
-            }
-        };
-        self.cache
-            .completion_horizon(now)
-            .min(self.mem.completion_horizon(now))
-            .min(blocked(&self.cache_retry, &self.cache))
-            .min(blocked(&self.mem_retry, &self.mem))
-    }
-
-    /// Advances both devices from `now` to `horizon` with
-    /// [`DramDevice::advance_span`], replaying each channel's busy ticks
-    /// exactly as per-cycle driving would. The caller must have
-    /// established `horizon <= self.completion_horizon(now)` and must not
-    /// submit requests during the span; under that contract no completion
-    /// occurs and no retry head drains.
-    pub fn advance_span(&mut self, now: Cycle, horizon: Cycle) {
-        debug_assert!(
-            !self.head_acceptable(),
-            "span advance with a drainable retry backlog"
-        );
-        self.cache.advance_span(now, horizon);
-        self.mem.advance_span(now, horizon);
+        head(&self.cache_retry, &self.cache)
+            .min(head(&self.mem_retry, &self.mem))
+            .min(self.cache.retire_horizon(now))
+            .min(self.mem.retire_horizon(now))
     }
 
     /// Host-work counters of both DRAM devices (diagnostics; see
@@ -674,20 +637,118 @@ mod tests {
         h.tick(Cycle(0), &mut out); // drains two reads, issues the ACT
         assert_eq!(h.retry_depth(), 1);
         // The full channel frees a slot only when the row hit's CAS issues
-        // (tRCD after the ACT); until then the backlog is not busy work.
-        let dev = h.cache.next_busy_cycle(Cycle(1));
-        assert_eq!(dev, Cycle(t.t_rcd));
-        assert_eq!(h.next_busy_cycle(Cycle(1)), dev);
-        assert_eq!(h.completion_horizon(Cycle(1)), dev + 1);
-        h.tick(dev, &mut out); // the CAS frees a slot
+        // (tRCD after the ACT), and the drain that uses it runs one tick
+        // later; no completion can come sooner.
+        let cas = h.cache.next_busy_cycle(Cycle(1));
+        assert_eq!(cas, Cycle(t.t_rcd));
+        assert_eq!(h.next_busy_cycle(Cycle(1)), cas + 1);
+        h.tick(cas, &mut out); // the CAS frees a slot
         assert_eq!(h.retry_depth(), 1, "the drain ran before the CAS");
         assert_eq!(
-            h.next_busy_cycle(dev + 1),
-            dev + 1,
+            h.next_busy_cycle(cas + 1),
+            cas + 1,
             "the backlog drains next"
         );
-        h.tick(dev + 1, &mut out);
+        h.tick(cas + 1, &mut out);
         assert_eq!(h.retry_depth(), 0);
+    }
+
+    /// The tick that frees a blocked head's slot is deferred: the driver
+    /// jumps from cycle 0 to the hint, and the device replays the CAS at
+    /// `b` when touched at `b + 1`. The head still drains at `b + 1`, as
+    /// under per-cycle driving: the replay runs before the drain, so the
+    /// drain never reads the stale full queue, and a lagging device whose
+    /// freeing tick is due reads busy at any later `now`.
+    #[test]
+    fn lagging_device_drains_the_backlog_as_polling_does() {
+        let key = |c: &RoutedCompletion| (c.txn, c.leg, c.finish);
+        let mut polled = narrow_harness();
+        submit_three(&mut polled);
+        let mut polled_done = Vec::new();
+        let mut drained_at = None;
+        for t in 0..5_000u64 {
+            polled.tick(Cycle(t), &mut polled_done);
+            if drained_at.is_none() && polled.retry_depth() == 0 && t > 0 {
+                drained_at = Some(Cycle(t));
+            }
+        }
+        let drained_at = drained_at.expect("the backlog drains");
+
+        let mut lazy = narrow_harness();
+        lazy.set_event_gating(true);
+        submit_three(&mut lazy);
+        let mut lazy_done = Vec::new();
+        lazy.tick(Cycle(0), &mut lazy_done);
+        let b = lazy.cache.next_busy_cycle(Cycle(1));
+        assert_eq!(drained_at, b + 1, "polling drains the tick after the CAS");
+        assert_eq!(lazy.next_busy_cycle(Cycle(1)), b + 1);
+        assert_eq!(
+            lazy.next_busy_cycle(b + 7),
+            b + 7,
+            "a lagging device with a due freeing tick reads busy"
+        );
+        lazy.tick(b + 1, &mut lazy_done);
+        assert_eq!(lazy.retry_depth(), 0, "the head drained at b + 1");
+        assert!(
+            lazy.dram_work().replayed_ticks > 0,
+            "the CAS was not deferred"
+        );
+        let mut now = b + 2;
+        while lazy.pending() > 0 {
+            now = lazy.next_busy_cycle(now);
+            assert!(now.0 < 5_000, "lazy driving stalled");
+            lazy.tick(now, &mut lazy_done);
+            now += 1;
+        }
+        assert_eq!(
+            polled_done.iter().map(key).collect::<Vec<_>>(),
+            lazy_done.iter().map(key).collect::<Vec<_>>()
+        );
+    }
+
+    /// A retire is an external event even when nothing waits on it: it
+    /// lowers [`DeviceHarness::pending`], which `System::is_drained` reads.
+    /// Hinted driving of posted writes alone must visit each retire and
+    /// see the harness drain on the cycle polling does.
+    #[test]
+    fn unrouted_retires_are_visited() {
+        let submit = |h: &mut DeviceHarness| {
+            h.cache_write(loc(1, 0, 1), 5, BloatCategory::MissFill.class(), Cycle(0));
+            h.cache_write(loc(2, 3, 7), 5, BloatCategory::MissFill.class(), Cycle(0));
+            h.mem_write(0x40, MemTraffic::VictimWrite.class(), Cycle(0));
+        };
+        let mut polled = harness();
+        submit(&mut polled);
+        let mut out = Vec::new();
+        let mut polled_pending = Vec::new();
+        let mut t = Cycle(0);
+        while polled.pending() > 0 {
+            polled.tick(t, &mut out);
+            polled_pending.push((t, polled.pending()));
+            t += 1;
+            assert!(t.0 < 100_000, "polled writes never drained");
+        }
+        let mut hinted = harness();
+        hinted.set_event_gating(true);
+        submit(&mut hinted);
+        let (mut now, mut visits) = (Cycle(0), 0);
+        loop {
+            assert!(now.0 < 100_000, "hinted driving skipped a retire");
+            hinted.tick(now, &mut out);
+            visits += 1;
+            let seen = polled_pending.iter().find(|&&(at, _)| at == now);
+            assert_eq!(seen, Some(&(now, hinted.pending())), "pending at {now:?}");
+            if hinted.pending() == 0 {
+                break;
+            }
+            now = hinted.next_busy_cycle(now + 1);
+        }
+        assert!(out.is_empty(), "unrouted requests must not be routed");
+        assert_eq!(now + 1, t, "drained on another cycle");
+        assert!(
+            visits < 10,
+            "{visits} visits: internal ticks kept the harness busy"
+        );
     }
 
     #[test]
@@ -739,12 +800,11 @@ mod tests {
         }
         assert_eq!(h.retry_depth(), 1);
         assert_eq!(h.next_busy_cycle(Cycle(4)), Cycle::NEVER);
-        assert_eq!(h.completion_horizon(Cycle(4)), Cycle::NEVER);
         // Behind work on a real channel, the hints follow that channel.
         h.mem_read(2, 0x40, MemTraffic::DemandRead.class(), Cycle(4));
         assert_eq!(h.next_busy_cycle(Cycle(4)), Cycle(4));
         h.tick(Cycle(4), &mut out);
-        assert!(h.next_busy_cycle(Cycle(5)) > Cycle(5));
-        assert!(h.completion_horizon(Cycle(5)) < Cycle::NEVER);
+        let busy = h.next_busy_cycle(Cycle(5));
+        assert!(busy > Cycle(5) && busy < Cycle::NEVER, "{busy:?}");
     }
 }

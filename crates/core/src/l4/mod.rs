@@ -245,8 +245,9 @@ pub trait L4Cache {
     /// [`Cycle::NEVER`] means "purely completion-driven": with no new
     /// submissions, the controller does nothing until a device completes.
     /// This is the controller's one busy hint, and it must cover every
-    /// internal time-based queue. The fast-forward in `System` uses it to
-    /// prove that a window of cycles can run entirely inside the devices.
+    /// internal time-based queue. Through [`L4Cache::next_busy_cycle`]
+    /// the `System` uses it to prove that a window of cycles can run
+    /// entirely inside the devices.
     /// The default is the engine's own hint (busy while a submit-time
     /// eviction awaits its report); an organization with a queue of its
     /// own composes that queue's hint with it.
@@ -254,10 +255,13 @@ pub trait L4Cache {
         self.engine().idle_until(now)
     }
 
-    /// Earliest cycle at which a [`L4Cache::tick`] can change any state:
-    /// ticks strictly before the returned cycle are guaranteed no-ops, so
-    /// an event-driven driver may skip them. Composes the controller's own
-    /// hint with the device harness's; implementations do not override it.
+    /// Earliest cycle at which a [`L4Cache::tick`] can have an effect
+    /// outside the DRAM devices: controller work, a retiring completion or
+    /// a drainable retry head. Ticks strictly before it only move DRAM
+    /// channels internally, and the devices replay those at the next tick
+    /// (see [`DeviceHarness::next_busy_cycle`]), so an event-driven driver
+    /// may skip them. Composes the controller's own hint with the device
+    /// harness's; implementations do not override it.
     fn next_busy_cycle(&self, now: Cycle) -> Cycle {
         self.controller_idle_until(now)
             .min(self.harness().next_busy_cycle(now))

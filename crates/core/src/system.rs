@@ -5,6 +5,9 @@
 //! plumbs the BEAR notifications back (DCP bit set on fill, cleared on L4
 //! eviction; inclusive back-invalidations). The run loop is a single
 //! CPU-cycle tick with a delay wheel for latency-staged events.
+//! The event-driven mode (the default) skips every cycle at which nothing
+//! outside the DRAM channels can happen; quiet cores and the DRAM devices
+//! keep their own clocks and replay what they owe when next touched.
 
 use crate::config::{DesignKind, SystemConfig};
 use crate::events::ObsEvent;
@@ -66,13 +69,12 @@ struct Waiter {
     is_store: bool,
 }
 
-/// What one run-loop step did: a live tick, or an advance with no device
-/// work (a skip) or with some (a span).
+/// What one run-loop step did: a live tick, or a skip (only the clock
+/// moved).
 #[derive(Clone, Copy)]
 enum Step {
     Tick,
     Skip,
-    Span,
 }
 
 impl Step {
@@ -81,7 +83,6 @@ impl Step {
         match self {
             Step::Tick => "tick",
             Step::Skip => "skip",
-            Step::Span => "span",
         }
     }
 }
@@ -111,7 +112,7 @@ pub struct System {
     /// Delay wheel keyed by due cycle.
     wheel: BTreeMap<u64, Vec<Staged>>,
     /// Earliest due cycle on the wheel (`u64::MAX` when empty), cached so
-    /// the per-tick due check and the idle probe read one integer instead
+    /// the per-tick due check and the skip check read one integer instead
     /// of walking the tree.
     wheel_next: u64,
     /// MSHR-style merge table: line → waiters of the in-flight fetch.
@@ -130,25 +131,16 @@ pub struct System {
     events: Vec<ObsEvent>,
     /// When set, cores stop issuing new accesses (drain/quiesce support).
     cores_halted: bool,
-    /// When set (the default), the run loop fast-forwards provably idle
-    /// cycles instead of ticking through them (see [`System::try_advance`]).
-    /// Disable via [`System::set_event_driven`] to force per-cycle
-    /// polling — the equivalence guard tests pin both modes to identical
-    /// results.
+    /// When set (the default), the run loop skips provably idle cycles
+    /// instead of ticking through them (see `System::step`). Disable via
+    /// [`System::set_event_driven`] to force per-cycle polling — the
+    /// equivalence guard tests pin both modes to identical results.
     event_driven: bool,
-    /// Clock value before which idle probes are suppressed (probe
-    /// throttling; see `System::fast_forward`).
-    next_probe: u64,
-    /// Current probe back-off stride, doubled on each failed probe up to
-    /// [`System::MAX_PROBE_STRIDE`], reset to 1 on success.
-    probe_stride: u64,
-    /// Cycles fast-forwarded with no device work since construction
-    /// (diagnostic; not part of simulated state).
+    /// Cycles skipped since construction (diagnostic; not part of
+    /// simulated state).
     skipped_cycles: u64,
     /// Live [`System::tick`] calls since construction (diagnostic).
     live_ticks: u64,
-    /// Cycles fast-forwarded with device work (diagnostic).
-    span_cycles: u64,
     /// Core ticks executed live since construction (diagnostic).
     core_ticks: u64,
     /// Telemetry state while armed (`None` when disarmed, which costs one
@@ -245,11 +237,8 @@ impl System {
             events: Vec::new(),
             cores_halted: false,
             event_driven: true,
-            next_probe: 0,
-            probe_stride: 1,
             skipped_cycles: 0,
             live_ticks: 0,
-            span_cycles: 0,
             core_ticks: 0,
             telemetry: None,
             cfg: cfg.clone(),
@@ -326,7 +315,7 @@ impl System {
     /// Stops the cores from issuing further memory accesses, so in-flight
     /// traffic can drain (see [`System::quiesce`]).
     pub fn halt_cores(&mut self) {
-        self.sync_cores();
+        self.sync();
         self.cores_halted = true;
     }
 
@@ -338,13 +327,14 @@ impl System {
             && self.l4.harness().pending() == 0
     }
 
-    /// Enables or disables fast-forward advances and component tick
-    /// elision in [`System::run`] / [`System::run_monitored`] /
-    /// [`System::quiesce`], telemetry armed or not. On by default; both
-    /// modes produce bit-identical results and telemetry (elided cycles
-    /// are provably no-ops), so this only trades speed for simplicity.
+    /// Enables or disables idle skips and component tick elision in
+    /// [`System::run`] / [`System::run_monitored`] / [`System::quiesce`],
+    /// telemetry armed or not. On by default; both modes produce
+    /// bit-identical results and telemetry (elided cycles are provably
+    /// no-ops or replayed exactly), so this only trades speed for
+    /// simplicity.
     pub fn set_event_driven(&mut self, on: bool) {
-        self.sync_cores();
+        self.sync();
         let now = self.clock.0;
         for c in &mut self.core_clocks {
             c.wake = now;
@@ -386,13 +376,15 @@ impl System {
         };
     }
 
-    /// Catches every core up to the clock: the sync point before anything
-    /// outside the live tick reads core state.
-    fn sync_cores(&mut self) {
+    /// Catches every core and both DRAM devices up to the clock: the sync
+    /// point before anything outside the live tick reads core or device
+    /// state.
+    fn sync(&mut self) {
         let now = self.clock.0;
         for i in 0..self.cores.len() {
             self.catch_up(i, now);
         }
+        self.l4.harness_mut().catch_up(self.clock);
     }
 
     /// Delivers a load/store completion to `core` during the live tick:
@@ -449,116 +441,51 @@ impl System {
         bound
     }
 
-    /// Longest interval (in ticks) a failed probe can suppress further
-    /// probing. Bounds how late a fast-forward opportunity can be noticed;
-    /// small enough that a missed window costs a handful of (always
-    /// correct) polled ticks.
-    const MAX_PROBE_STRIDE: u64 = 16;
-
-    /// Shortest advance worth taking: the probe (a scheduler-window scan
-    /// per channel) only pays for itself when it replaces at least this
-    /// many ticks. Shorter advances are polled through (always correct)
-    /// and count as failed probes so the back-off engages in fine-grained
-    /// phases. A run-loop stop closer than this may still be reached in
-    /// one advance.
-    const MIN_ADVANCE: u64 = 4;
-
     /// Diagnostic run-loop counters: `(skipped_cycles, live_ticks)` since
-    /// construction. Skipped cycles are advances in which no device
-    /// worked: only the clock jumped.
+    /// construction; they sum to [`System::now`]. Skipped cycles are the
+    /// ones the event-driven loop jumped over: no core, wheel event or
+    /// fault was due, and the L4 hint proved them free of external work.
     pub fn loop_counters(&self) -> (u64, u64) {
         (self.skipped_cycles, self.live_ticks)
     }
 
-    /// Cycles covered by advances in which some DRAM channel worked, since
-    /// construction (diagnostic; these cycles appear in neither
-    /// [`System::loop_counters`] bucket — the devices ticked, the system
-    /// loop did not). Skipped, span and live-tick cycles sum to
-    /// [`System::now`].
+    /// Always 0. Spans merged into skips once the DRAM devices replay
+    /// their own deferred ticks; the name stays only for the repository
+    /// benchmark (`benchmark/`), which still calls it.
     pub fn span_cycles(&self) -> u64 {
-        self.span_cycles
+        0
     }
 
-    /// Does nothing. Spans always advance serially and `BEAR_SIM_THREADS`
-    /// is no longer read; the name stays only for the repository
-    /// benchmark (`benchmark/`), which still calls it.
+    /// Does nothing. `BEAR_SIM_THREADS` is no longer read; the name stays
+    /// only for the repository benchmark (`benchmark/`), which still calls
+    /// it.
     pub fn set_sim_threads(&mut self, _threads: usize) {}
 
-    /// The one fast-forward. When every non-device component is provably
-    /// quiet — cores, wheel and fault plan for `bound` ticks
-    /// ([`System::quiet_bound`]), the L4 controller waiting purely on
-    /// completions, no retry head its channel can accept — the only work
-    /// in the next cycles happens *inside* the DRAM channels, and
-    /// [`DeviceHarness::completion_horizon`] bounds how long that stays
-    /// true: no completion (the only signal that can wake the rest of the
-    /// system) can retire, and no blocked retry head can drain, before
-    /// it. The span
-    /// `[now, min(horizon, first component wake-up))` is then executed by
-    /// ticking each busy channel independently and jumping the clock,
-    /// which is bit-identical to per-cycle `System::tick` driving because
-    /// each of those ticks would have reduced to exactly the per-channel
-    /// device tick being replayed. When no channel has work inside the
-    /// span either, only the clock jumps and the step counts as a skip.
-    /// The cores' quiet ticks stay deferred (see [`System::catch_up`]).
-    /// Returns what moved the clock (`None` = no advance applies).
-    ///
-    /// [`DeviceHarness::completion_horizon`]: crate::harness::DeviceHarness::completion_horizon
-    fn try_advance(&mut self, bound: u64, min: u64) -> Option<Step> {
-        if bound < min {
-            return None;
-        }
-        let now = self.clock;
-        let ctrl = self.l4.controller_idle_until(now);
-        let harness = self.l4.harness();
-        // A retry head that can drain now makes the horizon `now`.
-        let horizon = harness.completion_horizon(now);
-        if ctrl <= now || horizon <= now {
-            return None;
-        }
-        let span = bound.min(ctrl - now).min(horizon - now);
-        if span < min {
-            return None;
-        }
-        let end = now + span;
-        let step = if harness.next_busy_cycle(now) >= end {
-            self.skipped_cycles += span;
-            Step::Skip
-        } else {
-            self.l4.harness_mut().advance_span(now, end);
-            self.span_cycles += span;
-            Step::Span
-        };
-        self.clock = end;
-        Some(step)
-    }
-
-    /// One event-driven fast-forward attempt behind the probe back-off.
-    /// Returns what moved the clock (`None` = run a live [`System::tick`]).
-    fn fast_forward(&mut self, limit: u64) -> Option<Step> {
-        if !self.event_driven || self.clock.0 < self.next_probe {
-            return None;
-        }
-        let step = self.try_advance(self.quiet_bound(limit), Self::MIN_ADVANCE.min(limit));
-        if step.is_some() {
-            // An advance short of a run-loop stop lands on a busy cycle,
-            // where a probe would fail: probe again right after the live
-            // tick that consumes it, since advances often chain.
-            self.probe_stride = 1;
-            self.next_probe = self.clock.0 + 1;
-        } else {
-            self.next_probe = self.clock.0 + self.probe_stride;
-            self.probe_stride = (self.probe_stride * 2).min(Self::MAX_PROBE_STRIDE);
-        }
-        step
-    }
-
-    /// One run-loop step of at most `limit` cycles: a fast-forward when
-    /// one applies, a live [`System::tick`] otherwise.
+    /// One run-loop step of at most `limit` cycles. In the event-driven
+    /// mode, when no core, delay-wheel event or fault is due now
+    /// ([`System::quiet_bound`]) and the L4 hint
+    /// ([`L4Cache::next_busy_cycle`]: controller work, a retiring
+    /// completion or a drainable retry head) lies past `now`, the clock
+    /// jumps to the first of those, capped at `limit`: a skip. The
+    /// channels' internal ticks inside it are replayed when the devices
+    /// are next touched, and the cores' quiet ticks stay deferred (see
+    /// [`System::catch_up`]). Otherwise a live [`System::tick`].
     fn step(&mut self, limit: u64) -> Step {
-        self.fast_forward(limit).unwrap_or_else(|| {
-            self.tick();
-            Step::Tick
-        })
+        if self.event_driven {
+            let bound = self.quiet_bound(limit);
+            let now = self.clock;
+            if bound > 0 {
+                let busy = self.l4.next_busy_cycle(now);
+                if busy > now {
+                    let span = bound.min(busy - now);
+                    self.skipped_cycles += span;
+                    self.clock = now + span;
+                    return Step::Skip;
+                }
+            }
+        }
+        self.tick();
+        Step::Tick
     }
 
     /// Halts the cores and ticks until the memory system drains, up to
@@ -568,12 +495,10 @@ impl System {
     pub fn quiesce(&mut self, budget: u64) -> bool {
         self.halt_cores();
         let end = self.clock + budget;
-        while self.clock < end {
-            if self.is_drained() {
-                return true;
-            }
+        while self.clock < end && !self.is_drained() {
             self.step(end - self.clock);
         }
+        self.sync();
         self.is_drained()
     }
 
@@ -594,6 +519,8 @@ impl System {
     /// and disarmed runs retire identical instruction streams and report
     /// identical statistics (a bench guard test pins this).
     pub fn set_telemetry(&mut self, cfg: bear_telemetry::TelemetryConfig) {
+        // Bursts before arming must replay before the log opens.
+        self.sync();
         if self.telemetry.take().is_some_and(|t| t.trace_armed()) {
             self.disarm_trace();
         }
@@ -632,6 +559,7 @@ impl System {
     /// Hands out everything armed telemetry collected, disarming it.
     /// `None` when telemetry was never armed.
     pub fn take_telemetry(&mut self) -> Option<crate::telemetry::TelemetryReport> {
+        self.sync();
         let state = self.telemetry.take()?;
         let transfers = if state.trace_armed() {
             self.disarm_trace()
@@ -657,7 +585,7 @@ impl System {
         };
         t.lap(lap, step.label());
         if t.next_window_end().is_some_and(|end| self.clock.0 >= end) {
-            self.sync_cores();
+            self.sync();
             let t = self.telemetry.as_deref_mut().expect("telemetry armed");
             t.close_window(self.clock.0, &self.cores, &self.l3, self.l4.as_ref());
             t.lap(lap, "telemetry");
@@ -831,6 +759,7 @@ impl System {
         if !self.sink.enabled() {
             return;
         }
+        self.sync();
         let now = self.clock;
         self.l4.self_check(now, &mut self.sink);
         self.l4
@@ -926,10 +855,13 @@ impl System {
         //    writeback ships a stale probe-skip hint.
         //
         //    In the event-driven mode the whole step is elided when the
-        //    controller's busy hint proves it a no-op. The check runs
-        //    after steps 1–2 so any submission they made is visible (a
-        //    fresh submission lands in the harness retry queues, which
-        //    report busy as soon as their head can drain).
+        //    controller's busy hint proves it has no external effect: no
+        //    controller work, no retiring completion, no drainable retry
+        //    head. The channels' internal ticks it would have run are
+        //    replayed at the next device touch. The check runs after
+        //    steps 1–2 so any submission they made is visible (a fresh
+        //    submission lands in the harness retry queues, which report
+        //    busy as soon as their head can drain).
         if !self.event_driven || self.l4.next_busy_cycle(now) <= now {
             let mut outputs = std::mem::take(&mut self.outputs);
             outputs.clear();
@@ -973,13 +905,13 @@ impl System {
         /// (power of two; checks happen at tick boundaries).
         const CHECK_STRIDE: u64 = 4096;
         let window = self.cfg.watchdog_window;
-        self.sync_cores();
+        self.sync();
         let mut last_insts: u64 = self.cores.iter().map(|c| c.retired_insts()).sum();
         let mut last_progress = self.clock;
         let end = self.clock + cycles;
         let mut lap = self.telemetry.as_ref().and_then(|t| t.start_lap());
         while self.clock < end {
-            // Fast-forward provably idle cycles, stopping exactly on check
+            // Skip provably idle cycles, stopping exactly on check
             // boundaries and sample-window ends so invariant checks, the
             // watchdog and telemetry observe the same clock values (and
             // states) as per-cycle polling would.
@@ -992,7 +924,7 @@ impl System {
             if self.clock.0.is_multiple_of(CHECK_STRIDE) {
                 self.run_invariant_checks();
                 if window > 0 {
-                    self.sync_cores();
+                    self.sync();
                     let insts: u64 = self.cores.iter().map(|c| c.retired_insts()).sum();
                     if insts != last_insts {
                         last_insts = insts;
@@ -1006,7 +938,7 @@ impl System {
                 }
             }
         }
-        self.sync_cores();
+        self.sync();
         Ok(())
     }
 
@@ -1074,6 +1006,7 @@ impl System {
     /// Resets measurement statistics while preserving all architectural
     /// state (cache contents, predictor training, duel counters).
     pub fn reset_stats(&mut self) {
+        self.sync();
         self.l4.reset_stats();
         self.l3.reset_stats();
     }
@@ -1518,11 +1451,8 @@ mod tests {
         let armed_stats = armed.run(cfg.warmup_cycles, cfg.measure_cycles);
         assert_eq!(plain_stats, armed_stats);
         // Arming must not force per-cycle polling: the armed run takes
-        // the same idle skips and span advances as the disarmed one.
-        assert!(
-            armed.loop_counters().0 + armed.span_cycles() > 0,
-            "armed run elided no cycles"
-        );
+        // the same idle skips as the disarmed one.
+        assert!(armed.loop_counters().0 > 0, "armed run elided no cycles");
 
         let report = armed.take_telemetry().expect("armed");
         assert!(!report.samples.is_empty());
@@ -1562,7 +1492,7 @@ mod tests {
                     profile: false,
                 }));
                 let stats = sys.run(30_000, 45_000);
-                let elided = sys.loop_counters().0 + sys.span_cycles();
+                let elided = sys.loop_counters().0;
                 let report = sys.take_telemetry().expect("armed");
                 let lines: Vec<String> = report.samples.iter().map(|s| s.to_json_line()).collect();
                 let cores = core_counters(&sys);

@@ -116,6 +116,10 @@ pub struct DramWork {
     pub previews: u64,
     /// Queue-window entries read by the FR-FCFS scan and the previews.
     pub entries_scanned: u64,
+    /// Channel ticks a device ran late, replaying cycles its driver
+    /// deferred (see [`crate::device::DramDevice::catch_up`]); counted by
+    /// the device, included in `channel_ticks`.
+    pub replayed_ticks: u64,
 }
 
 impl std::ops::AddAssign for DramWork {
@@ -125,6 +129,7 @@ impl std::ops::AddAssign for DramWork {
         self.commands += o.commands;
         self.previews += o.previews;
         self.entries_scanned += o.entries_scanned;
+        self.replayed_ticks += o.replayed_ticks;
     }
 }
 
@@ -319,9 +324,13 @@ impl Channel {
         if self.earliest_finish > now {
             return false;
         }
+        // One pass: a `swap_remove` refills slot `i` from the end, so each
+        // surviving transfer reaches the `else` branch exactly once.
+        let mut earliest = Cycle::NEVER;
         let mut i = 0;
         while i < self.in_flight.len() {
-            if self.in_flight[i].finish <= now {
+            let finish = self.in_flight[i].finish;
+            if finish <= now {
                 let f = self.in_flight.swap_remove(i);
                 if f.request.is_write {
                     self.stats.writes_completed += 1;
@@ -330,15 +339,11 @@ impl Channel {
                 }
                 completions.push(f);
             } else {
+                earliest = earliest.min(finish);
                 i += 1;
             }
         }
-        self.earliest_finish = self
-            .in_flight
-            .iter()
-            .map(|f| f.finish)
-            .min()
-            .unwrap_or(Cycle::NEVER);
+        self.earliest_finish = earliest;
         true
     }
 
@@ -492,11 +497,11 @@ impl Channel {
     ///
     /// Internal activity (ACT/PRE, refresh, CAS issue, drain flips) may
     /// happen freely inside the window — only *completions* are excluded —
-    /// which is exactly the contract a span advance needs to run a whole
-    /// span of ticks without synchronizing with the caller (see
-    /// [`crate::device::DramDevice::advance_span`]). [`Cycle::NEVER`] when
+    /// so a driver may leave the channel's ticks before it deferred and
+    /// have the device replay them later (see
+    /// [`crate::device::DramDevice::catch_up`]). [`Cycle::NEVER`] when
     /// the channel is drained.
-    pub(crate) fn completion_horizon(&self, sched: Cycle, now: Cycle) -> Cycle {
+    pub(crate) fn retire_horizon(&self, sched: Cycle, now: Cycle) -> Cycle {
         let first_new_finish = if sched == Cycle::NEVER {
             Cycle::NEVER
         } else {
@@ -717,8 +722,12 @@ mod tests {
         }
         let done = run_until_n_done(&mut ch, 4, 10_000);
         let last = done.iter().map(|c| c.finish).max().unwrap();
-        // Bank-level parallelism: four reads finish far sooner than 4 serial
-        // row misses (4 × 77 = 308).
+        // Four row misses to four banks finish sooner than 4 fully serial
+        // row misses (4 × 77 = 308), but pass 2 of the scheduler advances
+        // only the oldest request's bank, so no ACT overlaps the head's
+        // tRCD: the schedule is mostly serialized (~188 cycles). USIMM's
+        // FR-FCFS issues the oldest *issuable* command and would overlap
+        // the ACTs; the bound admits the head-only schedule.
         assert!(last.0 < 200, "last finish was {last}");
     }
 

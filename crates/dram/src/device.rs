@@ -3,7 +3,8 @@
 //! [`DramDevice`] bundles the per-channel controllers behind one
 //! enqueue/tick interface and aggregates statistics. The two instances used
 //! by `bear-core` (stacked cache and commodity memory) differ only in their
-//! [`crate::config::DramConfig`].
+//! [`crate::config::DramConfig`]. A device keeps its own clock and replays
+//! the busy ticks an event-driven driver deferred when next touched.
 
 use crate::channel::{Channel, ChannelStats, DramWork, TransferRecord};
 use crate::config::DramConfig;
@@ -30,20 +31,32 @@ struct Wake {
     /// The channel's next busy cycle, `min(earliest finish, next refresh,
     /// sched)`, unclamped.
     busy: Cycle,
+    /// A cycle strictly before which the channel retires nothing
+    /// ([`Channel::retire_horizon`] of `sched`, taken with `busy`).
+    horizon: Cycle,
     /// An enqueue changed the channel since `sched` was taken; the enqueue
     /// does not know the cycle, so the preview waits for the next
-    /// [`DramDevice::tick_gated`] or [`DramDevice::advance_span`], and
+    /// [`DramDevice::tick_gated`] or [`DramDevice::catch_up`], and
     /// read-only queries take it on the fly until then.
     stale: bool,
 }
 
 /// A complete DRAM device: several independent channels.
 ///
-/// The device keeps a *wake table*: each channel's next busy cycle and
-/// scheduler preview, plus the minimum busy cycle, updated at the device's
-/// own mutation points (enqueue, tick, span). Its busy hint and the idle
-/// check of [`DramDevice::tick_gated`] are then a few loads, and a gated
-/// tick visits only the channels that are due.
+/// The device keeps its own clock: `synced`, the first cycle whose tick it
+/// has not applied. An event-driven driver need not tick it at every busy
+/// cycle; it must only be there when a transfer can retire
+/// ([`DramDevice::retire_horizon`]) or a request arrives. The device
+/// replays the ticks in between, at exactly the cycles its channels' busy
+/// hints name, the next time it is ticked ([`DramDevice::tick_gated`]) or
+/// caught up ([`DramDevice::catch_up`]).
+///
+/// The device also keeps a *wake table*: each channel's next busy cycle,
+/// retire horizon and scheduler preview, plus the minimum busy cycle
+/// and horizon, updated at the device's own mutation points (enqueue,
+/// tick, replay). Its hints and the idle check of
+/// [`DramDevice::tick_gated`] are then a few loads, and a gated tick visits
+/// only the channels that are due.
 #[derive(Debug)]
 pub struct DramDevice {
     cfg: DramConfig,
@@ -51,8 +64,22 @@ pub struct DramDevice {
     wake: Vec<Wake>,
     /// Minimum `busy` over the channels that are not stale.
     min_busy: Cycle,
+    /// Minimum `horizon` over the channels that are not stale.
+    min_horizon: Cycle,
     /// Whether any channel is stale.
     any_stale: bool,
+    /// First cycle whose tick the device has not applied.
+    synced: Cycle,
+    /// Channel ticks run by replays (see [`DramWork::replayed_ticks`]).
+    replayed: u64,
+}
+
+/// Whether `BEAR_GATE_DIAG` is set: every elided channel tick and act phase
+/// then runs anyway and must change nothing (slow; CI smoke and bug hunts
+/// only). Read once per process.
+fn gate_diag() -> bool {
+    static DIAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *DIAG.get_or_init(|| std::env::var("BEAR_GATE_DIAG").is_ok())
 }
 
 impl DramDevice {
@@ -71,6 +98,7 @@ impl DramDevice {
             .map(|ch| Wake {
                 sched: Cycle::NEVER,
                 busy: ch.busy_cycle(Cycle::NEVER),
+                horizon: Cycle::NEVER,
                 stale: false,
             })
             .collect();
@@ -79,9 +107,12 @@ impl DramDevice {
             channels,
             wake,
             min_busy: Cycle::NEVER,
+            min_horizon: Cycle::NEVER,
             any_stale: false,
+            synced: Cycle::ZERO,
+            replayed: 0,
         };
-        dev.update_min_busy();
+        dev.update_mins();
         Ok(dev)
     }
 
@@ -112,17 +143,40 @@ impl DramDevice {
     }
 
     /// Whether the target channel can accept a request in the given
-    /// direction right now. Out-of-range channels never accept.
+    /// direction right now. Out-of-range channels never accept. On a
+    /// device that lags its driver the answer can only err toward "no":
+    /// replayed ticks remove queue entries and never add any.
     pub fn can_accept(&self, channel: u32, is_write: bool) -> bool {
         self.channels
             .get(channel as usize)
             .is_some_and(|c| c.can_accept(is_write))
     }
 
+    /// Earliest cycle, from `now` on, at which a request for `channel`
+    /// could be enqueued ahead of that cycle's tick: `now` if the channel
+    /// accepts it, else the cycle after the channel's next busy cycle,
+    /// since only a tick of that channel frees a slot. [`Cycle::NEVER`] for
+    /// an out-of-range channel. Exact on a lagging device too (see
+    /// [`DramDevice::can_accept`]).
+    pub fn accept_cycle(&self, channel: u32, is_write: bool, now: Cycle) -> Cycle {
+        let idx = channel as usize;
+        match self.channels.get(idx) {
+            None => Cycle::NEVER,
+            Some(ch) if ch.can_accept(is_write) => now,
+            Some(ch) => Cycle(ch.busy_cycle(self.sched_at(idx, now)).0.saturating_add(1)).max(now),
+        }
+    }
+
     /// Attempts to enqueue; hands the request back if its channel queue is
     /// full (the caller must retry later — this is the backpressure that
     /// turns bandwidth bloat into stalls) or if its location is outside
     /// the device topology, which no retry fixes.
+    ///
+    /// The request takes part from the cycle of the next
+    /// [`DramDevice::tick_gated`] or [`DramDevice::catch_up`] on, so a
+    /// driver enqueues at `now` only into a device whose busy ticks before
+    /// `now` have run (caught up, or [`DramDevice::next_busy_cycle`] at or
+    /// past `now`).
     pub fn try_enqueue(&mut self, req: DramRequest) -> Result<(), DramRequest> {
         if !self.location_in_range(&req.location) {
             return Err(req);
@@ -136,6 +190,7 @@ impl DramDevice {
 
     /// Advances all channels to `now`, appending finished transactions to
     /// `completions`: every channel retires, then acts, in index order.
+    /// The per-cycle reference: a driver calls it at every cycle.
     pub fn tick(&mut self, now: Cycle, completions: &mut Vec<Completion>) {
         for (ch, w) in self.channels.iter_mut().zip(&mut self.wake) {
             if ch.tick(now, completions) {
@@ -144,50 +199,108 @@ impl DramDevice {
                 self.any_stale = true;
             }
         }
+        self.synced = now + 1;
     }
 
-    /// [`DramDevice::tick`] for event-driven drivers: only the channels
-    /// the wake table marks due at `now` tick, and a due channel whose
-    /// preview lies past `now` only retires. Every skipped tick or act
-    /// phase is a provable no-op, so both tick variants produce
+    /// [`DramDevice::tick`] for event-driven drivers: replays the ticks
+    /// deferred before `now` (see [`DramDevice::catch_up`]), then ticks
+    /// only the channels the wake table marks due at `now`; a due channel
+    /// whose preview lies past `now` only retires. Every skipped tick or
+    /// act phase is a provable no-op, so both tick variants produce
     /// bit-identical channel state and completions.
+    ///
+    /// # Panics
+    ///
+    /// As [`DramDevice::catch_up`], if a replayed tick retires a transfer.
     pub fn tick_gated(&mut self, now: Cycle, completions: &mut Vec<Completion>) {
-        // `BEAR_GATE_DIAG=1` cross-checks every elision by running the
-        // skipped tick or act phase anyway and asserting it changed
-        // nothing (slow; CI smoke and bug hunts only). The flag is read
-        // once per process.
-        static DIAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        let diag = *DIAG.get_or_init(|| std::env::var("BEAR_GATE_DIAG").is_ok());
-        self.refresh_stale(now);
-        if self.min_busy > now && !diag {
+        debug_assert!(self.synced <= now, "device ticked twice at {now:?}");
+        self.advance(now, now + 1, completions);
+    }
+
+    /// Replays the ticks deferred before `now`: each channel ticks exactly
+    /// the cycles in `[synced, now)` its own busy hint names, the cycles a
+    /// per-cycle driver would find non-elidable. Channels share no state,
+    /// so replaying them one after another lands in the same state as
+    /// ticking them in lockstep. A no-op on a device already there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a replayed tick retires a transfer: the driver skipped a
+    /// cycle before `now` at which a completion was due (it must tick the
+    /// device at every [`DramDevice::retire_horizon`]). The check stays
+    /// on in release builds; the buffer it checks allocates only then.
+    pub fn catch_up(&mut self, now: Cycle) {
+        self.advance(now, now, &mut Vec::new());
+    }
+
+    /// Ticks each channel at the busy cycles in `[synced, end)`, where `end`
+    /// is `now` (a catch-up) or `now + 1` (a gated tick at `now`). Only the
+    /// tick at `now` may retire. A channel enqueued since the last advance
+    /// had no busy tick before `now` (see [`DramDevice::try_enqueue`]); it
+    /// takes its preview at `now` and starts there.
+    fn advance(&mut self, now: Cycle, end: Cycle, completions: &mut Vec<Completion>) {
+        let from = self.synced;
+        if from >= end {
             return;
         }
-        for (ch, w) in self.channels.iter_mut().zip(&mut self.wake) {
-            if w.busy <= now {
-                Self::step(ch, w, now, completions, diag);
-            } else if diag {
-                Self::audit(ch, now, "tick", |ch| {
-                    let mut scratch = Vec::new();
-                    ch.tick(now, &mut scratch);
-                    scratch.is_empty()
-                });
+        self.synced = end;
+        let diag = gate_diag();
+        if !self.any_stale && self.min_busy >= end && !diag {
+            return;
+        }
+        let mut replayed = 0;
+        for (idx, (ch, w)) in self.channels.iter_mut().zip(&mut self.wake).enumerate() {
+            let mut cur = from;
+            if w.stale {
+                w.sched = ch.next_schedule_cycle(now);
+                w.busy = ch.busy_cycle(w.sched).max(now);
+                w.horizon = ch.retire_horizon(w.sched, now);
+                w.stale = false;
+                cur = now;
+            }
+            loop {
+                let t = w.busy.max(cur);
+                if diag {
+                    for skipped in cur.0..t.0.min(end.0) {
+                        Self::audit(ch, Cycle(skipped), "tick", |ch| {
+                            let mut scratch = Vec::new();
+                            ch.tick(Cycle(skipped), &mut scratch);
+                            scratch.is_empty()
+                        });
+                    }
+                }
+                if t >= end {
+                    break;
+                }
+                let retired = Self::step(ch, w, t, completions, diag);
+                if t < now {
+                    replayed += 1;
+                    assert!(
+                        !retired,
+                        "channel {idx} retired a transfer at {t:?} in a replay up to \
+                         {now:?}: the driver skipped a retire horizon"
+                    );
+                }
+                cur = t + 1;
             }
         }
-        self.update_min_busy();
+        self.any_stale = false;
+        self.replayed += replayed;
+        self.update_mins();
     }
 
     /// One due tick of `ch` at `now`, keeping its wake-table row exact.
     /// The act phase runs when the preview or a refresh falls due. The
     /// preview is retaken only when the act phase ran and the channel
     /// changed; a retire-only tick keeps it, since scheduling reads no
-    /// in-flight state.
+    /// in-flight state. Returns whether a transfer retired.
     fn step(
         ch: &mut Channel,
         w: &mut Wake,
         now: Cycle,
         completions: &mut Vec<Completion>,
         diag: bool,
-    ) {
+    ) -> bool {
         let act = w.sched <= now || ch.refresh_due(now);
         let (retired, acted) = ch.tick_phases(now, completions, act);
         if act && (retired || acted) {
@@ -196,6 +309,8 @@ impl DramDevice {
             Self::audit(ch, now, "act phase", |ch| !ch.act(now));
         }
         w.busy = ch.busy_cycle(w.sched);
+        w.horizon = ch.retire_horizon(w.sched, now + 1);
+        retired
     }
 
     /// Gate audit: runs an elided `op` anyway and panics unless it was a
@@ -210,30 +325,14 @@ impl DramDevice {
         );
     }
 
-    /// Takes the preview of every stale channel at `now`.
-    fn refresh_stale(&mut self, now: Cycle) {
-        if !self.any_stale {
-            return;
+    fn update_mins(&mut self) {
+        let (mut busy, mut horizon) = (Cycle::NEVER, Cycle::NEVER);
+        for w in self.wake.iter().filter(|w| !w.stale) {
+            busy = busy.min(w.busy);
+            horizon = horizon.min(w.horizon);
         }
-        for (ch, w) in self.channels.iter().zip(&mut self.wake) {
-            if w.stale {
-                w.sched = ch.next_schedule_cycle(now);
-                w.busy = ch.busy_cycle(w.sched);
-                w.stale = false;
-            }
-        }
-        self.any_stale = false;
-        self.update_min_busy();
-    }
-
-    fn update_min_busy(&mut self) {
-        self.min_busy = self
-            .wake
-            .iter()
-            .filter(|w| !w.stale)
-            .map(|w| w.busy)
-            .min()
-            .unwrap_or(Cycle::NEVER);
+        self.min_busy = busy;
+        self.min_horizon = horizon;
     }
 
     /// Channel `idx`'s preview as seen at `now`: the wake table's, or one
@@ -247,7 +346,9 @@ impl DramDevice {
         }
     }
 
-    /// Total requests somewhere in the device (queued or in flight).
+    /// Total requests somewhere in the device (queued or in flight). Exact
+    /// on a lagging device: a replay retires nothing, and a CAS only moves
+    /// a request from its queue to the in-flight set.
     pub fn pending(&self) -> usize {
         self.channels.iter().map(|c| c.pending()).sum()
     }
@@ -269,53 +370,25 @@ impl DramDevice {
 
     /// A cycle strictly before which no channel can produce a completion,
     /// provided no new requests are enqueued (min over the channels'
-    /// completion horizons). [`Cycle::NEVER`] when drained.
-    pub fn completion_horizon(&self, now: Cycle) -> Cycle {
+    /// retire horizons). Ticks before it change the channels only
+    /// internally, so a driver may defer them to a replay.
+    /// [`Cycle::NEVER`] when drained.
+    pub fn retire_horizon(&self, now: Cycle) -> Cycle {
+        if !self.any_stale {
+            return self.min_horizon;
+        }
         (0..self.channels.len())
-            .map(|idx| self.channels[idx].completion_horizon(self.sched_at(idx, now), now))
+            .map(|idx| self.channels[idx].retire_horizon(self.sched_at(idx, now), now))
             .min()
             .unwrap_or(Cycle::NEVER)
     }
 
-    /// Advances every channel from `now` to `horizon` in one call, replaying
-    /// each channel's busy ticks exactly as per-cycle driving would: each
-    /// tick runs at exactly the cycle the channel's wake-table row names,
-    /// the same cycles a per-cycle driver would find non-elidable. The
-    /// caller must pass `horizon <= self.completion_horizon(now)` and must
-    /// not enqueue during the span. Channels share no state, so advancing
-    /// them one after another lands in the same state as ticking them in
-    /// lockstep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a completion retires inside the span, i.e. the caller
-    /// broke the completion-horizon contract. The check stays on in
-    /// release builds; the buffer it checks allocates only then.
-    pub fn advance_span(&mut self, now: Cycle, horizon: Cycle) {
-        self.refresh_stale(now);
-        let mut retired = Vec::new();
-        for (idx, (ch, w)) in self.channels.iter_mut().zip(&mut self.wake).enumerate() {
-            let mut cur = now;
-            loop {
-                let t = w.busy.max(cur);
-                if t >= horizon {
-                    break;
-                }
-                Self::step(ch, w, t, &mut retired, false);
-                cur = t + 1;
-            }
-            assert!(
-                retired.is_empty(),
-                "channel {idx} retired a completion inside the span \
-                 [{now:?}, {horizon:?}): completion_horizon contract violated"
-            );
-        }
-        self.update_min_busy();
-    }
-
     /// Host-work counters summed over channels (see [`DramWork`]).
     pub fn work(&self) -> DramWork {
-        let mut sum = DramWork::default();
+        let mut sum = DramWork {
+            replayed_ticks: self.replayed,
+            ..DramWork::default()
+        };
         for ch in &self.channels {
             sum += ch.work();
         }
@@ -668,44 +741,55 @@ mod tests {
         dev
     }
 
-    /// Drive the same load twice: per cycle, and by jumping to each
-    /// completion horizon with `advance_span`. Every observable (debug
-    /// state, stats, completions) must match bit for bit.
+    /// Drive the same load twice: per cycle, and by ticking only at each
+    /// retire horizon while the device replays the busy ticks in
+    /// between. Every observable (debug state, stats, completions) must
+    /// match bit for bit.
     #[test]
-    fn advance_span_matches_per_cycle_ticking() {
+    fn deferred_ticks_replay_as_per_cycle_ticking() {
         let mut reference = loaded_device();
-        let mut spanned = loaded_device();
-        let mut now = Cycle(0);
+        let mut lazy = loaded_device();
         let mut ref_done = Vec::new();
-        let mut span_done = Vec::new();
-        let mut spans = 0;
-        // Alternate span advances with dense ticking until drained.
-        while spanned.pending() > 0 && now.0 < 100_000 {
-            let horizon = spanned.completion_horizon(now);
-            if horizon > now + 1 && horizon != Cycle::NEVER {
-                spanned.advance_span(now, horizon);
-                while now < horizon {
-                    reference.tick(now, &mut ref_done);
-                    now += 1;
-                }
-                spans += 1;
-            } else {
-                reference.tick(now, &mut ref_done);
-                spanned.tick(now, &mut span_done);
-                now += 1;
-            }
+        let mut lazy_done = Vec::new();
+        let mut now = Cycle(0);
+        let mut visits = 0;
+        while lazy.pending() > 0 {
+            assert!(now.0 < 100_000, "workload must drain");
+            lazy.tick_gated(now, &mut lazy_done);
+            visits += 1;
+            now = lazy.retire_horizon(now + 1).max(now + 1);
         }
-        assert_eq!(spanned.pending(), 0, "workload must drain");
-        assert!(spans > 0, "no span was taken");
+        let end = Cycle(lazy.synced.0 + 100);
+        for t in 0..end.0 {
+            reference.tick(Cycle(t), &mut ref_done);
+        }
+        lazy.catch_up(end);
+        let replayed = lazy.work().replayed_ticks;
+        assert!(replayed > 0, "no tick was deferred");
+        assert!(
+            visits < end.0 / 4,
+            "{visits} visits: the horizon kept the driver busy"
+        );
         assert_eq!(
             format!("{:?}", reference.channels),
-            format!("{:?}", spanned.channels),
+            format!("{:?}", lazy.channels),
             "channel state diverged"
         );
         let ids = |done: &[Completion]| -> Vec<_> {
             done.iter().map(|c| (c.request.id, c.finish)).collect()
         };
-        assert_eq!(ids(&ref_done), ids(&span_done), "completions diverged");
+        assert_eq!(ids(&ref_done), ids(&lazy_done), "completions diverged");
+    }
+
+    /// A driver that skips a completion trips the replay's release-mode
+    /// check instead of handing the completion back late.
+    #[test]
+    #[should_panic(expected = "skipped a retire horizon")]
+    fn replay_past_a_completion_panics() {
+        let mut dev = loaded_device();
+        dev.tick_gated(Cycle(0), &mut Vec::new());
+        let horizon = dev.retire_horizon(Cycle(1));
+        dev.catch_up(horizon + 200);
     }
 
     #[test]

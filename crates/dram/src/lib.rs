@@ -49,8 +49,8 @@ pub mod request;
 
 /// Compatibility name for the repository benchmark, which clears this
 /// variable before it runs. The simulator no longer reads
-/// `BEAR_SIM_THREADS`: spans always advance serially (see
-/// [`crate::device::DramDevice::advance_span`]). The name stays only for
+/// `BEAR_SIM_THREADS`: each device replays its channels serially (see
+/// [`crate::device::DramDevice::catch_up`]). The name stays only for
 /// `benchmark/`.
 pub mod shard {
     /// The retired simulation-thread-count variable (no longer read).

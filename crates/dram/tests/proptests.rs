@@ -238,6 +238,10 @@ enum Driving {
     /// `tick_gated` only at cycles the hints name (`next_busy_cycle`, an
     /// arrival, or the cycle after a blocked head's channel freed a slot).
     Hinted,
+    /// `tick_gated` only at arrivals, blocked-head cycles
+    /// (`accept_cycle`) and `retire_horizon` cycles; the device replays
+    /// the busy ticks in between, catching up before each offer.
+    Lazy,
 }
 
 /// What one drive observed.
@@ -246,9 +250,11 @@ struct Drive {
     done: Vec<(u64, Cycle)>,
     /// Per-channel statistics, formatted.
     stats: String,
-    /// `(cycle, next_busy_cycle, completion_horizon)` at every visited
+    /// `(cycle, next_busy_cycle, retire_horizon)` at every visited
     /// cycle, taken after offering requests and before ticking.
     hints: Vec<(Cycle, Cycle, Cycle)>,
+    /// Channel ticks the device replayed late.
+    replayed: u64,
 }
 
 /// Offers `stream` (sorted by arrival) to a fresh device in order, head of
@@ -260,13 +266,16 @@ fn drive_stream(cfg: DramConfig, stream: &[DramRequest], driving: Driving) -> Dr
     let mut hints = Vec::new();
     let (mut next, mut now) = (0, Cycle(0));
     loop {
+        if driving == Driving::Lazy {
+            dev.catch_up(now);
+        }
         while let Some(&req) = stream.get(next) {
             if req.arrival > now || dev.try_enqueue(req).is_err() {
                 break;
             }
             next += 1;
         }
-        hints.push((now, dev.next_busy_cycle(now), dev.completion_horizon(now)));
+        hints.push((now, dev.next_busy_cycle(now), dev.retire_horizon(now)));
         match driving {
             Driving::Polled => dev.tick(now, &mut completions),
             _ => dev.tick_gated(now, &mut completions),
@@ -286,6 +295,17 @@ fn drive_stream(cfg: DramConfig, stream: &[DramRequest], driving: Driving) -> Dr
                 let busy = dev.next_busy_cycle(now + 1);
                 head.map_or(busy, |h| busy.min(h.arrival.max(now + 1)))
             }
+            (Driving::Lazy, head) => {
+                let at = now + 1;
+                let offer = head.map_or(Cycle::NEVER, |h| {
+                    if h.arrival > at {
+                        h.arrival
+                    } else {
+                        dev.accept_cycle(h.location.channel, h.is_write, at)
+                    }
+                });
+                dev.retire_horizon(at).min(offer).max(at)
+            }
             _ => now + 1,
         };
     }
@@ -300,6 +320,7 @@ fn drive_stream(cfg: DramConfig, stream: &[DramRequest], driving: Driving) -> Dr
             dev.row_hits()
         ),
         hints,
+        replayed: dev.work().replayed_ticks,
     }
 }
 
@@ -307,9 +328,12 @@ fn drive_stream(cfg: DramConfig, stream: &[DramRequest], driving: Driving) -> Dr
 /// entries, 1/2/8 subarrays per bank, refresh on and off, and scheduler
 /// windows of 1/4/16. Hinted `tick_gated` driving gives the same
 /// completions and statistics as per-cycle `tick`, and the same hint
-/// values as per-cycle `tick_gated` at every cycle it visits.
+/// values as per-cycle `tick_gated` at every cycle it visits. Lazy
+/// driving, which leaves every internal tick to the device's replay, does
+/// too.
 #[test]
 fn hinted_gated_driving_matches_per_cycle_ticking() {
+    let mut replayed = 0;
     check(96, |src: &mut Source| {
         let mut cfg = DramConfig::stacked_cache_8x();
         cfg.topology.channels = src.u32_in(1..3);
@@ -346,17 +370,22 @@ fn hinted_gated_driving_matches_per_cycle_ticking() {
         let polled = drive_stream(cfg, &stream, Driving::Polled);
         let gated = drive_stream(cfg, &stream, Driving::GatedEveryCycle);
         let hinted = drive_stream(cfg, &stream, Driving::Hinted);
+        let lazy = drive_stream(cfg, &stream, Driving::Lazy);
         prop_assert_eq!(polled.done.len(), stream.len(), "requests lost");
-        prop_assert_eq!(&gated.done, &polled.done);
-        prop_assert_eq!(&hinted.done, &polled.done);
-        prop_assert_eq!(&gated.stats, &polled.stats);
-        prop_assert_eq!(&hinted.stats, &polled.stats);
-        let mut every_cycle = gated.hints.iter();
-        for &(at, busy, horizon) in &hinted.hints {
-            let same_cycle = every_cycle.find(|h| h.0 == at);
-            prop_assert_eq!(same_cycle, Some(&(at, busy, horizon)), "hints at {:?}", at);
+        for drive in [&gated, &hinted, &lazy] {
+            prop_assert_eq!(&drive.done, &polled.done);
+            prop_assert_eq!(&drive.stats, &polled.stats);
+            let mut every_cycle = gated.hints.iter();
+            for &(at, busy, horizon) in &drive.hints {
+                let same_cycle = every_cycle.find(|h| h.0 == at);
+                prop_assert_eq!(same_cycle, Some(&(at, busy, horizon)), "hints at {:?}", at);
+            }
         }
+        prop_assert_eq!(hinted.replayed, 0, "hinted driving visits every busy cycle");
         prop_assert!(hinted.hints.len() <= gated.hints.len());
+        prop_assert!(lazy.hints.len() <= hinted.hints.len());
+        replayed += lazy.replayed;
         Ok(())
     });
+    assert!(replayed > 0, "lazy driving never deferred a tick");
 }
