@@ -4,7 +4,8 @@
 //! misses and dirty evictions to the configured DRAM-cache controller, and
 //! plumbs the BEAR notifications back (DCP bit set on fill, cleared on L4
 //! eviction; inclusive back-invalidations). The run loop is a single
-//! CPU-cycle tick with a delay wheel for latency-staged events.
+//! CPU-cycle tick. Latency-staged events wait in one FIFO per fixed delay,
+//! so each FIFO is in due order and its front is its earliest event.
 //! The event-driven mode (the default) skips every cycle at which nothing
 //! outside the DRAM channels can happen; quiet cores and the DRAM devices
 //! keep their own clocks and replay what they owe when next touched.
@@ -20,7 +21,7 @@ use bear_sim::faultinject::{FaultKind, FaultPlan};
 use bear_sim::invariants::{CheckMode, InvariantSink, Violation};
 use bear_sim::time::Cycle;
 use bear_workloads::{TraceGenerator, TraceSource, Workload};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, VecDeque};
 
 /// Address-space stride separating per-core footprints (mirrors the
 /// paper's virtual-memory guarantee that mixes never collide).
@@ -52,14 +53,13 @@ pub fn translate(addr: u64) -> u64 {
     (page << 12) | offset
 }
 
+/// An event staged for the L3 latency.
 #[derive(Debug, Clone, Copy)]
 enum Staged {
     /// A core load/store completes (L3 hit or fill finished).
     Complete { core: u32, token: LoadToken },
     /// An L3 miss reaches the L4 controller after the L3 lookup latency.
     SubmitRead { line: u64, pc: u64, core: u32 },
-    /// A dirty L3 eviction reaches the L4 controller.
-    SubmitWriteback { line: u64, dcp: bool },
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -109,12 +109,13 @@ pub struct System {
     core_clocks: Vec<CoreClock>,
     l3: L3Cache,
     l4: Box<dyn L4Cache>,
-    /// Delay wheel keyed by due cycle.
-    wheel: BTreeMap<u64, Vec<Staged>>,
-    /// Earliest due cycle on the wheel (`u64::MAX` when empty), cached so
-    /// the per-tick due check and the skip check read one integer instead
-    /// of walking the tree.
-    wheel_next: u64,
+    /// Events staged for the L3 latency as `(due, event)`, pushed only
+    /// while the cores tick, hence in due order.
+    l3_staged: VecDeque<(u64, Staged)>,
+    /// Dirty L3 evictions as `(due, line, dcp)`, due at the L4 the cycle
+    /// after the fill that displaced them: pushed only while L4 outputs
+    /// apply, hence in due order.
+    writebacks: VecDeque<(u64, u64, bool)>,
     /// MSHR-style merge table: line → waiters of the in-flight fetch.
     pending_lines: HashMap<u64, Vec<Waiter>>,
     clock: Cycle,
@@ -154,7 +155,7 @@ impl std::fmt::Debug for System {
             .field("design", &self.cfg.design)
             .field("clock", &self.clock)
             .field("pending_lines", &self.pending_lines.len())
-            .field("wheel_depth", &self.wheel.len())
+            .field("wheel_depth", &self.staged_len())
             .field("cores_halted", &self.cores_halted)
             .finish()
     }
@@ -226,8 +227,8 @@ impl System {
             cores,
             l3: L3Cache::new(cfg.l3_capacity(), cfg.l3_ways),
             l4: build_controller(cfg),
-            wheel: BTreeMap::new(),
-            wheel_next: u64::MAX,
+            l3_staged: VecDeque::new(),
+            writebacks: VecDeque::new(),
             pending_lines: HashMap::new(),
             clock: Cycle::ZERO,
             outputs: L4Outputs::default(),
@@ -321,7 +322,7 @@ impl System {
 
     /// Whether every queue in the memory system is empty.
     pub fn is_drained(&self) -> bool {
-        self.wheel.is_empty()
+        self.staged_len() == 0
             && self.pending_lines.is_empty()
             && self.l4.pending_txns() == 0
             && self.l4.harness().pending() == 0
@@ -405,15 +406,14 @@ impl System {
     }
 
     /// Ticks until the first non-device wake-up, capped at `limit`: the
-    /// next core issue, fault or delay-wheel event. Zero means one of
-    /// them is due now, so the next tick must run live.
+    /// next core issue, fault or staged event. Zero means one of them is
+    /// due now, so the next tick must run live.
     fn quiet_bound(&self, limit: u64) -> u64 {
         let now = self.clock.0;
         let mut bound = limit;
         // Cores first: a core ready to issue is the common busy case, and
-        // its check is much cheaper than the wheel lookup or walking every
-        // channel. A core's wake cycle is exact: its quiet cycles shrink
-        // one per deferred tick.
+        // its check is cheaper than walking every channel. A core's wake
+        // cycle is exact: its quiet cycles shrink one per deferred tick.
         if !self.cores_halted {
             let wake = self
                 .core_clocks
@@ -432,18 +432,23 @@ impl System {
             }
             bound = bound.min(at - now);
         }
-        if self.wheel_next != u64::MAX {
-            if self.wheel_next <= now {
-                return 0;
-            }
-            bound = bound.min(self.wheel_next - now);
+        // Staged events: the earlier of the two FIFO fronts.
+        let l3 = self.l3_staged.front().map_or(u64::MAX, |&(due, _)| due);
+        let due = l3.min(self.writebacks.front().map_or(u64::MAX, |&(due, ..)| due));
+        if due <= now {
+            return 0;
         }
-        bound
+        bound.min(due - now)
+    }
+
+    /// Events staged in both FIFOs.
+    fn staged_len(&self) -> usize {
+        self.l3_staged.len() + self.writebacks.len()
     }
 
     /// Diagnostic run-loop counters: `(skipped_cycles, live_ticks)` since
     /// construction; they sum to [`System::now`]. Skipped cycles are the
-    /// ones the event-driven loop jumped over: no core, wheel event or
+    /// ones the event-driven loop jumped over: no core, staged event or
     /// fault was due, and the L4 hint proved them free of external work.
     pub fn loop_counters(&self) -> (u64, u64) {
         (self.skipped_cycles, self.live_ticks)
@@ -462,7 +467,7 @@ impl System {
     pub fn set_sim_threads(&mut self, _threads: usize) {}
 
     /// One run-loop step of at most `limit` cycles. In the event-driven
-    /// mode, when no core, delay-wheel event or fault is due now
+    /// mode, when no core, staged event or fault is due now
     /// ([`System::quiet_bound`]) and the L4 hint
     /// ([`L4Cache::next_busy_cycle`]: controller work, a retiring
     /// completion or a drainable retry head) lies past `now`, the clock
@@ -613,15 +618,10 @@ impl System {
         }
     }
 
-    fn schedule(&mut self, at: Cycle, ev: Staged) {
-        self.wheel_next = self.wheel_next.min(at.0);
-        self.wheel.entry(at.0).or_default().push(ev);
-    }
-
     /// Routes one core request through the L3.
     fn l3_access(&mut self, core: u32, token: LoadToken, addr: u64, is_store: bool, pc: u64) {
         let line = translate(addr) / 64;
-        let lat = self.cfg.l3_latency;
+        let due = self.clock.0 + self.cfg.l3_latency;
         let result = self.l3.access(line, is_store);
         self.emit(ObsEvent::L3Access {
             line,
@@ -630,7 +630,8 @@ impl System {
         });
         match result {
             L3Result::Hit => {
-                self.schedule(self.clock + lat, Staged::Complete { core, token });
+                self.l3_staged
+                    .push_back((due, Staged::Complete { core, token }));
             }
             L3Result::Miss => {
                 let waiter = Waiter {
@@ -642,7 +643,8 @@ impl System {
                     Some(waiters) => waiters.push(waiter),
                     None => {
                         self.pending_lines.insert(line, vec![waiter]);
-                        self.schedule(self.clock + lat, Staged::SubmitRead { line, pc, core });
+                        self.l3_staged
+                            .push_back((due, Staged::SubmitRead { line, pc, core }));
                     }
                 }
             }
@@ -675,13 +677,8 @@ impl System {
                 });
                 if victim.dirty {
                     self.check_dcp_at_eviction(victim.line, victim.dcp);
-                    self.schedule(
-                        self.clock + 1,
-                        Staged::SubmitWriteback {
-                            line: victim.line,
-                            dcp: victim.dcp,
-                        },
-                    );
+                    let due = self.clock.0 + 1;
+                    self.writebacks.push_back((due, victim.line, victim.dcp));
                 }
             }
         }
@@ -821,28 +818,22 @@ impl System {
             }
         }
 
-        // 2. Delay-wheel events due now. The cached minimum makes the
-        //    common nothing-due tick a single integer compare.
-        if self.wheel_next <= now.0 {
-            if let Some(events) = self.wheel.remove(&now.0) {
-                for ev in events {
-                    match ev {
-                        Staged::Complete { core, token } => self.complete(core, token),
-                        Staged::SubmitRead { line, pc, core } => {
-                            self.l4.submit_read(line, pc, core, now);
-                        }
-                        Staged::SubmitWriteback { line, dcp } => {
-                            let hint = self.cfg.bear.dcp.then_some(dcp);
-                            self.emit(ObsEvent::WbSubmitted { line, hint });
-                            self.l4.submit_writeback(line, hint, now);
-                        }
-                    }
+        // 2. Staged events due now, L3-latency events first: they were
+        //    staged before any writeback due now (on an earlier cycle, or,
+        //    at a one-cycle latency, by the cores before the L4 outputs
+        //    applied). Handling them stages nothing.
+        while let Some((_, ev)) = self.l3_staged.pop_front_if(|e| e.0 <= now.0) {
+            match ev {
+                Staged::Complete { core, token } => self.complete(core, token),
+                Staged::SubmitRead { line, pc, core } => {
+                    self.l4.submit_read(line, pc, core, now);
                 }
             }
-            self.wheel_next = self
-                .wheel
-                .first_key_value()
-                .map_or(u64::MAX, |(&due, _)| due);
+        }
+        while let Some((_, line, dcp)) = self.writebacks.pop_front_if(|w| w.0 <= now.0) {
+            let hint = self.cfg.bear.dcp.then_some(dcp);
+            self.emit(ObsEvent::WbSubmitted { line, hint });
+            self.l4.submit_writeback(line, hint, now);
         }
 
         // 3. Memory system. Controller events merge in before the
@@ -888,7 +879,7 @@ impl System {
     fn stall_snapshot(&self) -> String {
         format!(
             "wheel events {}, pending lines {}, l4 txns {}, device pending {}, retry depth {}",
-            self.wheel.len(),
+            self.staged_len(),
             self.pending_lines.len(),
             self.l4.pending_txns(),
             self.l4.harness().pending(),
@@ -1627,6 +1618,58 @@ mod tests {
             "event loop ticked {} cores over {event_live} live ticks",
             event.core_ticks()
         );
+    }
+
+    /// FNV-1a 64-bit digest of `text`.
+    fn fnv1a64(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// At a one-cycle L3 latency both staging queues fall due on the same
+    /// cycle: an access a core issues at `t` and a writeback that a fill
+    /// displaces at `t` both reach the controller at `t + 1`, the access
+    /// first. The event loop matches polling, and the results match
+    /// digests pinned when one delay wheel held both kinds in push order.
+    #[test]
+    fn one_cycle_l3_latency_matches_polling_and_pinned_digests() {
+        for (design, bench, digest) in [
+            (DesignKind::Alloy, "lbm", 0x1328_319f_6554_d7f4_u64),
+            (DesignKind::LohHill, "mcf", 0x6ce2_ccfa_8385_b1ae),
+            (DesignKind::NoCache, "lbm", 0x45f3_0d7e_477e_5ea3),
+        ] {
+            let mut cfg = quick_cfg(design);
+            cfg.l3_latency = 1;
+            if design == DesignKind::Alloy {
+                cfg.bear = BearFeatures::full();
+            }
+            let run = |event_driven: bool| {
+                let mut sys = System::build_rate(&cfg, bench);
+                sys.set_event_driven(event_driven);
+                sys.run(20_000, 20_000)
+            };
+            let (polled, event) = (run(false), run(true));
+            assert_eq!(polled, event, "{design:?}: event loop diverged");
+            let text = format!("{event:?}");
+            assert_eq!(fnv1a64(&text), digest, "{design:?}: results moved: {text}");
+        }
+    }
+
+    /// The `Debug` depth and the stall snapshot count staged events, not
+    /// the distinct cycles they fall due on.
+    #[test]
+    fn staged_depth_counts_events() {
+        let cfg = quick_cfg(DesignKind::Alloy);
+        let mut sys = System::build_rate(&cfg, "mcf");
+        for (token, addr) in [(1, 0x1000), (2, 0x2000)] {
+            sys.l3.fill(translate(addr) / 64, false, false);
+            sys.l3_access(0, LoadToken(token), addr, false, 0);
+        }
+        let text = format!("{sys:?}");
+        assert!(text.contains("wheel_depth: 2"), "{text}");
+        let snapshot = sys.stall_snapshot();
+        assert!(snapshot.starts_with("wheel events 2,"), "{snapshot}");
     }
 
     #[test]

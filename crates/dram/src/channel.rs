@@ -25,6 +25,7 @@ use crate::device::Completion;
 use crate::request::{DramRequest, RequestQueue, TrafficClass};
 use bear_sim::time::Cycle;
 use std::cell::Cell;
+use std::collections::VecDeque;
 
 /// A data-bus burst captured for trace export (telemetry only).
 ///
@@ -52,7 +53,7 @@ pub struct TransferRecord {
 #[derive(Debug)]
 struct TransferLog {
     cap: usize,
-    buf: std::collections::VecDeque<TransferRecord>,
+    buf: VecDeque<TransferRecord>,
 }
 
 impl TransferLog {
@@ -164,11 +165,10 @@ pub struct Channel {
     /// Data bus is busy until this time.
     bus_free_at: Cycle,
     /// Transfers in flight (data phase scheduled, completion pending at
-    /// `finish`).
-    in_flight: Vec<Completion>,
-    /// Earliest `finish` in `in_flight` ([`Cycle::NEVER`] when empty):
-    /// [`Channel::retire`] does nothing before it.
-    earliest_finish: Cycle,
+    /// `finish`), in issue order. Finishes strictly increase along it: a
+    /// CAS issues only once its data can start on a free bus and then
+    /// holds the bus until its own finish, so the front is the earliest.
+    in_flight: VecDeque<Completion>,
     /// Currently draining writes.
     draining: bool,
     /// Next scheduled refresh (NEVER when refresh is disabled).
@@ -189,8 +189,7 @@ impl Channel {
             read_queue: RequestQueue::new(cfg.read_queue_capacity, t.banks_per_rank),
             write_queue: RequestQueue::new(cfg.write_queue_capacity, t.banks_per_rank),
             bus_free_at: Cycle::ZERO,
-            in_flight: Vec::with_capacity(8),
-            earliest_finish: Cycle::NEVER,
+            in_flight: VecDeque::with_capacity(8),
             draining: false,
             next_refresh: if cfg.timings.refresh_enabled() {
                 Cycle(cfg.timings.t_refi)
@@ -214,7 +213,7 @@ impl Channel {
     pub fn set_transfer_log(&mut self, capacity: Option<usize>) {
         self.transfer_log = capacity.map(|cap| TransferLog {
             cap,
-            buf: std::collections::VecDeque::with_capacity(cap.min(1024)),
+            buf: VecDeque::with_capacity(cap.min(1024)),
         });
     }
 
@@ -318,33 +317,26 @@ impl Channel {
         (retired, acted)
     }
 
-    /// Retires the transfers finished by `now` into `completions`.
-    /// Returns whether any retired.
+    /// Retires the transfers finished by `now` into `completions`, in
+    /// finish order. Returns whether any retired.
     pub(crate) fn retire(&mut self, now: Cycle, completions: &mut Vec<Completion>) -> bool {
-        if self.earliest_finish > now {
-            return false;
-        }
-        // One pass: a `swap_remove` refills slot `i` from the end, so each
-        // surviving transfer reaches the `else` branch exactly once.
-        let mut earliest = Cycle::NEVER;
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            let finish = self.in_flight[i].finish;
-            if finish <= now {
-                let f = self.in_flight.swap_remove(i);
-                if f.request.is_write {
-                    self.stats.writes_completed += 1;
-                } else {
-                    self.stats.reads_completed += 1;
-                }
-                completions.push(f);
+        let mut retired = false;
+        while let Some(f) = self.in_flight.pop_front_if(|f| f.finish <= now) {
+            if f.request.is_write {
+                self.stats.writes_completed += 1;
             } else {
-                earliest = earliest.min(finish);
-                i += 1;
+                self.stats.reads_completed += 1;
             }
+            completions.push(f);
+            retired = true;
         }
-        self.earliest_finish = earliest;
-        true
+        retired
+    }
+
+    /// The earliest in-flight `finish` ([`Cycle::NEVER`] when none).
+    #[inline]
+    fn first_finish(&self) -> Cycle {
+        self.in_flight.front().map_or(Cycle::NEVER, |f| f.finish)
     }
 
     /// The act phase of a tick at `now`: an all-bank refresh when one is
@@ -398,7 +390,7 @@ impl Channel {
     /// (not clamped to any `now`).
     #[inline]
     pub(crate) fn busy_cycle(&self, sched: Cycle) -> Cycle {
-        self.earliest_finish.min(self.next_refresh).min(sched)
+        self.first_finish().min(self.next_refresh).min(sched)
     }
 
     /// Earliest cycle at which [`Channel::act`]'s scheduling passes could
@@ -507,7 +499,7 @@ impl Channel {
         } else {
             sched.max(now) + self.cfg.timings.t_cas + self.cfg.topology.beat_cpu_cycles
         };
-        self.earliest_finish.min(first_new_finish)
+        self.first_finish().min(first_new_finish)
     }
 
     /// Flips drain mode at the watermarks; returns whether it flipped.
@@ -575,11 +567,14 @@ impl Channel {
             if !req.is_write {
                 self.stats.read_queue_latency_sum += data_start - req.arrival;
             }
-            self.in_flight.push(Completion {
+            debug_assert!(
+                self.in_flight.back().is_none_or(|b| b.finish < finish),
+                "CAS at {now:?} finishes at {finish:?}, not after the transfer before it"
+            );
+            self.in_flight.push_back(Completion {
                 request: req,
                 finish,
             });
-            self.earliest_finish = self.earliest_finish.min(finish);
             self.work.bump(|w| w.commands += 1);
             return true;
         }

@@ -10,7 +10,7 @@ use bear_dram::request::{DramLocation, DramRequest, RequestQueue, TrafficClass};
 use bear_sim::check::{check, PropResult, Source};
 use bear_sim::time::Cycle;
 use bear_sim::{prop_assert, prop_assert_eq};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// Draws a location valid for `cfg`'s topology.
 fn any_location(src: &mut Source, cfg: &DramConfig) -> DramLocation {
@@ -248,6 +248,8 @@ enum Driving {
 struct Drive {
     /// `(id, finish)` in completion order.
     done: Vec<(u64, Cycle)>,
+    /// `(visited cycle, channel, finish)` of every completion, in order.
+    retired: Vec<(Cycle, u32, Cycle)>,
     /// Per-channel statistics, formatted.
     stats: String,
     /// `(cycle, next_busy_cycle, retire_horizon)` at every visited
@@ -264,6 +266,7 @@ fn drive_stream(cfg: DramConfig, stream: &[DramRequest], driving: Driving) -> Dr
     let mut dev = DramDevice::new(cfg);
     let mut completions = Vec::new();
     let mut hints = Vec::new();
+    let mut retired = Vec::new();
     let (mut next, mut now) = (0, Cycle(0));
     loop {
         if driving == Driving::Lazy {
@@ -276,10 +279,16 @@ fn drive_stream(cfg: DramConfig, stream: &[DramRequest], driving: Driving) -> Dr
             next += 1;
         }
         hints.push((now, dev.next_busy_cycle(now), dev.retire_horizon(now)));
+        let before = completions.len();
         match driving {
             Driving::Polled => dev.tick(now, &mut completions),
             _ => dev.tick_gated(now, &mut completions),
         }
+        retired.extend(
+            completions[before..]
+                .iter()
+                .map(|c| (now, c.request.location.channel, c.finish)),
+        );
         if next == stream.len() && dev.pending() == 0 {
             break;
         }
@@ -314,6 +323,7 @@ fn drive_stream(cfg: DramConfig, stream: &[DramRequest], driving: Driving) -> Dr
             .iter()
             .map(|c| (c.request.id, c.finish))
             .collect(),
+        retired,
         stats: format!(
             "{:?} {}",
             dev.channel_stats().collect::<Vec<_>>(),
@@ -324,13 +334,34 @@ fn drive_stream(cfg: DramConfig, stream: &[DramRequest], driving: Driving) -> Dr
     }
 }
 
+/// The order a channel's in-flight FIFO relies on: each completion
+/// arrives at the visited cycle it finishes, and each channel's finishes
+/// strictly increase, so a channel retires at most one per visit.
+fn retire_order_holds(drive: &Drive) -> PropResult {
+    let mut last = HashMap::new();
+    for &(at, channel, finish) in &drive.retired {
+        prop_assert_eq!(at, finish, "channel {} retired late", channel);
+        if let Some(prev) = last.insert(channel, finish) {
+            prop_assert!(
+                prev < finish,
+                "channel {} retired {:?} after {:?}",
+                channel,
+                finish,
+                prev
+            );
+        }
+    }
+    Ok(())
+}
+
 /// Skipping to the busy hints is exact under backpressure: queues of 2–4
 /// entries, 1/2/8 subarrays per bank, refresh on and off, and scheduler
 /// windows of 1/4/16. Hinted `tick_gated` driving gives the same
 /// completions and statistics as per-cycle `tick`, and the same hint
 /// values as per-cycle `tick_gated` at every cycle it visits. Lazy
 /// driving, which leaves every internal tick to the device's replay, does
-/// too.
+/// too. Under every driving each channel retires in finish order, one
+/// transfer per visit at most.
 #[test]
 fn hinted_gated_driving_matches_per_cycle_ticking() {
     let mut replayed = 0;
@@ -372,6 +403,9 @@ fn hinted_gated_driving_matches_per_cycle_ticking() {
         let hinted = drive_stream(cfg, &stream, Driving::Hinted);
         let lazy = drive_stream(cfg, &stream, Driving::Lazy);
         prop_assert_eq!(polled.done.len(), stream.len(), "requests lost");
+        for drive in [&polled, &gated, &hinted, &lazy] {
+            retire_order_holds(drive)?;
+        }
         for drive in [&gated, &hinted, &lazy] {
             prop_assert_eq!(&drive.done, &polled.done);
             prop_assert_eq!(&drive.stats, &polled.stats);

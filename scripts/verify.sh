@@ -145,8 +145,12 @@ echo "==> MASA elision audit (BEAR_GATE_DIAG=1, multi-subarray banks)"
 # The gate-diagnostic mode re-executes every elided tick and asserts it
 # was a no-op. Running the span-equivalence suite under it audits the
 # subarray-aware busy hints (per-subarray open rows and timing state)
-# on top of the polled-vs-spanned equalities.
+# on top of its polled-vs-event-driven equalities.
 BEAR_GATE_DIAG=1 cargo test -q -p bear-core --offline --test span_equivalence
+# A one-cycle L3 latency makes both staging queues fall due on one cycle;
+# the same audit runs over that polled-vs-event-driven test.
+BEAR_GATE_DIAG=1 cargo test -q -p bear-core --offline --lib -- --exact \
+  system::tests::one_cycle_l3_latency_matches_polling_and_pinned_digests
 # The DRAM property tests drive random request streams under backpressure
 # (2-4 entry queues, 1/2/8 subarrays, refresh on and off) per cycle and
 # by the hints; the audit also checks every retire-only tick's skipped
