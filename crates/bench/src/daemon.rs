@@ -118,18 +118,6 @@ use std::time::{Duration, Instant};
 /// closed — a malicious or broken client cannot balloon daemon memory.
 const MAX_LINE: usize = 64 * 1024;
 
-/// Every design label the protocol accepts, in catalogue order.
-const DESIGNS: [DesignKind; 8] = [
-    DesignKind::NoCache,
-    DesignKind::Alloy,
-    DesignKind::InclusiveAlloy,
-    DesignKind::BwOpt,
-    DesignKind::LohHill,
-    DesignKind::MostlyClean,
-    DesignKind::TagsInSram,
-    DesignKind::SectorCache,
-];
-
 /// BEAR feature-set names the protocol accepts (applied to Alloy only,
 /// like [`config_for`]).
 const BEAR_SETS: [&str; 5] = ["none", "bab", "bab+dcp", "full", "full+tntc"];
@@ -344,9 +332,7 @@ fn parse_request(line: &str) -> Result<Request, ProtoError> {
                 return Err(ProtoError::bad_job("client must be 1..=64 characters"));
             }
             let design_label = str_field("design")?;
-            let design = DESIGNS
-                .into_iter()
-                .find(|d| d.label() == design_label)
+            let design = DesignKind::from_label(&design_label)
                 .ok_or_else(|| ProtoError::bad_job(format!("unknown design {design_label:?}")))?;
             let bear = str_field("bear")?;
             if bear_features(&bear).is_none() {

@@ -35,6 +35,23 @@ pub enum DesignKind {
 }
 
 impl DesignKind {
+    /// Every design, in catalogue order.
+    pub const ALL: [DesignKind; 8] = [
+        DesignKind::NoCache,
+        DesignKind::Alloy,
+        DesignKind::InclusiveAlloy,
+        DesignKind::BwOpt,
+        DesignKind::LohHill,
+        DesignKind::MostlyClean,
+        DesignKind::TagsInSram,
+        DesignKind::SectorCache,
+    ];
+
+    /// The design whose [`label`](DesignKind::label) is `label`.
+    pub fn from_label(label: &str) -> Option<DesignKind> {
+        DesignKind::ALL.into_iter().find(|d| d.label() == label)
+    }
+
     /// Display name used by the harness.
     pub fn label(self) -> &'static str {
         match self {
@@ -469,18 +486,13 @@ mod tests {
 
     #[test]
     fn design_labels_unique() {
-        let kinds = [
-            DesignKind::NoCache,
-            DesignKind::Alloy,
-            DesignKind::InclusiveAlloy,
-            DesignKind::BwOpt,
-            DesignKind::LohHill,
-            DesignKind::MostlyClean,
-            DesignKind::TagsInSram,
-            DesignKind::SectorCache,
-        ];
+        let kinds = DesignKind::ALL;
         let labels: std::collections::HashSet<_> = kinds.iter().map(|k| k.label()).collect();
         assert_eq!(labels.len(), kinds.len());
+        for kind in kinds {
+            assert_eq!(DesignKind::from_label(kind.label()), Some(kind));
+        }
+        assert_eq!(DesignKind::from_label("alloy"), None);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! on a tag match the data within the TAD services the request (Hit Probe),
 //! otherwise memory data services it (Miss Probe) and, policy permitting,
 //! the line is filled (Miss Fill). Writebacks probe before updating
-//! (Writeback Probe / Update / Fill).
+//! (Writeback Probe / Update / Fill). BW-Opt knows each read's outcome
+//! ([`ReadPlan::known`]): a hit moves only the 64 B line, a miss goes
+//! straight to memory.
 //!
 //! All BEAR technique logic (BAB, DCP, NTC, and the MAP-I predictor)
 //! reaches this controller through [`TechniqueStack`] hooks on the shared
@@ -21,7 +23,7 @@ use crate::events::{FillCause, ObsEvent};
 use crate::harness::Leg;
 use crate::l4::engine::{Engine, TxnTable};
 use crate::l4::placement::SetPlacement;
-use crate::l4::stack::TechniqueStack;
+use crate::l4::stack::{ReadPlan, TechniqueStack};
 use crate::l4::{ControllerProbe, L4Cache, L4Outputs, LINE_BEATS};
 use crate::traffic::{BloatCategory, MemTraffic};
 use bear_sim::faultinject::FaultKind;
@@ -31,21 +33,29 @@ use bear_sim::time::Cycle;
 /// Beats per TAD transfer (80 B on a 16 B bus).
 const TAD_BEATS: u64 = 5;
 
+/// A demand read's memory leg.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MemLeg {
+    /// Not issued: a serialized read waits for its probe to miss.
+    Idle,
+    /// Issued and in flight.
+    Pending,
+    /// Returned before the probe resolved.
+    Done,
+}
+
+/// A demand read in flight: a TAD probe leg and a memory leg.
 #[derive(Debug, Clone, Copy)]
 struct ReadTxn {
     line: u64,
     pc: u64,
     core: u32,
     arrival: Cycle,
-    probe_outstanding: bool,
-    mem_outstanding: bool,
-    /// Set when the probe resolved: `Some(true)` hit, `Some(false)` miss.
-    probe_hit: Option<bool>,
-    mem_done: bool,
-    /// Line already delivered (probe hit with a parallel access pending).
-    delivered: bool,
-    /// NTC guaranteed absence with a clean victim: no probe issued.
-    ntc_skip: bool,
+    /// `None` while the probe is in flight; `Some(false)` from submit for
+    /// a known miss (no probe). A hit leaves at once unless memory is
+    /// `Pending`, so `Some(true)` is a delivered hit awaiting that access.
+    hit: Option<bool>,
+    mem: MemLeg,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -176,13 +186,12 @@ impl AlloyController {
         let Some(mut txn) = self.read_txn(txn_id) else {
             return;
         };
-        txn.probe_outstanding = false;
         let (set, _) = self.store.decompose(txn.line);
         self.engine
             .stack
             .on_tad_transfer(&self.placement, &self.store, set);
         let hit = self.store.contains(txn.line);
-        txn.probe_hit = Some(hit);
+        txn.hit = Some(hit);
         self.engine.stack.train(txn.core, txn.pc, set, hit);
         self.engine.emit(ObsEvent::ReadClassified {
             line: txn.line,
@@ -191,11 +200,11 @@ impl AlloyController {
 
         if hit {
             self.engine.deliver_hit(txn.line, txn.arrival, finish, out);
-            if txn.mem_outstanding {
-                // The parallel access was wasted; keep the txn to absorb
-                // the memory completion.
+            if txn.mem != MemLeg::Idle {
                 self.engine.stats.wasted_parallel += 1;
-                txn.delivered = true;
+            }
+            if txn.mem == MemLeg::Pending {
+                // Keep the txn to absorb the memory completion.
                 self.store_read(txn_id, txn);
             } else {
                 self.txns.remove(txn_id);
@@ -205,16 +214,19 @@ impl AlloyController {
 
         // Miss: memory data either arrived already, is on its way, or must
         // be requested now (serialized predicted-hit path).
-        if txn.mem_done {
-            self.finish_demand_miss(txn_id, txn, finish, out);
-        } else if txn.mem_outstanding {
-            self.store_read(txn_id, txn);
-        } else {
-            txn.mem_outstanding = true;
-            self.engine
-                .harness
-                .mem_read(txn_id, txn.line, MemTraffic::DemandRead.class(), finish);
-            self.store_read(txn_id, txn);
+        match txn.mem {
+            MemLeg::Done => self.finish_demand_miss(txn_id, txn, finish, out),
+            MemLeg::Pending => self.store_read(txn_id, txn),
+            MemLeg::Idle => {
+                txn.mem = MemLeg::Pending;
+                self.engine.harness.mem_read(
+                    txn_id,
+                    txn.line,
+                    MemTraffic::DemandRead.class(),
+                    finish,
+                );
+                self.store_read(txn_id, txn);
+            }
         }
     }
 
@@ -222,26 +234,15 @@ impl AlloyController {
         let Some(mut txn) = self.read_txn(txn_id) else {
             return;
         };
-        txn.mem_outstanding = false;
-        txn.mem_done = true;
-        if txn.delivered {
-            // Wasted parallel access on a probe hit; transaction is done.
-            self.txns.remove(txn_id);
-            return;
-        }
-        match txn.probe_hit {
+        match txn.hit {
             Some(false) => self.finish_demand_miss(txn_id, txn, finish, out),
+            // A wasted parallel access: the probe hit already delivered.
             Some(true) => {
-                // Probe hit already delivered (handled via `delivered`),
-                // defensive path.
                 self.txns.remove(txn_id);
             }
-            None if txn.ntc_skip => {
-                // NTC guaranteed the miss; no probe was ever issued.
-                self.finish_demand_miss(txn_id, txn, finish, out);
-            }
+            // Parallel access returned before the probe: wait for it.
             None => {
-                // Parallel access returned before the probe: wait for it.
+                txn.mem = MemLeg::Done;
                 self.store_read(txn_id, txn);
             }
         }
@@ -301,69 +302,24 @@ impl L4Cache for AlloyController {
         self.engine.stats.read_lookups += 1;
         let (set, tag) = self.store.decompose(line);
 
-        if self.is_ideal() {
-            // BW-Opt: perfect knowledge, 64 B hit transfers, free misses.
-            // Hits classify (and record their duel access) at probe
-            // completion like every other design; classifying here too
-            // would double-count the access.
-            let hit = self.store.contains(line);
-            if !hit {
-                self.engine.stack.record_access(set, hit);
-                self.engine.emit(ObsEvent::ReadClassified { line, hit });
-            }
-            if hit {
-                let txn_id = self.txns.insert(Txn::Read(ReadTxn {
-                    line,
-                    pc,
-                    core,
-                    arrival: now,
-                    probe_outstanding: true,
-                    mem_outstanding: false,
-                    probe_hit: None,
-                    mem_done: false,
-                    delivered: false,
-                    ntc_skip: false,
-                }));
-                self.engine.harness.cache_read(
-                    Some(txn_id),
-                    self.placement.locate(set),
-                    LINE_BEATS,
-                    BloatCategory::Hit.class(),
-                    now,
-                );
-            } else {
-                let txn_id = self.txns.insert(Txn::Read(ReadTxn {
-                    line,
-                    pc,
-                    core,
-                    arrival: now,
-                    probe_outstanding: false,
-                    mem_outstanding: true,
-                    probe_hit: None,
-                    mem_done: false,
-                    delivered: false,
-                    ntc_skip: true,
-                }));
-                self.engine
-                    .harness
-                    .mem_read(txn_id, line, MemTraffic::DemandRead.class(), now);
-            }
-            return;
-        }
-
-        // NTC consultation precedes the predictor (Section 6.1); the plan
-        // resolves the probe/parallel-memory decision matrix.
-        let plan = self
-            .engine
-            .stack
-            .on_read_lookup(&self.placement, set, tag, core, pc);
+        // BW-Opt knows the outcome; the others consult the NTC before the
+        // predictor (Section 6.1), and the plan resolves the
+        // probe/parallel-memory decision matrix.
+        let ideal = self.is_ideal();
+        let plan = if ideal {
+            ReadPlan::known(self.store.contains(line))
+        } else {
+            self.engine
+                .stack
+                .on_read_lookup(&self.placement, set, tag, core, pc)
+        };
         if let Some(answer) = plan.ntc_answer {
             self.engine.emit(ObsEvent::NtcConsulted { line, answer });
         }
-        if plan.squashed_parallel {
+        if plan.squashed_parallel() {
             self.engine.stats.parallel_squashed += 1;
         }
-        if plan.probe_avoided {
+        if plan.probe_avoided() {
             self.engine.stats.miss_probes_avoided += 1;
         }
 
@@ -372,12 +328,12 @@ impl L4Cache for AlloyController {
             pc,
             core,
             arrival: now,
-            probe_outstanding: plan.issue_probe,
-            mem_outstanding: plan.issue_parallel_mem,
-            probe_hit: None,
-            mem_done: false,
-            delivered: false,
-            ntc_skip: plan.ntc_skip,
+            hit: (!plan.issue_probe).then_some(false),
+            mem: if plan.issue_parallel_mem {
+                MemLeg::Pending
+            } else {
+                MemLeg::Idle
+            },
         }));
 
         if plan.issue_probe {
@@ -386,10 +342,12 @@ impl L4Cache for AlloyController {
             } else {
                 BloatCategory::MissProbe.class()
             };
+            // BW-Opt's hits move only the 64 B line.
+            let beats = if ideal { LINE_BEATS } else { TAD_BEATS };
             self.engine.harness.cache_read(
                 Some(txn_id),
                 self.placement.locate(set),
-                TAD_BEATS,
+                beats,
                 class,
                 now,
             );
@@ -399,10 +357,15 @@ impl L4Cache for AlloyController {
                 .harness
                 .mem_read(txn_id, line, MemTraffic::DemandRead.class(), now);
         }
-        if plan.ntc_skip {
-            // NTC-guaranteed miss over a clean line: train the predictor
-            // with the known outcome.
-            self.engine.stack.train(core, pc, set, false);
+        if !plan.issue_probe {
+            // A known miss resolves at submit. An NTC skip trains the
+            // predictor with it; BW-Opt made no prediction, so it records
+            // only the duel access.
+            if plan.probe_avoided() {
+                self.engine.stack.train(core, pc, set, false);
+            } else {
+                self.engine.stack.record_access(set, false);
+            }
             self.engine
                 .emit(ObsEvent::ReadClassified { line, hit: false });
         }
@@ -538,6 +501,7 @@ impl L4Cache for AlloyController {
 mod tests {
     use super::*;
     use crate::config::BearFeatures;
+    use bear_dram::config::DramTimings;
 
     fn controller(design: DesignKind, bear: BearFeatures) -> AlloyController {
         let mut cfg = SystemConfig::paper_baseline(design);
@@ -793,17 +757,153 @@ mod tests {
         let mut ctrl = controller(DesignKind::Alloy, BearFeatures::none());
         let mut out = L4Outputs::default();
         ctrl.submit_read(0x800, 0xC0, 0, Cycle(0));
-        let mut t = drain(&mut ctrl, &mut out, 0, 100_000);
+        let t = drain(&mut ctrl, &mut out, 0, 100_000);
         // Train toward miss, then access the present line: parallel access
         // is issued and wasted.
         for _ in 0..8 {
             ctrl.engine.stack.train_predictor(0, 0xC0, false);
         }
         ctrl.submit_read(0x800, 0xC0, 0, Cycle(t));
-        t = drain(&mut ctrl, &mut out, t, 100_000);
-        let _ = t;
+        let (states, _) = leg_states(&mut ctrl, &mut out, 0x800, t);
+        // Leg order (b): the probe hits while the access is in flight.
+        assert_eq!(
+            shapes(&states),
+            [
+                Some((None, MemLeg::Pending)),
+                Some((Some(true), MemLeg::Pending)),
+                None
+            ]
+        );
         assert_eq!(ctrl.stats().wasted_parallel, 1);
         assert_eq!(ctrl.stats().read_hits, 1);
+    }
+
+    /// A controller whose cache DRAM is ten times slower than memory, so a
+    /// parallel memory access returns before the probe.
+    fn slow_cache_controller() -> AlloyController {
+        let mut cfg = SystemConfig::paper_baseline(DesignKind::Alloy);
+        cfg.cache_dram.timings = DramTimings {
+            t_cas: 360,
+            t_rcd: 360,
+            t_rp: 360,
+            t_ras: 1440,
+            ..DramTimings::table1()
+        };
+        AlloyController::new(&cfg)
+    }
+
+    type LegState = Option<(Option<bool>, MemLeg)>;
+
+    /// Drives `ctrl` one cycle at a time from `start` until it drains.
+    /// Returns each state the read of `line` passes through with the
+    /// cycle it was first seen at (`None` once retired), and the cycle
+    /// its delivery came out at.
+    fn leg_states(
+        ctrl: &mut AlloyController,
+        out: &mut L4Outputs,
+        line: u64,
+        start: u64,
+    ) -> (Vec<(u64, LegState)>, u64) {
+        let state = |ctrl: &AlloyController| {
+            ctrl.txns.iter().find_map(|t| match t {
+                Txn::Read(r) if r.line == line => Some((r.hit, r.mem)),
+                _ => None,
+            })
+        };
+        let mut states = vec![(start, state(ctrl))];
+        let mut delivered = None;
+        let mut t = start;
+        while ctrl.pending_txns() > 0 || ctrl.engine.harness.pending() > 0 {
+            ctrl.tick(Cycle(t), out);
+            let now = state(ctrl);
+            if states.last().map(|s| s.1) != Some(now) {
+                states.push((t, now));
+            }
+            if delivered.is_none() && out.deliveries.iter().any(|d| d.line == line) {
+                delivered = Some(t);
+            }
+            t += 1;
+            assert!(t < start + 100_000, "controller did not drain");
+        }
+        (states, delivered.expect("the read was delivered"))
+    }
+
+    fn shapes(states: &[(u64, LegState)]) -> Vec<LegState> {
+        states.iter().map(|s| s.1).collect()
+    }
+
+    /// Leg order (a): a serialized predicted-hit read misses, so its
+    /// memory read goes out when the probe completes.
+    #[test]
+    fn serialized_miss_issues_memory_at_probe_completion() {
+        let mut ctrl = controller(DesignKind::Alloy, BearFeatures::none());
+        let mut out = L4Outputs::default();
+        // A fresh predictor predicts a hit: no parallel access.
+        ctrl.submit_read(0x3000, 0x400000, 0, Cycle(0));
+        let (states, delivered) = leg_states(&mut ctrl, &mut out, 0x3000, 0);
+        assert_eq!(
+            shapes(&states),
+            [
+                Some((None, MemLeg::Idle)),
+                Some((Some(false), MemLeg::Pending)),
+                None
+            ]
+        );
+        assert_eq!(delivered, states[2].0);
+        assert!(!out.deliveries[0].l4_hit);
+        assert_eq!(ctrl.stats().wasted_parallel, 0);
+    }
+
+    /// Leg order (c): the parallel memory access returns before a probe
+    /// miss; the line is delivered when the probe finishes.
+    #[test]
+    fn parallel_memory_first_then_probe_miss_delivers_at_probe() {
+        let mut ctrl = slow_cache_controller();
+        let mut out = L4Outputs::default();
+        for _ in 0..8 {
+            ctrl.engine.stack.train_predictor(0, 0xC0, false);
+        }
+        ctrl.submit_read(0x3000, 0xC0, 0, Cycle(0));
+        let (states, delivered) = leg_states(&mut ctrl, &mut out, 0x3000, 0);
+        assert_eq!(
+            shapes(&states),
+            [
+                Some((None, MemLeg::Pending)),
+                Some((None, MemLeg::Done)),
+                None
+            ]
+        );
+        assert_eq!(delivered, states[2].0, "delivered at the probe's finish");
+        assert!(!out.deliveries[0].l4_hit && out.deliveries[0].in_l4);
+        assert_eq!(ctrl.stats().wasted_parallel, 0);
+    }
+
+    /// Leg order (d): the parallel memory access returns before a probe
+    /// hit; the hit is delivered and the access counts as wasted.
+    #[test]
+    fn parallel_memory_first_then_probe_hit_counts_wasted() {
+        let mut ctrl = slow_cache_controller();
+        let mut out = L4Outputs::default();
+        ctrl.submit_read(0x800, 0x400000, 0, Cycle(0));
+        let t = drain(&mut ctrl, &mut out, 0, 100_000);
+        out.clear();
+        for _ in 0..8 {
+            ctrl.engine.stack.train_predictor(0, 0xC0, false);
+        }
+        ctrl.submit_read(0x800, 0xC0, 0, Cycle(t));
+        let (states, delivered) = leg_states(&mut ctrl, &mut out, 0x800, t);
+        assert_eq!(
+            shapes(&states),
+            [
+                Some((None, MemLeg::Pending)),
+                Some((None, MemLeg::Done)),
+                None
+            ]
+        );
+        assert_eq!(delivered, states[2].0);
+        assert!(out.deliveries[0].l4_hit);
+        assert_eq!(ctrl.stats().read_hits, 1);
+        assert_eq!(ctrl.stats().wasted_parallel, 1);
     }
 
     #[test]

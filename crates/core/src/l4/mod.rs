@@ -346,16 +346,7 @@ mod tests {
     #[test]
     fn build_controller_covers_every_design() {
         use crate::config::SystemConfig;
-        for design in [
-            DesignKind::NoCache,
-            DesignKind::Alloy,
-            DesignKind::InclusiveAlloy,
-            DesignKind::BwOpt,
-            DesignKind::LohHill,
-            DesignKind::MostlyClean,
-            DesignKind::TagsInSram,
-            DesignKind::SectorCache,
-        ] {
+        for design in DesignKind::ALL {
             let cfg = SystemConfig::paper_baseline(design);
             let ctrl = build_controller(&cfg);
             assert_eq!(ctrl.pending_txns(), 0, "{design:?} starts idle");

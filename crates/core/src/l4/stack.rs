@@ -18,14 +18,15 @@
 //! - [`on_eviction`](TechniqueStack::on_eviction) — NTC coherence refresh
 //!   whenever a set's contents change (fill, eviction, dirty update).
 //!
-//! Because the stack only sees sets, tags, and a [`TagView`] of the
-//! organization's contents, any technique composes with any organization
-//! and the B/BD/BDN ablations fall out of [`TechniqueStack::from_config`]
-//! rather than special-cased controller code.
+//! The Alloy family calls every hook, reading its direct-mapped
+//! [`DirectStore`] for the NTC; the other organizations call only
+//! [`on_fill_decision`](TechniqueStack::on_fill_decision). The B/BD/BDN
+//! ablations fall out of [`TechniqueStack::from_config`] rather than
+//! special-cased controller code.
 
 use crate::bab::BypassPolicy;
 use crate::config::{DesignKind, FillPolicy, SystemConfig};
-use crate::contents::{DirectStore, Occupant};
+use crate::contents::DirectStore;
 use crate::l4::placement::SetPlacement;
 use crate::l4::ControllerProbe;
 use crate::ntc::{NeighboringTagCache, NtcAnswer};
@@ -33,47 +34,31 @@ use crate::predictor::MapIPredictor;
 use bear_sim::invariants::InvariantSink;
 use bear_sim::time::Cycle;
 
-/// Read-only view of an organization's tag contents, per set.
-///
-/// The stack consults this instead of a concrete store so the NTC can
-/// mirror any organization that exposes a set → occupant mapping.
-pub trait TagView {
-    /// Current occupant of `set`.
-    fn occupant_of(&self, set: u64) -> Option<Occupant>;
-    /// Total sets in the organization.
-    fn total_sets(&self) -> u64;
-}
-
-impl TagView for DirectStore {
-    fn occupant_of(&self, set: u64) -> Option<Occupant> {
-        self.occupant(set)
-    }
-
-    fn total_sets(&self) -> u64 {
-        self.sets()
-    }
-}
-
 /// What [`TechniqueStack::on_read_lookup`] decided for a demand read.
 #[derive(Debug, Clone, Copy)]
 pub struct ReadPlan {
-    /// Issue the cache tag probe.
+    /// Issue the cache tag probe; without one the read is a known miss.
     pub issue_probe: bool,
-    /// Issue the memory access in parallel with the probe.
+    /// Issue the memory access at submit (in parallel with any probe).
     pub issue_parallel_mem: bool,
-    /// NTC guaranteed absence over a clean victim: no probe at all.
-    pub ntc_skip: bool,
     /// The NTC's answer, for observation (`None` when no NTC is fitted).
     pub ntc_answer: Option<NtcAnswer>,
     /// MAP-I's prediction for this access.
     pub predicted_hit: bool,
-    /// NTC squashed the parallel access the predictor wanted.
-    pub squashed_parallel: bool,
-    /// NTC made the miss probe unnecessary.
-    pub probe_avoided: bool,
 }
 
 impl ReadPlan {
+    /// The plan for a read whose outcome is already `hit` (BW-Opt's
+    /// perfect knowledge): probe a hit, send a miss straight to memory.
+    pub fn known(hit: bool) -> Self {
+        ReadPlan {
+            issue_probe: hit,
+            issue_parallel_mem: !hit,
+            ntc_answer: None,
+            predicted_hit: hit,
+        }
+    }
+
     /// Whether an issued probe should be classified as a Hit transfer at
     /// issue time: the NTC guaranteed presence, or MAP-I predicted a hit.
     /// (Issue-time classification follows the prediction; the aggregate
@@ -81,6 +66,16 @@ impl ReadPlan {
     /// exact attribution matters.)
     pub fn probe_class_is_hit(&self) -> bool {
         matches!(self.ntc_answer, Some(NtcAnswer::Present)) || self.predicted_hit
+    }
+
+    /// NTC squashed the parallel access the predictor wanted.
+    pub fn squashed_parallel(&self) -> bool {
+        matches!(self.ntc_answer, Some(NtcAnswer::Present)) && !self.predicted_hit
+    }
+
+    /// NTC guaranteed a miss over a clean victim, so no probe is issued.
+    pub fn probe_avoided(&self) -> bool {
+        matches!(self.ntc_answer, Some(NtcAnswer::AbsentClean))
     }
 }
 
@@ -166,25 +161,21 @@ impl TechniqueStack {
             .as_mut()
             .map(|ntc| ntc.lookup(placement.global_bank(set), set, tag));
         let predicted_hit = self.predictor.predict_hit(core, pc);
-        let (issue_probe, issue_parallel_mem, ntc_skip, squashed_parallel, probe_avoided) =
-            match ntc_answer {
-                // Guaranteed hit: probe only; squash any parallel access
-                // the predictor would have issued.
-                Some(NtcAnswer::Present) => (true, false, false, !predicted_hit, false),
-                // Guaranteed miss over a clean victim: skip the probe.
-                Some(NtcAnswer::AbsentClean) => (false, true, true, false, true),
-                Some(NtcAnswer::AbsentDirty) | Some(NtcAnswer::Unknown) | None => {
-                    (true, !predicted_hit, false, false, false)
-                }
-            };
+        let (issue_probe, issue_parallel_mem) = match ntc_answer {
+            // Guaranteed hit: probe only; squash any parallel access the
+            // predictor would have issued.
+            Some(NtcAnswer::Present) => (true, false),
+            // Guaranteed miss over a clean victim: skip the probe.
+            Some(NtcAnswer::AbsentClean) => (false, true),
+            Some(NtcAnswer::AbsentDirty) | Some(NtcAnswer::Unknown) | None => {
+                (true, !predicted_hit)
+            }
+        };
         ReadPlan {
             issue_probe,
             issue_parallel_mem,
-            ntc_skip,
             ntc_answer,
             predicted_hit,
-            squashed_parallel,
-            probe_avoided,
         }
     }
 
@@ -205,22 +196,22 @@ impl TechniqueStack {
     /// Hook: a TAD transfer of `set` crossed the bus. Streams the
     /// neighbor tag it carried into the NTC and, in temporal mode (§9.4),
     /// caches the demanded set's own tag as well.
-    pub fn on_tad_transfer(&mut self, placement: &SetPlacement, view: &dyn TagView, set: u64) {
+    pub fn on_tad_transfer(&mut self, placement: &SetPlacement, store: &DirectStore, set: u64) {
         let temporal = self.ntc_temporal;
         let Some(ntc) = self.ntc.as_mut() else { return };
-        if placement.has_neighbor(set, view.total_sets()) {
+        if placement.has_neighbor(set, store.sets()) {
             let nset = set + 1;
             ntc.record_occupant(
                 placement.global_bank(nset),
                 nset,
-                view.occupant_of(nset).as_ref(),
+                store.occupant(nset).as_ref(),
             );
         }
         if temporal {
             ntc.record_occupant(
                 placement.global_bank(set),
                 set,
-                view.occupant_of(set).as_ref(),
+                store.occupant(set).as_ref(),
             );
         }
     }
@@ -229,11 +220,11 @@ impl TechniqueStack {
     /// update). Refreshes an existing NTC entry for the set; the NTC
     /// inserts solely from neighbor-tag streaming, so absent entries stay
     /// absent.
-    pub fn on_eviction(&mut self, placement: &SetPlacement, view: &dyn TagView, set: u64) {
+    pub fn on_eviction(&mut self, placement: &SetPlacement, store: &DirectStore, set: u64) {
         let Some(ntc) = self.ntc.as_mut() else { return };
         let bank = placement.global_bank(set);
         if ntc.lookup_silent(bank, set) {
-            ntc.record_occupant(bank, set, view.occupant_of(set).as_ref());
+            ntc.record_occupant(bank, set, store.occupant(set).as_ref());
         }
     }
 
@@ -286,10 +277,10 @@ impl TechniqueStack {
     /// is exact.
     ///
     /// [`on_eviction`]: TechniqueStack::on_eviction
-    pub fn check_ntc_mirror(&self, view: &dyn TagView, now: Cycle, sink: &mut InvariantSink) {
+    pub fn check_ntc_mirror(&self, store: &DirectStore, now: Cycle, sink: &mut InvariantSink) {
         let Some(ntc) = self.ntc.as_ref() else { return };
         for (bank, set, recorded) in ntc.entries() {
-            let actual = view.occupant_of(set).map(|o| (o.tag, o.dirty));
+            let actual = store.occupant(set).map(|o| (o.tag, o.dirty));
             if recorded != actual {
                 sink.report("ntc-mirror", now.0, || {
                     format!(
@@ -364,16 +355,7 @@ mod tests {
 
     #[test]
     fn every_design_builds_a_stack() {
-        for design in [
-            DesignKind::NoCache,
-            DesignKind::Alloy,
-            DesignKind::InclusiveAlloy,
-            DesignKind::BwOpt,
-            DesignKind::LohHill,
-            DesignKind::MostlyClean,
-            DesignKind::TagsInSram,
-            DesignKind::SectorCache,
-        ] {
+        for design in DesignKind::ALL {
             let cfg = SystemConfig::paper_baseline(design);
             let stack = TechniqueStack::from_config(&cfg, placement().total_banks());
             let t = stack.techniques();
@@ -404,13 +386,13 @@ mod tests {
 
         // Unknown set → probe + parallel mem iff predicted miss.
         let plan = s.on_read_lookup(&p, 5, 1, 0, 0xA0);
-        assert!(plan.issue_probe && !plan.ntc_skip);
+        assert!(plan.issue_probe && !plan.probe_avoided());
         assert_eq!(plan.issue_parallel_mem, !plan.predicted_hit);
 
         // Stream set 11's (empty) neighbor tag via a TAD transfer of 10.
         s.on_tad_transfer(&p, &store, 10);
         let plan = s.on_read_lookup(&p, 11, 7, 0, 0xA0);
-        assert!(plan.probe_avoided && plan.ntc_skip && !plan.issue_probe);
+        assert!(plan.probe_avoided() && !plan.issue_probe);
         assert!(plan.issue_parallel_mem);
 
         // Install the line and refresh: known present squashes parallel.
@@ -421,7 +403,21 @@ mod tests {
         }
         let plan = s.on_read_lookup(&p, 11, 0, 0, 0xB0);
         assert!(plan.issue_probe && !plan.issue_parallel_mem);
-        assert!(plan.squashed_parallel, "predicted miss over known present");
+        assert!(
+            plan.squashed_parallel(),
+            "predicted miss over known present"
+        );
+    }
+
+    #[test]
+    fn known_plans_issue_one_leg_and_no_technique_verdict() {
+        let hit = ReadPlan::known(true);
+        assert!(hit.issue_probe && !hit.issue_parallel_mem && hit.probe_class_is_hit());
+        let miss = ReadPlan::known(false);
+        assert!(!miss.issue_probe && miss.issue_parallel_mem);
+        for plan in [hit, miss] {
+            assert!(!plan.probe_avoided() && !plan.squashed_parallel());
+        }
     }
 
     #[test]

@@ -1118,13 +1118,11 @@ mod tests {
     /// and naive per-cycle polling.
     #[test]
     fn event_driven_matches_polling_across_designs() {
-        for (design, bench) in [
-            (DesignKind::NoCache, "mcf"),
-            (DesignKind::Alloy, "sphinx3"),
-            (DesignKind::LohHill, "gcc"),
-            (DesignKind::TagsInSram, "omnetpp"),
-            (DesignKind::SectorCache, "wrf"),
-        ] {
+        // One benchmark per design, in `DesignKind::ALL` order.
+        let benches = [
+            "mcf", "sphinx3", "lbm", "milc", "gcc", "soplex", "omnetpp", "wrf",
+        ];
+        for (design, bench) in DesignKind::ALL.into_iter().zip(benches) {
             let mut cfg = quick_cfg(design);
             if design == DesignKind::Alloy {
                 cfg.bear = BearFeatures::full();
@@ -1177,16 +1175,7 @@ mod tests {
     /// with exact byte conservation, under the event-driven loop.
     #[test]
     fn every_design_quiesces_to_empty() {
-        for design in [
-            DesignKind::NoCache,
-            DesignKind::Alloy,
-            DesignKind::InclusiveAlloy,
-            DesignKind::BwOpt,
-            DesignKind::LohHill,
-            DesignKind::MostlyClean,
-            DesignKind::TagsInSram,
-            DesignKind::SectorCache,
-        ] {
+        for design in DesignKind::ALL {
             let cfg = quick_cfg(design);
             let mut sys = System::build_rate(&cfg, "mcf");
             sys.set_check_mode(bear_sim::invariants::CheckMode::Record);

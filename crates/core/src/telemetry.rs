@@ -107,8 +107,8 @@ pub struct TelemetryReport {
     /// DRAM-cache data-bus bursts captured for trace export (empty unless
     /// tracing was armed).
     pub transfers: Vec<TransferRecord>,
-    /// Host wall-clock totals per run-loop step (`tick`/`skip`/`span`)
-    /// and window close (`telemetry`); empty unless profiling was armed.
+    /// Host wall-clock totals per run-loop step (`tick`/`skip`) and
+    /// window close (`telemetry`); empty unless profiling was armed.
     pub profile: SelfProfiler,
 }
 

@@ -22,13 +22,7 @@ fn run(cfg: &SystemConfig, event_driven: bool, bench: &str) -> String {
 
 #[test]
 fn span_advance_matches_polled_loop_for_every_design() {
-    for design in [
-        DesignKind::Alloy,
-        DesignKind::NoCache,
-        DesignKind::LohHill,
-        DesignKind::TagsInSram,
-        DesignKind::SectorCache,
-    ] {
+    for design in DesignKind::ALL {
         let cfg = SystemConfig::paper_baseline(design);
         let polled = run(&cfg, false, "mcf");
         let event = run(&cfg, true, "mcf");

@@ -331,16 +331,7 @@ mod tests {
     #[test]
     fn expectations_cover_every_class_or_document_the_gap() {
         let c = EventCounts::default();
-        for design in [
-            DesignKind::NoCache,
-            DesignKind::Alloy,
-            DesignKind::InclusiveAlloy,
-            DesignKind::BwOpt,
-            DesignKind::LohHill,
-            DesignKind::MostlyClean,
-            DesignKind::TagsInSram,
-            DesignKind::SectorCache,
-        ] {
+        for design in DesignKind::ALL {
             // Shape invariants: 8 cache rows, 4 memory rows, and the only
             // unaudited classes are the documented speculation-polluted
             // ones.

@@ -19,18 +19,6 @@ use bear_sim::invariants::CheckMode;
 use bear_workloads::{AdversarialPattern, ScriptedTrace, TraceEvent, TraceSource};
 use std::path::{Path, PathBuf};
 
-/// Every DRAM-cache organization, in campaign order.
-pub const ALL_DESIGNS: [DesignKind; 8] = [
-    DesignKind::NoCache,
-    DesignKind::Alloy,
-    DesignKind::InclusiveAlloy,
-    DesignKind::BwOpt,
-    DesignKind::LohHill,
-    DesignKind::MostlyClean,
-    DesignKind::TagsInSram,
-    DesignKind::SectorCache,
-];
-
 /// Named BEAR feature combination (the paper's ablation axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeatureSet {
@@ -255,7 +243,7 @@ pub fn campaign_cases(seeds: &[u64]) -> Vec<FuzzCase> {
     let mut cases = Vec::new();
     for &seed in seeds {
         for pattern in AdversarialPattern::ALL {
-            for design in ALL_DESIGNS {
+            for design in DesignKind::ALL {
                 cases.push(FuzzCase::new(design, FeatureSet::None, pattern, seed));
             }
             for features in [

@@ -33,7 +33,7 @@ pub mod shrink;
 pub use counts::EventCounts;
 pub use fuzz::{
     campaign_cases, quick_config, run_campaign, run_case, run_trace, run_trace_traced, trace_for,
-    CampaignReport, FeatureSet, FuzzCase, ALL_DESIGNS,
+    CampaignReport, FeatureSet, FuzzCase,
 };
 pub use lockstep::{run_lockstep, run_lockstep_traced, DivergenceContext, LockstepReport};
 pub use repro::Repro;

@@ -26,7 +26,7 @@
 //! telemetry ring capacity, 256) — human-readable breadcrumbs only; the
 //! replay is fully determined by the fields above it.
 
-use crate::fuzz::{FeatureSet, FuzzCase, ALL_DESIGNS};
+use crate::fuzz::{FeatureSet, FuzzCase};
 use bear_core::config::DesignKind;
 use bear_sim::error::SimError;
 use bear_sim::faultinject::FaultKind;
@@ -55,10 +55,6 @@ pub struct Repro {
     /// Human-readable `cycle EventDebug` lines for the last events
     /// observed before the divergence (may be empty; not replayed).
     pub context: Vec<String>,
-}
-
-fn design_from_label(label: &str) -> Option<DesignKind> {
-    ALL_DESIGNS.into_iter().find(|d| d.label() == label)
 }
 
 impl Repro {
@@ -161,7 +157,7 @@ impl Repro {
                 .ok_or_else(|| bad(format!("expected '{name}: ...', got {line:?}")))
         };
         let design = field("design").and_then(|v| {
-            design_from_label(&v).ok_or_else(|| bad(format!("unknown design {v:?}")))
+            DesignKind::from_label(&v).ok_or_else(|| bad(format!("unknown design {v:?}")))
         })?;
         let features = field("features").and_then(|v| {
             FeatureSet::from_label(&v).ok_or_else(|| bad(format!("unknown features {v:?}")))

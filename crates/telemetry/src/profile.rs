@@ -21,8 +21,7 @@ struct PhaseTotal {
 }
 
 impl SelfProfiler {
-    /// An empty profiler (`const`, so it can seed a `static` — the
-    /// campaign supervisor keeps its recovery counters in one).
+    /// An empty profiler.
     pub const fn new() -> Self {
         SelfProfiler {
             entries: Vec::new(),

@@ -143,9 +143,10 @@ cargo test -q -p bear-bench --offline --test metrics
 
 echo "==> MASA elision audit (BEAR_GATE_DIAG=1, multi-subarray banks)"
 # The gate-diagnostic mode re-executes every elided tick and asserts it
-# was a no-op. Running the span-equivalence suite under it audits the
-# subarray-aware busy hints (per-subarray open rows and timing state)
-# on top of its polled-vs-event-driven equalities.
+# was a no-op. Running the span-equivalence suite under it audits every
+# design's busy hints (all eight in `DesignKind::ALL`) and the
+# subarray-aware ones (per-subarray open rows and timing state) on top
+# of its polled-vs-event-driven equalities.
 BEAR_GATE_DIAG=1 cargo test -q -p bear-core --offline --test span_equivalence
 # A one-cycle L3 latency makes both staging queues fall due on one cycle;
 # the same audit runs over that polled-vs-event-driven test.

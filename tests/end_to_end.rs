@@ -21,16 +21,7 @@ fn run(cfg: &SystemConfig, bench: &str) -> RunStats {
 
 #[test]
 fn every_design_completes_work_on_every_intensity() {
-    for design in [
-        DesignKind::NoCache,
-        DesignKind::Alloy,
-        DesignKind::InclusiveAlloy,
-        DesignKind::BwOpt,
-        DesignKind::LohHill,
-        DesignKind::MostlyClean,
-        DesignKind::TagsInSram,
-        DesignKind::SectorCache,
-    ] {
+    for design in DesignKind::ALL {
         for bench in ["mcf", "xalancbmk"] {
             let stats = run(&quick(design), bench);
             assert!(
