@@ -3,8 +3,9 @@
 //! The simulator's run loop fast-forwards provably idle cycles (see
 //! `System::set_event_driven`); skipped cycles are no-ops by construction,
 //! so both modes retire identical instruction streams and report identical
-//! statistics — this experiment *asserts* that equivalence on every cell
-//! while measuring the wall-clock ratio. The grid is the campaign smoke
+//! statistics — this experiment *asserts* that equivalence on every cell,
+//! and that no event-driven DRAM channel tick is a no-op (each channel's
+//! scheduler preview is exact), while measuring the wall-clock ratio. The grid is the campaign smoke
 //! grid: one representative cell per design family, mixing memory-bound
 //! and cache-friendly workloads so both skip regimes (blocked-on-DRAM and
 //! mid-gap retirement) are exercised.
@@ -173,6 +174,11 @@ pub fn run(campaign: &Campaign, report: &mut Report) {
         let poll = time_cell(&cfg, &workload, false, samples);
         let event = time_cell(&cfg, &workload, true, samples);
         assert_equivalent(cell.label, cell.bench, &event.stats, &poll.stats);
+        assert_eq!(
+            event.work.noop_ticks, 0,
+            "{}×{}: an event-driven DRAM channel ticked for nothing",
+            cell.label, cell.bench
+        );
         let (poll_ns, event_ns) = (poll.best_ns, event.best_ns);
         let sp = poll_ns as f64 / event_ns.max(1) as f64;
         let key = format!("{}:{}", cell.label, cell.bench);

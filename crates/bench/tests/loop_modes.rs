@@ -11,11 +11,11 @@
 //! event-driven.
 
 use bear_bench::report::Report;
-use bear_bench::RunPlan;
-use bear_core::config::DesignKind;
+use bear_bench::{config_for, RunPlan};
+use bear_core::config::{BearFeatures, DesignKind};
 use bear_core::system::System;
 use bear_oracle::fuzz::{quick_config, trace_for, FeatureSet, FuzzCase};
-use bear_workloads::{AdversarialPattern, ScriptedTrace, TraceSource};
+use bear_workloads::{AdversarialPattern, BenchmarkProfile, ScriptedTrace, TraceSource, Workload};
 
 /// The B/BD/BDN/BEAR rungs of the technique ladder.
 const RUNGS: [FeatureSet; 4] = [
@@ -34,6 +34,8 @@ struct Fingerprint {
     /// Run-loop accounting: skipped cycles, live ticks, the final clock
     /// and the channel ticks the devices replayed late.
     cycles: Cycles,
+    /// DRAM channel ticks that changed nothing.
+    noop_ticks: u64,
 }
 
 /// Where a run's simulated cycles went.
@@ -79,6 +81,7 @@ fn fingerprint(case: &FuzzCase, event_driven: bool) -> Fingerprint {
             now: sys.now().raw(),
             replayed: sys.l4_cache().harness().dram_work().replayed_ticks,
         },
+        noop_ticks: sys.l4_cache().harness().dram_work().noop_ticks,
     }
 }
 
@@ -107,6 +110,7 @@ fn event_loop_is_invisible_across_adversarial_grid() {
                 "{cell}: polling must not elide or defer"
             );
             assert!(e.skipped > 0, "{cell}: the event loop elided nothing");
+            assert_eq!(event.noop_ticks, 0, "{cell}: a channel ticked for nothing");
             any_replay |= e.replayed > 0;
             assert_eq!(
                 polled.events, event.events,
@@ -127,4 +131,27 @@ fn event_loop_is_invisible_across_adversarial_grid() {
         }
     }
     assert!(any_replay, "no cell of the grid deferred a device tick");
+}
+
+/// Event-driven channels tick only when they change: each channel's
+/// scheduler preview names exactly the cycle its act phase next issues a
+/// command. The quick Alloy × sphinx3 cell of the `loop_speedup` grid
+/// reaches the case a preview must get right: a row hit turns ready while
+/// the front request waits for its ACT and the bus is busy past both.
+#[test]
+fn event_driven_channels_run_no_noop_tick() {
+    let plan = RunPlan {
+        warmup: 400_000,
+        measure: 300_000,
+        scale_shift: 9,
+        quick: true,
+    };
+    let cfg = config_for(DesignKind::Alloy, BearFeatures::none(), &plan);
+    let profile = BenchmarkProfile::by_name("sphinx3").expect("a known benchmark");
+    let mut sys = System::build(&cfg, &Workload::rate(profile));
+    sys.set_event_driven(true);
+    sys.run(cfg.warmup_cycles, cfg.measure_cycles);
+    let work = sys.l4_cache().harness().dram_work();
+    assert!(work.commands > 0, "the cell issued no DRAM command");
+    assert_eq!(work.noop_ticks, 0, "a channel ticked for nothing: {work:?}");
 }

@@ -66,8 +66,8 @@ pub struct DeviceHarness {
     /// time — the "expected" side of the attribution-conservation
     /// invariant and the source feeding window samples and metrics.
     ledger: AttributionLedger,
-    /// When set, [`DeviceHarness::tick`] elides channels whose memoized
-    /// busy hint proves this cycle a no-op (see
+    /// When set, [`DeviceHarness::tick`] elides channels whose row in
+    /// their device's wake table proves this cycle a no-op (see
     /// [`DramDevice::tick_gated`]). Both settings produce bit-identical
     /// device state; the flag only trades per-tick walk cost for hint
     /// reads, so the event-driven driver arms it and the per-cycle

@@ -155,7 +155,7 @@ impl std::fmt::Debug for System {
             .field("design", &self.cfg.design)
             .field("clock", &self.clock)
             .field("pending_lines", &self.pending_lines.len())
-            .field("wheel_depth", &self.staged_len())
+            .field("staged_depth", &self.staged_len())
             .field("cores_halted", &self.cores_halted)
             .finish()
     }
@@ -878,7 +878,7 @@ impl System {
     /// Queue-occupancy snapshot attached to `Stalled` errors.
     fn stall_snapshot(&self) -> String {
         format!(
-            "wheel events {}, pending lines {}, l4 txns {}, device pending {}, retry depth {}",
+            "staged events {}, pending lines {}, l4 txns {}, device pending {}, retry depth {}",
             self.staged_len(),
             self.pending_lines.len(),
             self.l4.pending_txns(),
@@ -1656,9 +1656,9 @@ mod tests {
             sys.l3_access(0, LoadToken(token), addr, false, 0);
         }
         let text = format!("{sys:?}");
-        assert!(text.contains("wheel_depth: 2"), "{text}");
+        assert!(text.contains("staged_depth: 2"), "{text}");
         let snapshot = sys.stall_snapshot();
-        assert!(snapshot.starts_with("wheel events 2,"), "{snapshot}");
+        assert!(snapshot.starts_with("staged events 2,"), "{snapshot}");
     }
 
     #[test]

@@ -11,13 +11,16 @@
 //! issue now, then falls back to advancing the oldest request (ACT or PRE as
 //! the bank requires). One command may issue per channel per CPU cycle.
 //!
-//! A tick has two phases: `retire` hands finished transfers
-//! back, and `act` refreshes, flips drain mode and schedules.
-//! Scheduling reads no in-flight state, so a tick that only retires leaves
-//! the scheduler preview (`Channel::next_schedule_cycle`) valid. Both
-//! the FR-FCFS scan and the preview read one dense column per queue, each
-//! entry's CAS-ready cycle; only an ACT, PRE or refresh changes it, and
-//! only for the entries of the bank it touched.
+//! The FR-FCFS rule is written once, in `Channel::next_command`: the
+//! command that issues now, or else the first cycle one can. A tick has
+//! two phases: `retire` hands finished transfers back, and `act`
+//! refreshes, flips drain mode and issues that command. The scheduler
+//! preview (`Channel::next_schedule_cycle`) asks the same question, so it
+//! names exactly the cycle `act` next changes the channel. Scheduling
+//! reads no in-flight state, so a tick that only retires leaves the
+//! preview valid. The scan reads one dense column per queue, each entry's
+//! CAS-ready cycle; only an ACT, PRE or refresh changes it, and only for
+//! the entries of the bank it touched.
 
 use crate::bank::{BankAction, Banks};
 use crate::config::DramConfig;
@@ -155,6 +158,19 @@ impl std::fmt::Debug for Work {
     }
 }
 
+/// One FR-FCFS command (see [`Channel::next_command`]).
+#[derive(Debug, Clone, Copy)]
+enum Command {
+    /// Column access for entry `idx` of the read or write queue.
+    Cas { writes: bool, idx: usize },
+    /// `BankAction::Act` or `BankAction::Pre` for `row` in `bank`.
+    Bank {
+        action: BankAction,
+        bank: u32,
+        row: u64,
+    },
+}
+
 /// One DRAM channel: banks + queues + scheduler + data bus.
 #[derive(Debug)]
 pub struct Channel {
@@ -206,6 +222,15 @@ impl Channel {
     /// Host-work counters since construction (see [`DramWork`]).
     pub fn work(&self) -> DramWork {
         self.work.0.get()
+    }
+
+    /// Runs `op`, then puts the host-work counters back: the gate audit
+    /// replays elided work that the run itself never does.
+    pub(crate) fn unrecorded<R>(&mut self, op: impl FnOnce(&mut Self) -> R) -> R {
+        let work = self.work();
+        let out = op(self);
+        self.work.0.set(work);
+        out
     }
 
     /// Arms (`Some(capacity)`) or disarms (`None`) the transfer log. The
@@ -340,8 +365,8 @@ impl Channel {
     }
 
     /// The act phase of a tick at `now`: an all-bank refresh when one is
-    /// due, the drain-mode flip, then FR-FCFS issue of at most one
-    /// command. Returns whether anything changed.
+    /// due, the drain-mode flip, then the FR-FCFS command, if one issues.
+    /// Returns whether anything changed.
     pub(crate) fn act(&mut self, now: Cycle) -> bool {
         let mut changed = false;
         // All-bank refresh: close every row and stall the channel tRFC.
@@ -355,12 +380,18 @@ impl Channel {
             self.stats.refreshes += 1;
             changed = true;
         }
-        changed |= self.update_drain_mode();
-        // Pick the active queue: writes only during a drain (or when no
-        // reads are waiting).
-        let use_writes =
-            self.draining || (self.read_queue.is_empty() && !self.write_queue.is_empty());
-        self.schedule_from(use_writes, now) || changed
+        if self.flip_due() {
+            self.draining = !self.draining;
+            self.stats.drain_episodes += u64::from(self.draining);
+            changed = true;
+        }
+        match self.next_command(now) {
+            Ok(cmd) => {
+                self.issue(cmd, now);
+                true
+            }
+            Err(_) => changed,
+        }
     }
 
     /// Whether an all-bank refresh falls due at `now`.
@@ -393,87 +424,25 @@ impl Channel {
         self.first_finish().min(self.next_refresh).min(sched)
     }
 
-    /// Earliest cycle at which [`Channel::act`]'s scheduling passes could
-    /// issue a command or mutate a bank, assuming the queues stay frozen
-    /// until then. Never later than the true first action (late would break
-    /// the no-op guarantee); [`Cycle::NEVER`] when nothing is queued. May
-    /// return `now` without finishing the window scan once a command is
-    /// provably issuable this cycle — earlier-than-true is always safe.
+    /// The first cycle, from `now` on, at which [`Channel::act`] flips the
+    /// drain mode or issues a command, assuming the queues stay frozen
+    /// until then; [`Cycle::NEVER`] when nothing is queued. Exact: it asks
+    /// the same [`Channel::next_command`] the act phase does.
     ///
-    /// A preview taken at an earlier `now'` stays exact, once clamped to
-    /// `now`, while the channel is frozen and `now` does not pass the
-    /// clamped preview: a preview that returned `now'` (something
-    /// issuable) would return `now` today, and the other outcomes only
-    /// differ once the front request's ACT/PRE time is in the past. A
-    /// preview already `<= now` stays pessimistic ("busy now") until the
-    /// act phase it predicts changes the channel.
+    /// A preview taken at an earlier `now'` stays exact while the channel
+    /// is frozen and `now` does not pass it: the FR-FCFS decision reads
+    /// only the queues, the banks and the bus, never in-flight transfers.
+    ///
+    /// A pending drain-mode flip makes the channel busy at once: the flip
+    /// is hysteretic, so its *latch time* is observable (a deferred flip
+    /// would read a different queue depth and can settle on the opposite
+    /// mode), and forcing a tick latches it when per-cycle polling would.
     pub(crate) fn next_schedule_cycle(&self, now: Cycle) -> Cycle {
         self.work.bump(|w| w.previews += 1);
-        // A pending drain-mode flip makes the channel busy immediately:
-        // the flip is hysteretic, so its *latch time* is observable — a
-        // deferred flip would read a different queue depth and can settle
-        // on the opposite mode (e.g. the queue dips to the low mark, then
-        // refills past it before the deferred tick runs). Forcing a tick
-        // latches the flip at the same cycle per-cycle polling would.
-        let wlen = self.write_queue.len();
-        let will_flip = if self.draining {
-            wlen <= self.cfg.write_drain_low
-        } else {
-            wlen >= self.cfg.write_drain_high
-        };
-        if will_flip {
+        if self.flip_due() {
             return now;
         }
-        let use_writes = self.draining || (self.read_queue.is_empty() && wlen > 0);
-        let queue = if use_writes {
-            &self.write_queue
-        } else {
-            &self.read_queue
-        };
-        if queue.is_empty() {
-            return Cycle::NEVER;
-        }
-        let bus_free = Cycle(self.bus_free_at.0.saturating_sub(self.cfg.timings.t_cas));
-        // Pass-1 preview: the first CAS issues once some windowed row-hit
-        // is past its tRCD window AND its data can start on a free bus.
-        // Entries whose row is not open read `NEVER` and change nothing.
-        let mut ready_cas_min = Cycle::NEVER;
-        let mut scanned = 0;
-        for &ready in queue.cas_ready_window(self.cfg.sched_window) {
-            scanned += 1;
-            if ready.max(bus_free) <= now {
-                // A CAS is provably issuable this cycle; nothing can be
-                // earlier, so skip the rest of the scan.
-                self.work.bump(|w| w.entries_scanned += scanned);
-                return now;
-            }
-            ready_cas_min = ready_cas_min.min(ready);
-            if ready_cas_min <= bus_free {
-                // The issue time is already pinned at the bus bound; later
-                // entries can only err the pass-2 comparison toward
-                // "earlier", which is safe.
-                break;
-            }
-        }
-        self.work.bump(|w| w.entries_scanned += scanned);
-        let cas_issue = if ready_cas_min == Cycle::NEVER {
-            Cycle::NEVER
-        } else {
-            ready_cas_min.max(bus_free)
-        };
-        // Pass-2 preview: the front request's ACT/PRE. Pass 2 only runs
-        // while no windowed CAS is ready — a ready-but-bus-blocked CAS
-        // returns early without reaching it — so the front's ready time
-        // counts only when it precedes every CAS window.
-        let front_t = match self.banks.next_action(queue.bank_index(0), queue.row(0)) {
-            Some(BankAction::Act(ready) | BankAction::Pre(ready)) => ready,
-            _ => Cycle::NEVER,
-        };
-        if front_t.max(now) < ready_cas_min {
-            cas_issue.min(front_t)
-        } else {
-            cas_issue
-        }
+        self.next_command(now).err().unwrap_or(now)
     }
 
     /// A cycle strictly before which this channel can produce **no**
@@ -502,103 +471,130 @@ impl Channel {
         self.first_finish().min(first_new_finish)
     }
 
-    /// Flips drain mode at the watermarks; returns whether it flipped.
-    fn update_drain_mode(&mut self) -> bool {
-        let flip = if self.draining {
-            self.write_queue.len() <= self.cfg.write_drain_low
+    /// Whether the write queue has crossed the drain-mode watermark.
+    fn flip_due(&self) -> bool {
+        let wlen = self.write_queue.len();
+        if self.draining {
+            wlen <= self.cfg.write_drain_low
         } else {
-            self.write_queue.len() >= self.cfg.write_drain_high
-        };
-        if flip {
-            self.draining = !self.draining;
-            self.stats.drain_episodes += u64::from(self.draining);
+            wlen >= self.cfg.write_drain_high
         }
-        flip
     }
 
-    /// FR-FCFS over the chosen queue; issues at most one command at `now`.
-    /// Returns whether a command issued.
-    fn schedule_from(&mut self, writes: bool, now: Cycle) -> bool {
+    /// FR-FCFS over the active queue as it stands: the command that issues
+    /// at `now`, or else the earliest cycle one can issue while the queues
+    /// stay frozen ([`Cycle::NEVER`] when the queue is empty). Writes are
+    /// active during a drain, or when no reads are waiting.
+    fn next_command(&self, now: Cycle) -> Result<Command, Cycle> {
+        let writes = self.draining || (self.read_queue.is_empty() && !self.write_queue.is_empty());
         let queue = if writes {
-            &mut self.write_queue
+            &self.write_queue
         } else {
-            &mut self.read_queue
+            &self.read_queue
         };
         if queue.is_empty() {
-            return false;
+            return Err(Cycle::NEVER);
         }
-
-        // Pass 1: oldest row-hit whose CAS can issue now, read off the
-        // CAS-ready column alone.
+        // Pass 1: the oldest windowed row hit whose CAS is ready, read off
+        // the CAS-ready column alone. When none is, the same scan finds
+        // `later`, the first cycle one turns ready (closed rows: `NEVER`).
         let window = queue.cas_ready_window(self.cfg.sched_window);
-        let hit = window.iter().position(|&ready| ready <= now);
+        let mut later = Cycle::NEVER;
+        let mut hit = None;
+        for (idx, &ready) in window.iter().enumerate() {
+            if ready <= now {
+                hit = Some(idx);
+                break;
+            }
+            later = later.min(ready);
+        }
         let scanned = hit.map_or(window.len(), |idx| idx + 1);
         self.work.bump(|w| w.entries_scanned += scanned as u64);
-
+        // Data may not start before the bus frees; model the CAS as delayed
+        // until the data window fits. While the bus is the bottleneck,
+        // issue nothing that could starve this CAS.
+        let bus_free = Cycle(self.bus_free_at.0.saturating_sub(self.cfg.timings.t_cas));
         if let Some(idx) = hit {
-            // Data may not start before the bus frees; model the CAS as
-            // delayed until the data window fits. While the bus is the
-            // bottleneck, issue nothing that could starve this CAS.
-            if self.bus_free_at > now + self.cfg.timings.t_cas {
-                return false;
-            }
-            let bank = queue.bank_index(idx);
-            let Some(req) = queue.remove(idx) else {
-                return false;
+            return if bus_free <= now {
+                Ok(Command::Cas { writes, idx })
+            } else {
+                Err(bus_free)
             };
-            let burst = req.beats * self.cfg.topology.beat_cpu_cycles;
-            let data_start = self
-                .banks
-                .cas(bank, req.location.row, now, burst, &self.cfg.timings);
-            let finish = data_start + burst;
-            self.bus_free_at = finish;
-            self.stats.bus_busy_cycles += burst;
-            self.account_bytes(&req);
-            if let Some(log) = &mut self.transfer_log {
-                log.push(TransferRecord {
-                    channel: 0,
-                    bank,
-                    is_write: req.is_write,
-                    class: req.class,
-                    start: data_start,
+        }
+        // Pass 2: advance the oldest request's bank (ACT or PRE). It counts
+        // only while no windowed row hit is ready by then; an out-of-range
+        // bank can never be scheduled.
+        let (bank, row) = (queue.bank_index(0), queue.row(0));
+        match self.banks.next_action(bank, row) {
+            Some(action @ (BankAction::Act(ready) | BankAction::Pre(ready)))
+                if ready.max(now) < later =>
+            {
+                if ready <= now {
+                    Ok(Command::Bank { action, bank, row })
+                } else {
+                    Err(ready)
+                }
+            }
+            _ => Err(later.max(bus_free)),
+        }
+    }
+
+    /// Issues `cmd` at `now` (see [`Channel::next_command`]).
+    fn issue(&mut self, cmd: Command, now: Cycle) {
+        match cmd {
+            Command::Cas { writes, idx } => {
+                let queue = if writes {
+                    &mut self.write_queue
+                } else {
+                    &mut self.read_queue
+                };
+                let bank = queue.bank_index(idx);
+                let req = queue.remove(idx).expect("a CAS names a queued entry");
+                let burst = req.beats * self.cfg.topology.beat_cpu_cycles;
+                let data_start =
+                    self.banks
+                        .cas(bank, req.location.row, now, burst, &self.cfg.timings);
+                let finish = data_start + burst;
+                self.bus_free_at = finish;
+                self.stats.bus_busy_cycles += burst;
+                self.account_bytes(&req);
+                if let Some(log) = &mut self.transfer_log {
+                    log.push(TransferRecord {
+                        channel: 0,
+                        bank,
+                        is_write: req.is_write,
+                        class: req.class,
+                        start: data_start,
+                        finish,
+                    });
+                }
+                if !req.is_write {
+                    self.stats.read_queue_latency_sum += data_start - req.arrival;
+                }
+                debug_assert!(
+                    self.in_flight.back().is_none_or(|b| b.finish < finish),
+                    "CAS at {now:?} finishes at {finish:?}, not after the transfer before it"
+                );
+                self.in_flight.push_back(Completion {
+                    request: req,
                     finish,
                 });
             }
-            if !req.is_write {
-                self.stats.read_queue_latency_sum += data_start - req.arrival;
+            Command::Bank { action, bank, row } => {
+                if let BankAction::Act(_) = action {
+                    self.banks.activate(bank, row, now, &self.cfg.timings);
+                } else {
+                    self.banks.precharge(bank, row, now, &self.cfg.timings);
+                }
+                // Only this bank's entries can change CAS readiness.
+                let banks = &self.banks;
+                self.read_queue
+                    .refresh_cas_ready(bank, |row| banks.cas_ready(bank, row));
+                self.write_queue
+                    .refresh_cas_ready(bank, |row| banks.cas_ready(bank, row));
             }
-            debug_assert!(
-                self.in_flight.back().is_none_or(|b| b.finish < finish),
-                "CAS at {now:?} finishes at {finish:?}, not after the transfer before it"
-            );
-            self.in_flight.push_back(Completion {
-                request: req,
-                finish,
-            });
-            self.work.bump(|w| w.commands += 1);
-            return true;
         }
-
-        // Pass 2: advance the oldest request's bank (ACT or PRE).
-        let (bank, row) = (queue.bank_index(0), queue.row(0));
-        match self.banks.next_action(bank, row) {
-            Some(BankAction::Act(ready)) if ready <= now => {
-                self.banks.activate(bank, row, now, &self.cfg.timings);
-            }
-            Some(BankAction::Pre(ready)) if ready <= now => {
-                self.banks.precharge(bank, row, now, &self.cfg.timings);
-            }
-            // Not yet, or an out-of-range bank that can never be scheduled.
-            _ => return false,
-        }
-        // Only this bank's entries can change CAS readiness.
-        let banks = &self.banks;
-        self.read_queue
-            .refresh_cas_ready(bank, |row| banks.cas_ready(bank, row));
-        self.write_queue
-            .refresh_cas_ready(bank, |row| banks.cas_ready(bank, row));
         self.work.bump(|w| w.commands += 1);
-        true
     }
 
     fn account_bytes(&mut self, req: &DramRequest) {
@@ -949,6 +945,49 @@ mod tests {
         assert_eq!((acts(&ch), ch.read_queue.len()), (before, 2));
         ch.tick(bus_free, &mut done);
         assert_eq!(ch.read_queue.len(), 1, "the row hit issues on the hint");
+    }
+
+    #[test]
+    fn next_busy_cycle_sees_a_younger_row_hit_block_the_front_act() {
+        // The front request waits out tRP before its ACT. Behind it, an
+        // older row hit turns CAS-ready after that ACT time and a younger
+        // one before it, and the bus stays busy past both. Once the
+        // younger hit is ready, pass 1 finds it blocked by the bus and
+        // pass 2 never runs: the first change is the bus-free cycle, not
+        // the ACT's.
+        let t = cfg().timings;
+        let mut ch = Channel::new(cfg());
+        ch.banks.activate(0, 1, Cycle(0), &t);
+        ch.banks.precharge(0, 1, Cycle(t.t_ras), &t);
+        let act_at = t.t_ras + t.t_rp;
+        ch.banks.activate(1, 1, Cycle(act_at + 10 - t.t_rcd), &t);
+        ch.banks.activate(2, 1, Cycle(act_at - 10 - t.t_rcd), &t);
+        let bus_free = Cycle(act_at + 100);
+        ch.bus_free_at = bus_free + t.t_cas;
+        let now = Cycle(t.t_ras + 1);
+        for (id, bank, row) in [(1, 0, 2), (2, 1, 1), (3, 2, 1)] {
+            ch.try_enqueue(DramRequest::read(
+                id,
+                loc(bank, row),
+                5,
+                TrafficClass(0),
+                now,
+            ))
+            .unwrap();
+        }
+        let hint = ch.next_busy_cycle(now);
+        let mut done = Vec::new();
+        let first_change = (now.0..bus_free.0 + 100)
+            .map(Cycle)
+            .find(|&c| ch.tick(c, &mut done));
+        assert_eq!(first_change, Some(bus_free));
+        assert_eq!(hint, bus_free, "the hint names the first change");
+        assert_eq!(ch.read_queue.get(0).map(|r| r.id), Some(1));
+        assert_eq!(
+            ch.read_queue.get(1).map(|r| r.id),
+            Some(3),
+            "the older row hit issued"
+        );
     }
 
     #[test]

@@ -290,10 +290,11 @@ impl DramDevice {
     }
 
     /// One due tick of `ch` at `now`, keeping its wake-table row exact.
-    /// The act phase runs when the preview or a refresh falls due. The
-    /// preview is retaken only when the act phase ran and the channel
-    /// changed; a retire-only tick keeps it, since scheduling reads no
-    /// in-flight state. Returns whether a transfer retired.
+    /// The act phase runs when the preview or a refresh falls due, and
+    /// then always changes the channel, since the preview is exact; the
+    /// preview is retaken after it. A retire-only tick keeps it, since
+    /// scheduling reads no in-flight state. Returns whether a transfer
+    /// retired.
     fn step(
         ch: &mut Channel,
         w: &mut Wake,
@@ -303,7 +304,12 @@ impl DramDevice {
     ) -> bool {
         let act = w.sched <= now || ch.refresh_due(now);
         let (retired, acted) = ch.tick_phases(now, completions, act);
-        if act && (retired || acted) {
+        debug_assert_eq!(
+            act, acted,
+            "preview {:?} missed the act phase at {now:?}",
+            w.sched
+        );
+        if acted {
             w.sched = ch.next_schedule_cycle(now + 1);
         } else if diag && !act {
             Self::audit(ch, now, "act phase", |ch| !ch.act(now));
@@ -315,9 +321,10 @@ impl DramDevice {
 
     /// Gate audit: runs an elided `op` anyway and panics unless it was a
     /// no-op (it returns `true` and leaves the channel's state unchanged).
+    /// The op's host work is not counted: the audited run never does it.
     fn audit(ch: &mut Channel, now: Cycle, what: &str, op: impl FnOnce(&mut Channel) -> bool) {
         let before = format!("{ch:?}");
-        let quiet = op(ch);
+        let quiet = ch.unrecorded(op);
         let after = format!("{ch:?}");
         assert!(
             quiet && before == after,

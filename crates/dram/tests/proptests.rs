@@ -257,6 +257,8 @@ struct Drive {
     hints: Vec<(Cycle, Cycle, Cycle)>,
     /// Channel ticks the device replayed late.
     replayed: u64,
+    /// Channel ticks that changed nothing.
+    noop: u64,
 }
 
 /// Offers `stream` (sorted by arrival) to a fresh device in order, head of
@@ -331,6 +333,7 @@ fn drive_stream(cfg: DramConfig, stream: &[DramRequest], driving: Driving) -> Dr
         ),
         hints,
         replayed: dev.work().replayed_ticks,
+        noop: dev.work().noop_ticks,
     }
 }
 
@@ -360,8 +363,9 @@ fn retire_order_holds(drive: &Drive) -> PropResult {
 /// completions and statistics as per-cycle `tick`, and the same hint
 /// values as per-cycle `tick_gated` at every cycle it visits. Lazy
 /// driving, which leaves every internal tick to the device's replay, does
-/// too. Under every driving each channel retires in finish order, one
-/// transfer per visit at most.
+/// too, and neither ticks a channel that then changes nothing. Under
+/// every driving each channel retires in finish order, one transfer per
+/// visit at most.
 #[test]
 fn hinted_gated_driving_matches_per_cycle_ticking() {
     let mut replayed = 0;
@@ -407,6 +411,7 @@ fn hinted_gated_driving_matches_per_cycle_ticking() {
             retire_order_holds(drive)?;
         }
         for drive in [&gated, &hinted, &lazy] {
+            prop_assert_eq!(drive.noop, 0, "a gated channel ticked for nothing");
             prop_assert_eq!(&drive.done, &polled.done);
             prop_assert_eq!(&drive.stats, &polled.stats);
             let mut every_cycle = gated.hints.iter();

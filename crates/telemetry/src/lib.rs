@@ -85,8 +85,8 @@ pub struct TelemetryOptions {
     /// Record functional events and DRAM transfer begin/end for Chrome
     /// trace export.
     pub trace: bool,
-    /// Arm the host self-profiler around run-loop steps (`tick`, `skip`,
-    /// `span`) and sample-window closes (`telemetry`).
+    /// Arm the host self-profiler around run-loop steps (`tick`, `skip`)
+    /// and sample-window closes (`telemetry`).
     pub profile: bool,
 }
 
